@@ -194,7 +194,8 @@ def q_bounds(m: int, n: int) -> tuple[float, float]:
         raise ParameterError("(m+2)n > 2 required")
     q_min = 2.0 * (kn - m) / (kn - 2.0)
     q0 = 2.0 * (kn + 2.0) / (kn - 2.0)
-    assert q0 > q_min
+    if not q0 > q_min:
+        raise EmptyIntervalError(f"q-range empty: need q0 > q_min, got q0={q0}, q_min={q_min}")
     return q_min, q0
 
 
@@ -259,8 +260,15 @@ class ExponentReport:
     alpha_m: float
 
     def __post_init__(self):
-        assert self.p_crit < self.p_conf
-        assert self.q0 > self.q_min > 1.0
+        if not self.p_crit < self.p_conf:
+            raise EmptyIntervalError(
+                f"exponent window empty: need p_crit < p_conf, got "
+                f"p_crit={self.p_crit}, p_conf={self.p_conf}"
+            )
+        if not self.q0 > self.q_min > 1.0:
+            raise EmptyIntervalError(
+                f"q-range empty: need q0 > q_min > 1, got q0={self.q0}, q_min={self.q_min}"
+            )
 
 
 def exponent_report(m: int, n: int) -> ExponentReport:

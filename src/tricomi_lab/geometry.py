@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EmptyIntervalError, ParameterError
 
 __all__ = [
     "WeightSpec",
@@ -219,5 +219,9 @@ def verify_shifted_cone_bounds(
         raise ParameterError("sampled point escaped the weight's positivity region")
     c_lower = float(ratio.min())
     C_upper = float(ratio.max())
-    assert 0.0 < c_lower <= C_upper < np.inf
+    if not (0.0 < c_lower <= C_upper < np.inf):
+        raise EmptyIntervalError(
+            f"shifted-cone bounds violate 0 < c_lower <= C_upper < inf: "
+            f"c_lower={c_lower}, C_upper={C_upper}"
+        )
     return ShiftedConeBounds(c_lower=c_lower, C_upper=C_upper)

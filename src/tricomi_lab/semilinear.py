@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError, ParameterError, PicardDivergenceError
+from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError
 from .exponents import ModelParams, gamma_interval
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
@@ -462,7 +462,7 @@ def sweep_p(
             row["kind"] = outcome.kind
             row["blowup_time"] = outcome.blowup_time
             row["final_sup"] = outcome.norm_history[-1][1] if outcome.norm_history else None
-        except Exception as exc:  # recorded per row, sweep continues
+        except TricomiLabError as exc:  # recorded per row, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

@@ -24,14 +24,16 @@ Three independent evaluation routes are provided and cross-validated by the
 tests: direct ODE integration (power series start + adaptive high-order
 explicit integration), the Kummer route (series for |z| <= 30, exponential
 two-component asymptotics beyond, overlap-checked on |z| in [25, 40]), and
-the Bessel route (series for w <= 15, Hankel-type asymptotics beyond).
+the Bessel route (ascending series for w <= W_SWITCH = 12.25, Hankel's
+expansion beyond, both with fixed truncations and good to about 1e-12).
 Pochhammer ratios are always accumulated incrementally, never via Gamma
 quotients.
 
 The solver-facing entry point is :func:`symbol_matrix`, which evaluates
-(V1, V2, V1', V2') vectorized over a frequency array via the Bessel route;
-the Wronskian V1 V2' - V1' V2 is identically 1 (no first-order term in the
-mode ODE), which the stepper relies on.
+(V1, V2, V1', V2') vectorized over a frequency array via the Bessel route,
+all four Bessel orders in one pass of one kernel; the Wronskian
+V1 V2' - V1' V2 is identically 1 (no first-order term in the mode ODE),
+which the stepper relies on, and is met to about 1e-11 in floating point.
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import AccuracyError, InstabilityError, ParameterError
-from .geometry import phi
+from .geometry import phi, phi_inverse
 
 __all__ = [
     "Z_SWITCH",
     "W_SWITCH",
-    "ModeSymbol",
     "ModeState",
     "bessel_j",
     "kummer_M",
@@ -66,22 +67,14 @@ __all__ = [
 # overlap band [25, 40] validated in the tests.  At 30 the stabilized
 # series loses ~ e^(|z|/2) * eps ~ 1e-9 to cancellation.
 Z_SWITCH = 30.0
-# Bessel series/Hankel handover in w; same overlap-validation pattern.
-W_SWITCH = 15.0
-
-
-@dataclass(frozen=True)
-class ModeSymbol:
-    """One symbol evaluation: value of V1 or V2 at (t, lambda); z = 2 i phi(t) lambda."""
-
-    m: int
-    t: float
-    lam: float
-    value: complex
-
-    @property
-    def z(self) -> complex:
-        return 2j * phi(self.m, self.t) * self.lam
+# Bessel series/Hankel handover in w, where the two truncation errors cross
+# (both about 1e-12 against mpmath); overlap-validated on w in [12.5, 20].
+# The series error grows like eps e^w, the Hankel error falls like e^(-2w).
+W_SWITCH = 12.25
+# Fixed truncations, the same for every element: the series is exact to
+# rounding up to w = 20; the Hankel expansion keeps a_0 .. a_23.
+_SERIES_TERMS = 40
+_HANKEL_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -106,62 +99,94 @@ def _rgamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series(nu: float, w: np.ndarray) -> np.ndarray:
-    # ascending series, terms accumulated incrementally; fine to w ~ 15
-    x = -0.25 * w * w
-    term = (0.5 * w) ** nu * _rgamma(nu + 1.0)
-    s = term.copy()
-    for k in range(1, 200):
-        term = term * x / (k * (nu + k))
-        s += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(s) + 1e-300):
-            break
+def _horner(coef, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k by Horner's rule, every term for every element.
+
+    Coefficients are scalars, or columns (one value per row) to evaluate
+    several polynomials at once.
+    """
+    s = coef[-1] * np.ones_like(x)
+    for c in coef[-2::-1]:
+        s *= x
+        s += c
     return s
 
 
-def _bessel_hankel(nu: float, w: np.ndarray) -> np.ndarray:
-    # J_nu(w) = sqrt(2/(pi w)) (cos(chi) P - sin(chi) Q), chi = w - nu pi/2 - pi/4,
-    # a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k); truncation at the first
-    # growing term relative to the smallest w in the batch.
-    mu = 4.0 * nu * nu
-    w_min = float(w.min())
-    P = np.zeros_like(w)
-    Q = np.zeros_like(w)
-    ak = 1.0
-    prev_bound = np.inf
-    k = 0
-    while k < 80:
-        if k % 2 == 0:
-            P += (-1.0) ** (k // 2) * ak / w**k
-        else:
-            Q += (-1.0) ** ((k - 1) // 2) * ak / w**k
-        k += 1
-        ak_next = ak * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0)
-        bound = abs(ak_next) / w_min**k
-        if bound >= prev_bound or bound < 1e-18:
-            break
-        prev_bound = bound
-        ak = ak_next
-    chi = w - nu * np.pi / 2.0 - np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * w)) * (np.cos(chi) * P - np.sin(chi) * Q)
+def _bessel_series(nus, w: np.ndarray) -> np.ndarray:
+    """J_nu(w) for each order in ``nus`` (rows) by the ascending series (DLMF 10.2.2).
+
+    J_nu(w) = (w/2)^nu / Gamma(nu + 1) * sum_k x^k / (k! (nu + 1)_k),  x = -w^2/4,
+    over ``_SERIES_TERMS`` terms, all orders in one Horner pass.
+    """
+    nu = np.asarray(nus, dtype=float)[:, None]
+    k = np.arange(1.0, _SERIES_TERMS)
+    coef = np.cumprod(1.0 / (k * (nu + k)), axis=1)
+    s = _horner([1.0, *coef.T[:, :, None]], -0.25 * w * w)
+    rgamma = np.array([[_rgamma(v + 1.0)] for v in nus])
+    return s * (rgamma * (0.5 * w) ** nu)
 
 
-def bessel_j(nu: float, w, w_switch: float = W_SWITCH):
+def _bessel_hankel(nus, w: np.ndarray) -> np.ndarray:
+    """J_nu(w) for each order in ``nus`` (rows) by Hankel's expansion (DLMF 10.17.3).
+
+    J_nu(w) = amp (cos(chi) P - sin(chi) Q),  amp = sqrt(2/(pi w)),  chi = theta - nu pi/2,
+    theta = w - pi/4, with P = sum_k (-1)^k a_2k / w^2k and
+    Q = sum_k (-1)^k a_(2k+1) / w^(2k+1), a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j),
+    each by Horner in 1/w^2 over ``_HANKEL_TERMS`` terms.  Expanding chi gives
+    J_nu = cos(nu pi/2) A + sin(nu pi/2) B with A = amp (cos(theta) P - sin(theta) Q)
+    and B = amp (sin(theta) P + cos(theta) Q), so one cos/sin of theta serves every
+    order, and orders +-nu (same 4 nu^2, same P and Q) share A and B.
+    """
+    y = 1.0 / (w * w)
+    amp = np.sqrt(2.0 / (np.pi * w))
+    amp_cos, amp_sin = amp * np.cos(w - 0.25 * np.pi), amp * np.sin(w - 0.25 * np.pi)
+    j = np.arange(1.0, 2 * _HANKEL_TERMS)
+    rotated = {}
+    out = np.empty((len(nus), w.size))
+    for row, nu in zip(out, nus):
+        mu = 4.0 * nu * nu
+        if mu not in rotated:
+            a = np.cumprod([1.0, *((mu - (2.0 * j - 1.0) ** 2) / (8.0 * j))])
+            a[2::4] *= -1.0
+            a[3::4] *= -1.0
+            p, q = _horner(a[0::2].tolist(), y), _horner(a[1::2].tolist(), y) / w
+            rotated[mu] = p * amp_cos - q * amp_sin, p * amp_sin + q * amp_cos
+        a_rot, b_rot = rotated[mu]
+        np.multiply(a_rot, math.cos(0.5 * math.pi * nu), out=row)
+        row += math.sin(0.5 * math.pi * nu) * b_rot
+    return out
+
+
+def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
+    """J_nu(w) for every order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
+
+    Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
+    truncation, so an element's value depends on its own w only.
+    """
+    flat = w.ravel()
+    small = flat <= W_SWITCH
+    k = int(np.count_nonzero(small))
+    # ascending w (the solvers' frequency grids) splits into two slices, else two masks
+    lo, hi = (slice(None, k), slice(k, None)) if small[:k].all() else (small, ~small)
+    out = np.empty((len(nus), flat.size))
+    if k:
+        out[:, lo] = _bessel_series(nus, flat[lo])
+    if k < flat.size:
+        out[:, hi] = _bessel_hankel(nus, flat[hi])
+    return out.reshape((len(nus),) + w.shape)
+
+
+def bessel_j(nu: float, w):
     """Bessel J_nu(w) for real order nu > -1 and w >= 0, vectorized in w.
 
-    Ascending series below ``w_switch``, Hankel-type asymptotics above.
+    Ascending series up to ``W_SWITCH``, Hankel's expansion beyond.
     Only the order families needed by the symbols are exercised in anger
     (nu in (-1/2, 0) and (0, 3/2)); this is not a general-purpose Bessel.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w < 0):
         raise ParameterError("w >= 0 required")
-    out = np.empty_like(w)
-    small = w <= w_switch
-    if np.any(small):
-        out[small] = _bessel_series(nu, w[small])
-    if np.any(~small):
-        out[~small] = _bessel_hankel(nu, w[~small])
+    out = _bessel_kernel((nu,), w)[0]
     return out if out.size > 1 else float(out[0])
 
 
@@ -334,10 +359,7 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray):
     c1 = math.gamma(1.0 - nu)
     c2 = math.gamma(1.0 + nu)
     half_pow = (0.5 * w) ** nu
-    j_m = bessel_j(-nu, w)
-    j_1m = bessel_j(1.0 - nu, w)
-    j_p = bessel_j(nu, w)
-    j_p1 = bessel_j(nu + 1.0, w)
+    j_m, j_1m, j_p, j_p1 = _bessel_kernel((-nu, 1.0 - nu, nu, 1.0 + nu), w)
     dw = t ** (m / 2.0) * lam
     inv_half_pow = (0.5 * w) ** (-nu)
     v1 = c1 * half_pow * j_m
@@ -416,7 +438,7 @@ def evolve_mode_many(
             for t in t_targets
         ]
     # series is reliable while phi(t) lam stays small
-    t_series = min(float(phi_inv_scalar(m, 0.5 / lam)), 1.0)
+    t_series = min(float(phi_inverse(m, 0.5 / lam)), 1.0)
     out: list[ModeState] = []
     serial = t_targets[t_targets <= t_series]
     for t in serial:
@@ -444,10 +466,6 @@ def evolve_mode_many(
         for t, v, vd in zip(sol.t, sol.y[0], sol.y[1]):
             out.append(ModeState(v=float(v), v_dot=float(vd), t=float(t), lam=lam))
     return out
-
-
-def phi_inv_scalar(m: int, s: float) -> float:
-    return ((m + 2.0) * s / 2.0) ** (2.0 / (m + 2.0))
 
 
 # ---------------------------------------------------------------------------

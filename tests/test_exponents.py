@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricomi_lab.errors import ParameterError
+from tricomi_lab.errors import EmptyIntervalError, ParameterError
 from tricomi_lab.exponents import (
     ExponentReport,
     ModelParams,
@@ -224,6 +224,14 @@ class TestReportAndParams:
         assert rep.p_crit < rep.p_conf
         assert rep.q0 > rep.q_min > 2.0
         assert exponent_report(5, 4).q0 > exponent_report(5, 4).q_min
+
+    def test_report_rejects_empty_window(self):
+        good = exponent_report(1, 3)
+        with pytest.raises(EmptyIntervalError, match="p_crit < p_conf"):
+            ExponentReport(
+                p_crit=good.p_conf, p_conf=good.p_conf, p_strauss=good.p_strauss,
+                q_min=good.q_min, q0=good.q0, mu_m=good.mu_m, alpha_m=good.alpha_m,
+            )
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -226,3 +226,13 @@ class TestSweep:
         grid = RadialGrid(5.0, 256)  # too small for the horizon: per-row error
         rows = sweep_p(params, [2.0], zero, zero, 5.0, StepControl(dt=0.05), grid)
         assert rows[0]["error"] != ""
+
+    def test_programming_errors_propagate(self):
+        # only package errors are recorded per row; a bug in the data escapes
+        def broken(r):
+            raise RuntimeError("broken data callable")
+
+        params = ModelParams(1, 3, 2.0, eps=0.5, M=2.0)
+        grid = RadialGrid(12.0, 256)
+        with pytest.raises(RuntimeError, match="broken data callable"):
+            sweep_p(params, [2.0], broken, zero, 2.0, StepControl(dt=0.05), grid)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv as scipy_jv
@@ -9,6 +10,7 @@ from scipy.special import jv as scipy_jv
 from tricomi_lab.errors import AccuracyError, ParameterError
 from tricomi_lab.geometry import phi, phi_inverse
 from tricomi_lab.symbols import (
+    W_SWITCH,
     Z_SWITCH,
     amplitude_envelope_bound,
     asymptotic_components,
@@ -39,7 +41,23 @@ class TestBesselRoute:
 
         w = np.linspace(12.5, 20.0, 40)
         for nu in (-1.0 / 3.0, 0.25, 1.25):
-            assert np.abs(_bessel_series(nu, w) - _bessel_hankel(nu, w)).max() < 1e-8
+            assert np.abs(_bessel_series((nu,), w) - _bessel_hankel((nu,), w)).max() < 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_branches_against_mpmath(self, m):
+        # both branches at their handover and far from it, to 50 digits
+        from tricomi_lab.symbols import _bessel_hankel, _bessel_series
+
+        nu = 1.0 / (m + 2.0)
+        below = np.array([1e-3, 1.0, W_SWITCH - 0.5, W_SWITCH - 1e-9])
+        above = np.array([W_SWITCH + 1e-9, W_SWITCH + 0.5, 40.0, 900.0])
+        with mpmath.workdps(50):
+            for order in (-nu, 1.0 - nu, nu, 1.0 + nu):
+                for branch, ws in ((_bessel_series, below), (_bessel_hankel, above)):
+                    got = branch((order,), ws)[0]
+                    ref = np.array([float(mpmath.besselj(order, mpmath.mpf(w))) for w in ws])
+                    assert np.abs(got - ref).max() < 2e-12
+                    assert np.array_equal(bessel_j(order, ws), got)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ParameterError):
@@ -188,6 +206,27 @@ class TestSymbolMatrix:
         lam = np.geomspace(0.05, 80.0, 500)
         v1, v2, v1p, v2p = symbol_matrix(m, 10.0, lam)
         assert np.abs(v1 * v2p - v1p * v2 - 1.0).max() < 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_wronskian_tight(self, m):
+        # the 2x2 step inverts with the adjugate, which assumes a unit Wronskian
+        lam = np.pi * np.arange(1, 16384) / 680.0
+        worst = 0.0
+        for t in np.linspace(1.0, 10.0, 50):
+            v1, v2, v1p, v2p = symbol_matrix(m, float(t), lam)
+            worst = max(worst, float(np.abs(v1 * v2p - v1p * v2 - 1.0).max()))
+        assert worst <= 2e-11
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+    def test_batch_independent(self, m, t):
+        # each frequency's value depends on that frequency alone
+        lam = np.pi * np.arange(1, 4096) / 170.0
+        full = symbol_matrix(m, t, lam)
+        for i in range(0, lam.size, 7):
+            single = symbol_matrix(m, t, lam[i : i + 1])
+            for f, s in zip(full, single):
+                assert f[i] == s[0]
 
     def test_t_zero(self):
         lam = np.linspace(0.1, 5.0, 7)
