@@ -165,14 +165,11 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
     """
     flat = w.ravel()
     small = flat <= W_SWITCH
-    k = int(np.count_nonzero(small))
-    # ascending w (the solvers' frequency grids) splits into two slices, else two masks
-    lo, hi = (slice(None, k), slice(k, None)) if small[:k].all() else (small, ~small)
     out = np.empty((len(nus), flat.size))
-    if k:
-        out[:, lo] = _bessel_series(nus, flat[lo])
-    if k < flat.size:
-        out[:, hi] = _bessel_hankel(nus, flat[hi])
+    if small.any():
+        out[:, small] = _bessel_series(nus, flat[small])
+    if not small.all():
+        out[:, ~small] = _bessel_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
 
 

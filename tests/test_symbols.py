@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv as scipy_jv
@@ -48,6 +47,7 @@ class TestBesselRoute:
         # both branches at their handover and far from it, to 50 digits
         from tricomi_lab.symbols import _bessel_hankel, _bessel_series
 
+        mpmath = pytest.importorskip("mpmath")
         nu = 1.0 / (m + 2.0)
         below = np.array([1e-3, 1.0, W_SWITCH - 0.5, W_SWITCH - 1e-9])
         above = np.array([W_SWITCH + 1e-9, W_SWITCH + 0.5, 40.0, 900.0])
@@ -227,6 +227,16 @@ class TestSymbolMatrix:
             single = symbol_matrix(m, t, lam[i : i + 1])
             for f, s in zip(full, single):
                 assert f[i] == s[0]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_unsorted_frequencies(self, m):
+        # shuffled frequencies on both sides of W_SWITCH give the shuffled values
+        lam = np.pi * np.arange(1, 4096) / 170.0
+        order = np.random.default_rng(7).permutation(lam.size)
+        w = phi(m, 5.0) * lam[order]
+        assert (w <= W_SWITCH).any() and (w > W_SWITCH).any()
+        for f, s in zip(symbol_matrix(m, 5.0, lam), symbol_matrix(m, 5.0, lam[order])):
+            assert np.array_equal(f[order], s)
 
     def test_t_zero(self):
         lam = np.linspace(0.1, 5.0, 7)
