@@ -1,9 +1,12 @@
 """Command-line harness: scenario orchestration, CSV/JSON-lines artifacts, manifests.
 
-Every run writes its primary artifacts into ``--output-dir`` plus a
-``manifest.json`` echoing the configuration, library versions, wall time,
-and a sha256 checksum per primary output so reruns can be compared
-byte-for-byte.  Numbers in CSVs are printed with 17 significant digits.
+Every subcommand becomes a config, is validated by ``parse_config`` and runs
+through one scenario table.  The flag subcommands (exponents,
+check-geometry, symbols) print their CSV to stdout.  Whenever a run writes
+its primary artifacts into a directory, it also writes a ``manifest.json``
+echoing the configuration, library versions, wall time, and a sha256
+checksum per primary output so reruns can be compared byte-for-byte.
+Numbers in CSVs are printed with 17 significant digits.
 
 Exit codes: 0 success (a detected blowup is a result, not an error),
 2 validation error, 3 internal numerical failure.
@@ -22,16 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, SCENARIOS, parse_config
-from .errors import (
-    AccuracyError,
-    GridError,
-    InstabilityError,
-    ParameterError,
-    PicardDivergenceError,
-    SupportError,
-    TricomiLabError,
-)
+from .config import RunConfig, parse_config
+from .errors import GridError, ParameterError, SupportError, TricomiLabError
 from .exponents import (
     ModelParams,
     damped_wave_coeffs,
@@ -98,10 +93,7 @@ def _csv(header: str, rows) -> str:
 def _manifest(outdir: Path, cfg_payload: dict, outputs: list[Path], t0: float) -> None:
     import scipy
 
-    checks = {}
-    for p in outputs:
-        if p.exists():
-            checks[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    checks = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
     manifest = {
         "config": cfg_payload,
         "versions": {
@@ -216,7 +208,28 @@ def _snapshot_times(section: dict, t_final: float):
     return np.geomspace(t_start, t_final, n)
 
 
-def _scenario_solve_linear(cfg: RunConfig, outdir: Path) -> list[Path]:
+def _scenario_exponents(cfg: RunConfig) -> dict[str, str]:
+    md = cfg.data["model"]
+    sweep = cfg.section("exponents").get("sweep")
+    return {"exponents.csv": run_exponents(int(md["m"]), int(md["n"]), md["p"], sweep)}
+
+
+def _scenario_check_geometry(cfg: RunConfig) -> dict[str, str]:
+    sec = cfg.section("geometry")
+    md = cfg.data["model"]
+    text = run_check_geometry(
+        int(md["m"]), float(md["M"]), float(sec.get("T0", 0.5)),
+        sec.get("nu"), float(sec.get("delta", 1e-4)), cfg.seed
+    )
+    return {"geometry.csv": text}
+
+
+def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
+    md = cfg.data["model"]
+    return {"symbols.csv": run_symbols(int(md["m"]), cfg.section("symbols").get("grid", "100:64"))}
+
+
+def _scenario_solve_linear(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
     grid = RadialGrid(**cfg.grid_args())
     sec = cfg.section("linear")
@@ -233,14 +246,13 @@ def _scenario_solve_linear(cfg: RunConfig, outdir: Path) -> list[Path]:
     l2 = field.l2_norms()
     leak = field.support_leak()
     summary_rows = [[t, sup[i], l2[i], leak[i]] for i, t in enumerate(field.times)]
-    p_field = outdir / "field.csv"
-    p_summary = outdir / "summary.csv"
-    _write_text(p_field, _csv("t,r,u", field_rows))
-    _write_text(p_summary, _csv("t,sup_norm,l2_norm,support_leak", summary_rows))
-    return [p_field, p_summary]
+    return {
+        "field.csv": _csv("t,r,u", field_rows),
+        "summary.csv": _csv("t,sup_norm,l2_norm,support_leak", summary_rows),
+    }
 
 
-def _scenario_solve_semilinear(cfg: RunConfig, outdir: Path) -> list[Path]:
+def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
     grid = RadialGrid(**cfg.grid_args())
     sec = cfg.section("semilinear")
@@ -255,7 +267,6 @@ def _scenario_solve_semilinear(cfg: RunConfig, outdir: Path) -> list[Path]:
         "horizon": horizon,
         "dt": control.dt,
     }
-    outputs: list[Path] = []
     if mode == "picard":
         diag, field = picard_solve(
             params, spec, f, g, horizon, control, grid,
@@ -282,40 +293,31 @@ def _scenario_solve_semilinear(cfg: RunConfig, outdir: Path) -> list[Path]:
                 record["weighted_norm"] = weighted_solution_norm(field, params, gamma)
                 record["weighted_norm_gamma"] = gamma
         record["norm_history"] = [[t, s] for t, s in outcome.norm_history[:: max(1, len(outcome.norm_history) // 200)]]
-    p_out = outdir / "outcome.json-lines"
-    _write_text(p_out, json.dumps(record, sort_keys=True) + "\n")
-    outputs.append(p_out)
+    artifacts = {"outcome.json-lines": json.dumps(record, sort_keys=True) + "\n"}
     if sec.get("write_field", False) and field.times.size:
         rows = []
         stride = max(1, grid.N // int(sec.get("field_r_points", 256)))
         for i, t in enumerate(field.times):
             for j in range(0, grid.N + 1, stride):
                 rows.append([t, grid.r[j], field.u[i, j]])
-        p_field = outdir / "field.csv"
-        _write_text(p_field, _csv("t,r,u", rows))
-        outputs.append(p_field)
-    return outputs
+        artifacts["field.csv"] = _csv("t,r,u", rows)
+    return artifacts
 
 
-def _scenario_sweep_p(cfg: RunConfig, outdir: Path, p_grid_override=None) -> list[Path]:
+def _scenario_sweep_p(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
     grid = RadialGrid(**cfg.grid_args())
     sec = cfg.section("sweep")
-    p_grid = p_grid_override if p_grid_override is not None else sec.get("p_grid", [])
-    if not len(p_grid):
-        raise ParameterError("sweep requires a nonempty p_grid (config sweep.p_grid or --p-grid)")
     horizon = float(sec.get("horizon", 20.0))
     control = StepControl(dt=float(sec.get("dt", 0.01)))
     f, g = _data_callables(cfg, sec)
-    rows = sweep_p(params, [float(p) for p in p_grid], f, g, horizon, control, grid,
+    rows = sweep_p(params, [float(p) for p in sec["p_grid"]], f, g, horizon, control, grid,
                    T0=float(sec.get("T0", 0.5)))
     lines = [json.dumps(row, sort_keys=True) for row in rows]
-    p_out = outdir / "outcome.json-lines"
-    _write_text(p_out, "\n".join(lines) + "\n")
-    return [p_out]
+    return {"outcome.json-lines": "\n".join(lines) + "\n"}
 
 
-def _scenario_verify_strichartz(cfg: RunConfig, outdir: Path) -> list[Path]:
+def _scenario_verify_strichartz(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
     grid = RadialGrid(**cfg.grid_args())
     sec = cfg.section("strichartz")
@@ -360,51 +362,35 @@ def _scenario_verify_strichartz(cfg: RunConfig, outdir: Path) -> list[Path]:
             dt=float(sec.get("dt", 0.02)),
         ):
             rows.append([f"inh:{row.member}", row.lhs, row.rhs, row.ratio, row.tail_fraction, row.flags])
-    p_out = outdir / "ratios.csv"
-    _write_text(p_out, _csv("member_id,lhs,rhs,ratio,tail_fraction,flags", rows))
-    return [p_out]
+    return {"ratios.csv": _csv("member_id,lhs,rhs,ratio,tail_fraction,flags", rows)}
+
+
+_RUNNERS = {
+    "exponents": _scenario_exponents,
+    "check-geometry": _scenario_check_geometry,
+    "symbols": _scenario_symbols,
+    "solve-linear": _scenario_solve_linear,
+    "solve-semilinear": _scenario_solve_semilinear,
+    "sweep-p": _scenario_sweep_p,
+    "verify-strichartz": _scenario_verify_strichartz,
+}
+
+
+def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
+    """Run the config's scenario; with an ``outdir``, write its artifacts and manifest there."""
+    t0 = time.time()
+    artifacts = _RUNNERS[cfg.scenario](cfg)
+    if outdir is not None:
+        paths = [outdir / name for name in artifacts]
+        for path, text in zip(paths, artifacts.values()):
+            _write_text(path, text)
+        _manifest(outdir, cfg.data, paths, t0)
+    return artifacts
 
 
 def run_scenario(cfg: RunConfig) -> int:
     """Execute the scenario named by the config; writes artifacts + manifest."""
-    t0 = time.time()
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    scenario = cfg.scenario
-    if scenario == "exponents":
-        md = cfg.data["model"]
-        sweep = cfg.section("exponents").get("sweep")
-        text = run_exponents(int(md["m"]), int(md["n"]), md.get("p"), sweep)
-        p_out = outdir / "exponents.csv"
-        _write_text(p_out, text)
-        outputs = [p_out]
-    elif scenario == "check-geometry":
-        sec = cfg.section("geometry")
-        md = cfg.data["model"]
-        text = run_check_geometry(
-            int(md["m"]), float(md["M"]), float(sec.get("T0", 0.5)),
-            sec.get("nu"), float(sec.get("delta", 1e-4)), cfg.seed
-        )
-        p_out = outdir / "geometry.csv"
-        _write_text(p_out, text)
-        outputs = [p_out]
-    elif scenario == "symbols":
-        md = cfg.data["model"]
-        text = run_symbols(int(md["m"]), cfg.section("symbols").get("grid", "100:64"))
-        p_out = outdir / "symbols.csv"
-        _write_text(p_out, text)
-        outputs = [p_out]
-    elif scenario == "solve-linear":
-        outputs = _scenario_solve_linear(cfg, outdir)
-    elif scenario == "solve-semilinear":
-        outputs = _scenario_solve_semilinear(cfg, outdir)
-    elif scenario == "sweep-p":
-        outputs = _scenario_sweep_p(cfg, outdir)
-    elif scenario == "verify-strichartz":
-        outputs = _scenario_verify_strichartz(cfg, outdir)
-    else:  # unreachable: parse_config validates
-        raise ParameterError(f"unknown scenario {scenario!r}")
-    _manifest(outdir, cfg.data, outputs, t0)
+    _run(cfg, Path(cfg.output_dir))
     return 0
 
 
@@ -419,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the semilinear generalized Tricomi equation.",
     )
     ap.add_argument("--output-dir", default=None, help="directory for artifacts (default: stdout only / config value)")
-    ap.add_argument("--threads", type=int, default=1, help="worker count (all paths are deterministic; reserved)")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -450,58 +435,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(path: str, scenario: str, output_dir: str | None) -> RunConfig:
-    text = Path(path).read_text()
-    cfg = parse_config(text)
-    if cfg.scenario != scenario:
+def _flag_payload(args) -> dict:
+    """The config payload of a flag subcommand (exponents, check-geometry, symbols)."""
+    if args.command == "exponents":
+        if args.sweep is None and (args.m is None or args.n is None):
+            raise ParameterError("exponents requires --m and --n (or --sweep)")
+        # p stays null without --p, so the table leaves its gamma columns empty
+        model = {"p": args.p, **{k: v for k, v in (("m", args.m), ("n", args.n)) if v is not None}}
+        payload = {"scenario": "exponents", "model": model, "exponents": {"sweep": args.sweep}}
+    elif args.command == "check-geometry":
+        payload = {
+            "scenario": "check-geometry",
+            "model": {"m": args.m, "M": args.M},
+            "geometry": {"T0": args.T0, "nu": args.nu, "delta": args.delta},
+        }
+    else:
+        payload = {"scenario": "symbols", "model": {"m": args.m}, "symbols": {"grid": args.grid}}
+    payload["seed"] = args.seed
+    if args.output_dir:
+        payload["output_dir"] = args.output_dir
+    return payload
+
+
+def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides applied, then validated."""
+    payload = json.loads(Path(args.config).read_text())
+    if isinstance(payload, dict):  # parse_config names anything else
+        if args.output_dir is not None:
+            payload["output_dir"] = args.output_dir
+        if getattr(args, "p_grid", None):
+            payload["sweep"] = {**payload.get("sweep", {}), "p_grid": args.p_grid.split(",")}
+    cfg = parse_config(json.dumps(payload))
+    if cfg.scenario != args.command:
         raise ParameterError(
-            f"config names scenario {cfg.scenario!r} but the subcommand is {scenario!r}"
+            f"config names scenario {cfg.scenario!r} but the subcommand is {args.command!r}"
         )
-    if output_dir is not None:
-        data = dict(cfg.data)
-        data["output_dir"] = output_dir
-        cfg = RunConfig(data=data)
     return cfg
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "exponents":
-            if args.sweep is None and (args.m is None or args.n is None):
-                raise ParameterError("exponents requires --m and --n (or --sweep)")
-            text = run_exponents(args.m, args.n, args.p, args.sweep)
-            sys.stdout.write(text)
-            if args.output_dir:
-                outdir = Path(args.output_dir)
-                _write_text(outdir / "exponents.csv", text)
-                _manifest(outdir, {"command": "exponents"}, [outdir / "exponents.csv"], time.time())
+        if args.command in ("exponents", "check-geometry", "symbols"):
+            cfg = parse_config(json.dumps(_flag_payload(args)))
+            artifacts = _run(cfg, Path(args.output_dir) if args.output_dir else None)
+            sys.stdout.write("".join(artifacts.values()))
             return 0
-        if args.command == "check-geometry":
-            text = run_check_geometry(args.m, args.M, args.T0, args.nu, args.delta, args.seed)
-            sys.stdout.write(text)
-            if args.output_dir:
-                _write_text(Path(args.output_dir) / "geometry.csv", text)
-            return 0
-        if args.command == "symbols":
-            text = run_symbols(args.m, args.grid)
-            sys.stdout.write(text)
-            if args.output_dir:
-                _write_text(Path(args.output_dir) / "symbols.csv", text)
-            return 0
-        cfg = _load_config(args.config, args.command, args.output_dir)
-        if args.command == "sweep-p" and args.p_grid:
-            outdir = Path(cfg.output_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            t0 = time.time()
-            outputs = _scenario_sweep_p(cfg, outdir, [float(x) for x in args.p_grid.split(",")])
-            _manifest(outdir, cfg.data, outputs, t0)
-            return 0
-        return run_scenario(cfg)
-    except (ParameterError, GridError, SupportError, FileNotFoundError) as exc:
+        return run_scenario(_load_config(args))
+    except (ParameterError, GridError, SupportError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, InstabilityError, PicardDivergenceError, TricomiLabError) as exc:
+    except TricomiLabError as exc:  # every other package error is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

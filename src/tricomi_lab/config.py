@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .exponents import ModelParams, p_conf, p_crit
+from .grids import RadialGrid
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "SCENARIOS"]
 
@@ -35,6 +36,12 @@ SCENARIOS = (
     "verify-strichartz",
     "check-geometry",
     "symbols",
+)
+
+# Every top-level key a config may carry: the common ones, then one section per scenario.
+_SECTIONS = (
+    "scenario", "model", "grid", "output_dir", "seed",
+    "exponents", "geometry", "symbols", "linear", "semilinear", "sweep", "strichartz",
 )
 
 _DEFAULTS = {
@@ -122,8 +129,18 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _validate(cfg: RunConfig) -> None:
-    params = cfg.model_params()  # raises ParameterError with the constraint name
+    unknown = sorted(set(cfg.data) - set(_SECTIONS))
+    if unknown:
+        raise ParameterError(
+            f"unknown config section(s) {', '.join(map(repr, unknown))}; known: {', '.join(_SECTIONS)}"
+        )
+    RadialGrid(**cfg.grid_args())  # raises GridError naming the bad grid or transform
     scenario = cfg.scenario
+    # An exponent table may leave p null (its gamma columns stay empty); the
+    # table checks m and n itself.
+    if scenario == "exponents" and cfg.data["model"]["p"] is None:
+        return
+    params = cfg.model_params()  # raises ParameterError with the constraint name
     if scenario == "solve-semilinear":
         sl = cfg.section("semilinear")
         if sl.get("mode", "march") == "picard":
@@ -137,15 +154,18 @@ def _validate(cfg: RunConfig) -> None:
         if float(sl.get("dt", 0.01)) <= 0:
             raise ParameterError("semilinear.dt must be positive")
     if scenario == "sweep-p":
-        sw = cfg.section("sweep")
-        grid = sw.get("p_grid", [])
-        if any(not (1.0 < float(p)) for p in grid):
-            raise ParameterError("sweep.p_grid entries must satisfy p > 1")
+        grid = cfg.section("sweep").get("p_grid", [])
+        if not isinstance(grid, list) or not grid:
+            raise ParameterError("sweep requires a nonempty list p_grid (config sweep.p_grid or --p-grid)")
+        for p in grid:
+            try:
+                p_val = float(p)
+            except (TypeError, ValueError):
+                raise ParameterError(f"sweep.p_grid entry {p!r} is not a number")
+            if not p_val > 1.0:
+                raise ParameterError(f"sweep.p_grid entries must satisfy p > 1, got {p!r}")
     if scenario == "verify-strichartz":
         st = cfg.section("strichartz")
         kind = st.get("kind", "homogeneous")
         if kind not in ("homogeneous", "inhomogeneous", "both"):
             raise ParameterError(f"strichartz.kind {kind!r} invalid")
-    gd = cfg.grid_args()
-    if gd["r_max"] <= 0 or gd["N"] < 8:
-        raise ParameterError("grid requires r_max > 0 and N >= 8")

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 T_HI_DEFAULT = 1.0e3
+UNSHIFTED_N_T, UNSHIFTED_N_R = 200, 50
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,16 @@ def _cone_samples(m, T0, t_lo, t_hi, n_t, n_r, rng=None):
     return ts, rr
 
 
+def _unshifted_cone(m, M, T0, t_hi, n_t, n_r):
+    """phi(t) (as a column) and r samples on the unshifted cone, after checking T0 and M."""
+    if not (0.0 < T0 < 1.0):
+        raise ParameterError(f"T0 in (0, 1) required, got {T0}")
+    if not M > 1.0:
+        raise ParameterError(f"M > 1 required, got {M}")
+    ts, rr = _cone_samples(m, T0, T0 / 4.0, t_hi, n_t, n_r)
+    return phi(m, ts)[:, None], rr
+
+
 @dataclass(frozen=True)
 class ConeCheck:
     holds: bool
@@ -131,8 +142,8 @@ def verify_unshifted_cone_inequality(
     T0: float,
     delta: float,
     t_hi: float = T_HI_DEFAULT,
-    n_t: int = 200,
-    n_r: int = 50,
+    n_t: int = UNSHIFTED_N_T,
+    n_r: int = UNSHIFTED_N_R,
 ) -> ConeCheck:
     """Sample phi(t)^2 - (1-delta)r^2 - delta(phi(t)+M)^2 >= 0 over the cone.
 
@@ -141,38 +152,24 @@ def verify_unshifted_cone_inequality(
     """
     if not (0.0 <= delta < 1.0):
         raise ParameterError(f"delta in [0, 1) required, got {delta}")
-    if not (0.0 < T0 < 1.0):
-        raise ParameterError(f"T0 in (0, 1) required, got {T0}")
-    if not M > 1.0:
-        raise ParameterError(f"M > 1 required, got {M}")
-    ts, rr = _cone_samples(m, T0, T0 / 4.0, t_hi, n_t, n_r)
-    ph = phi(m, ts)[:, None]
+    ph, rr = _unshifted_cone(m, M, T0, t_hi, n_t, n_r)
     slack = ph**2 - (1.0 - delta) * rr**2 - delta * (ph + M) ** 2
     worst = float(slack.min())
     return ConeCheck(holds=worst >= 0.0, worst_margin=worst)
 
 
-def bisect_max_delta(
-    m: int,
-    M: float,
-    T0: float,
-    tol: float = 1e-6,
-    t_hi: float = T_HI_DEFAULT,
-) -> float:
-    """Largest delta in (0, 1) for which the unshifted cone inequality holds.
+def bisect_max_delta(m: int, M: float, T0: float, t_hi: float = T_HI_DEFAULT) -> float:
+    """Largest delta for which the sampled unshifted cone inequality holds.
 
-    Plain bisection to absolute tolerance ``tol``; the inequality is monotone
-    in delta (the delta-terms enter linearly with fixed signs), so bisection
-    on the sampled margin is sound.
+    The inequality is affine in delta: phi^2 - r^2 >= delta ((phi+M)^2 - r^2),
+    with a positive bracket on the cone.  So the largest delta is the sampled
+    minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2), on the samples of
+    :func:`verify_unshifted_cone_inequality`; no search is needed.  At exactly
+    this delta that check's slack is zero up to rounding (about 1e-16 of
+    (phi+M)^2), so it may read a margin like -1e-19.
     """
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if verify_unshifted_cone_inequality(m, M, T0, mid, t_hi=t_hi).holds:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    ph, rr = _unshifted_cone(m, M, T0, t_hi, UNSHIFTED_N_T, UNSHIFTED_N_R)
+    return float(((ph**2 - rr**2) / ((ph + M) ** 2 - rr**2)).min())
 
 
 @dataclass(frozen=True)

@@ -8,31 +8,21 @@ reaches it) the sine modes sin(lambda_k r), lambda_k = k pi / r_max,
 diagonalize the spatial operator exactly, so each coefficient evolves under
 the scalar mode ODE handled by :mod:`tricomi_lab.symbols`.
 
-The sine transform is a direct matrix product by default for N <= 4096
-(bit-reproducible regardless of FFT backends) and a fast DST-I beyond.
+Both directions of the sine transform are one fast DST-I
+(``scipy.fft.dst(type=1)``), deterministic on a fixed install.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst as _dst
 
 from .errors import GridError, ParameterError, SupportError
-from .geometry import finite_speed_radius, phi
+from .geometry import finite_speed_radius
 
 __all__ = ["RadialGrid", "SpectralField", "SpaceTimeField", "origin_value"]
-
-DIRECT_TRANSFORM_MAX_N = 4096
-
-
-@lru_cache(maxsize=2)
-def _sine_matrix(N: int) -> np.ndarray:
-    j = np.arange(1, N)
-    return np.sin(np.pi * np.outer(j, j) / N)
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -40,13 +30,16 @@ class RadialGrid:
 
     r_max: float
     N: int
-    transform: str = "auto"  # "direct" | "fft" | "auto"
+    # "auto" | "fft": both select the DST-I; kept so existing configs still parse
+    transform: str = "auto"
 
     def __post_init__(self):
         if self.r_max <= 0 or self.N < 8:
             raise GridError(f"need r_max > 0 and N >= 8, got {self.r_max}, {self.N}")
-        if self.transform not in ("direct", "fft", "auto"):
-            raise GridError(f"unknown transform {self.transform!r}")
+        if self.transform == "direct":
+            raise GridError("transform 'direct' is retired (O(N^2) sine product); use 'auto' or 'fft'")
+        if self.transform not in ("fft", "auto"):
+            raise GridError(f"unknown transform {self.transform!r}; known: 'auto', 'fft'")
 
     @property
     def h(self) -> float:
@@ -61,23 +54,12 @@ class RadialGrid:
         """Mode frequencies lambda_k = k pi / r_max, k = 1..N-1."""
         return np.arange(1, self.N) * np.pi / self.r_max
 
-    def _use_direct(self) -> bool:
-        if self.transform == "direct":
-            return True
-        if self.transform == "fft":
-            return False
-        return self.N <= DIRECT_TRANSFORM_MAX_N
-
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
         """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N)."""
-        if self._use_direct():
-            return _sine_matrix(self.N) @ w_interior * (2.0 / self.N)
         return _dst(w_interior, type=1) / self.N
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Interior samples w_j from sine coefficients."""
-        if self._use_direct():
-            return _sine_matrix(self.N) @ coeffs
         return _dst(coeffs, type=1) / 2.0
 
     def validate_horizon(self, m: int, M: float, t_final: float) -> None:

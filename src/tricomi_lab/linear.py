@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridError, InstabilityError, ParameterError
+from .errors import InstabilityError, ParameterError
 from .exponents import ModelParams
 from .geometry import WeightSpec, finite_speed_radius, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
@@ -173,14 +173,32 @@ def weighted_field_norm(field: SpaceTimeField, spec: WeightSpec) -> float:
     """
     if spec.q < 1.0:
         raise ParameterError("q >= 1 required")
+    total = np.trapezoid(_characteristic_integrals(field, spec), field.times)
+    return float(total ** (1.0 / spec.q))
+
+
+def _characteristic_integrals(field: SpaceTimeField, spec: WeightSpec) -> np.ndarray:
+    """Per-snapshot integrals of the characteristic weight (phi+M)^2 - r^2 on r <= phi+M-1."""
+    return _weighted_integrals(
+        field,
+        spec.q,
+        spec.gamma * spec.q,
+        lambda t, r: (phi(field.m, t) + spec.M) ** 2 - r * r,
+        lambda t: finite_speed_radius(field.m, spec.M, t),
+    )
+
+
+def _weighted_integrals(field: SpaceTimeField, q: float, power: float, weight, radius) -> np.ndarray:
+    """Per-snapshot 4 pi int_{r <= radius(t)} weight(t, r)^power |u(t, r)|^q r^2 dr, trapezoid in r.
+
+    The one per-time loop behind every weighted space-time norm.
+    """
     r = field.grid.r
     per_t = np.empty(field.times.size)
     for i, t in enumerate(field.times):
-        edge = finite_speed_radius(field.m, spec.M, float(t))
-        mask = r <= edge
+        t = float(t)
+        mask = r <= radius(t)
         rr = r[mask]
-        weight = (phi(field.m, float(t)) + spec.M) ** 2 - rr * rr
-        integrand = weight ** (spec.gamma * spec.q) * np.abs(field.u[i, mask]) ** spec.q * rr * rr
+        integrand = weight(t, rr) ** power * np.abs(field.u[i, mask]) ** q * rr * rr
         per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, rr)
-    total = np.trapezoid(per_t, field.times)
-    return float(total ** (1.0 / spec.q))
+    return per_t

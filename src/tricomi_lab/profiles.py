@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = [
     "bump",
     "annular_bump",
@@ -112,4 +114,4 @@ def make_profile(name: str, M: float, amplitude: float = 1.0):
         return gaussian_truncated(0.22 * R, 0.95 * R, amplitude)
     if name == "two-bump":
         return two_bump(0.95 * R, amplitude)
-    raise ValueError(f"unknown data profile {name!r}")
+    raise ParameterError(f"unknown data profile {name!r}; known: bump, gaussian-truncated, two-bump")

@@ -32,7 +32,7 @@ from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLab
 from .exponents import ModelParams, gamma_interval
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
-from .linear import weighted_field_norm
+from .linear import _weighted_integrals, weighted_field_norm
 from .symbols import symbol_matrix
 
 __all__ = [
@@ -414,12 +414,9 @@ def weighted_solution_norm(field: SpaceTimeField, params: ModelParams, gamma: fl
             f"gamma={gamma} outside the admissible interval ({lo:.6f}, {hi:.6f})"
         )
     q = params.p + 1.0
-    r = field.grid.r
-    per_t = np.empty(field.times.size)
-    for i, t in enumerate(field.times):
-        weight = 1.0 + np.abs(phi(field.m, float(t)) ** 2 - r * r)
-        integrand = weight ** (gamma * q) * np.abs(field.u[i]) ** q * r * r
-        per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, r)
+    per_t = _weighted_integrals(
+        field, q, gamma * q, lambda t, r: 1.0 + np.abs(phi(field.m, t) ** 2 - r * r), lambda t: np.inf
+    )
     return float(np.trapezoid(per_t, field.times) ** (1.0 / q))
 
 

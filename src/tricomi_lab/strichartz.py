@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError, SupportError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
-from .geometry import WeightSpec, finite_speed_radius, phi
+from .geometry import WeightSpec, finite_speed_radius
 from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import solve_linear, weighted_field_norm
-from .profiles import annular_bump, bump, dilate, two_bump
+from .linear import _characteristic_integrals, solve_linear, weighted_field_norm
+from .profiles import annular_bump, bump, dilate
 from .semilinear import StepControl, time_march
 
 __all__ = [
@@ -85,7 +85,7 @@ def sobolev_w_s1_norm(
     val = _sobolev_value(f, s, grid, tail_tol)
     if not with_error:
         return val
-    coarse = RadialGrid(grid.r_max, grid.N // 2, transform=grid.transform)
+    coarse = RadialGrid(grid.r_max, grid.N // 2)
     val_c = _sobolev_value(f, s, coarse, tail_tol=np.inf)
     return val, abs(val - val_c)
 
@@ -202,15 +202,7 @@ def _lhs_and_tail(field: SpaceTimeField, spec: WeightSpec, t_split: float):
     t >= t_split; the tail int_T^inf is estimated from the fitted slope (or
     flagged infinite when the slope is not integrable).
     """
-    r = field.grid.r
-    per_t = np.empty(field.times.size)
-    for i, t in enumerate(field.times):
-        edge = finite_speed_radius(field.m, spec.M, float(t))
-        mask = r <= edge
-        rr = r[mask]
-        weight = (phi(field.m, float(t)) + spec.M) ** 2 - rr * rr
-        integrand = weight ** (spec.gamma * spec.q) * np.abs(field.u[i, mask]) ** spec.q * rr * rr
-        per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, rr)
+    per_t = _characteristic_integrals(field, spec)
     total = float(np.trapezoid(per_t, field.times))
     sel = (field.times >= t_split) & (per_t > 0)
     if sel.sum() >= 4:

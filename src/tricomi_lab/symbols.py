@@ -350,9 +350,9 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray):
     lam = np.asarray(lam, dtype=float)
     nu = 1.0 / (m + 2.0)
     w = phi(m, t) * lam
-    if t == 0.0 or np.all(w == 0.0):
-        one = np.ones_like(lam)
-        return one, np.full_like(lam, t), np.zeros_like(lam), one
+    zero = w == 0.0
+    if zero.any():  # (w/2)^(-nu) is infinite there; the w -> 0 limits are set below
+        w = np.where(zero, 1.0, w)
     c1 = math.gamma(1.0 - nu)
     c2 = math.gamma(1.0 + nu)
     half_pow = (0.5 * w) ** nu
@@ -363,6 +363,9 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray):
     v1p = -c1 * half_pow * j_1m * dw
     v2 = t * c2 * inv_half_pow * j_p
     v2p = c2 * inv_half_pow * (j_p - w / (2.0 * nu) * j_p1)
+    if zero.any():
+        return (np.where(zero, 1.0, v1), np.where(zero, t, v2),
+                np.where(zero, 0.0, v1p), np.where(zero, 1.0, v2p))
     return v1, v2, v1p, v2p
 
 

@@ -352,6 +352,6 @@ def test_criterion_10_cone_geometry():
     assert b.c_lower > 1e-6
     report(
         "10 (cone geometry)",
-        f"bisected max delta {d_max:.3e} >= 1e-4; "
+        f"max delta {d_max:.3e} >= 1e-4; "
         f"shifted-cone c_lower {b.c_lower:.3e} > 1e-6 over {n_samples} samples",
     )

@@ -96,6 +96,12 @@ class TestExponentsCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == EXPONENT_HEADER
 
+    def test_cli_gamma_cells_empty_without_p(self, capsys):
+        # without --p the payload carries p = null through parse_config
+        assert main(["exponents", "--m", "2", "--n", "4"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == "" and row[10] == "" and row[11] == ""
+
     def test_cli_validation_exit_2(self, capsys):
         assert main(["exponents", "--m", "1", "--n", "2"]) == 2
 
@@ -201,3 +207,81 @@ class TestScenarioRuns:
 
     def test_missing_config_exit_2(self):
         assert main(["solve-linear", "--config", "/nonexistent.json"]) == 2
+
+
+class TestBadInput:
+    def _run(self, tmp_path, edit, extra=()):
+        cfg = {
+            "scenario": "solve-linear",
+            "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+            "grid": {"r_max": 25.0, "N": 256},
+            "output_dir": str(tmp_path / "out"),
+            "linear": {"t_final": 2.0, "snapshots": 2},
+        }
+        edit(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return main([cfg["scenario"], "--config", str(cfg_path), *extra])
+
+    def test_unknown_profile(self, tmp_path, capsys):
+        def edit(cfg):
+            cfg["linear"]["data"] = {"profile": "bumpp"}
+
+        assert self._run(tmp_path, edit) == 2
+        assert "'bumpp'" in capsys.readouterr().err
+
+    def test_unknown_section(self, tmp_path, capsys):
+        def edit(cfg):
+            cfg["linaer"] = cfg.pop("linear")
+
+        assert self._run(tmp_path, edit) == 2
+        assert "'linaer'" in capsys.readouterr().err
+
+    def test_direct_transform(self, tmp_path, capsys):
+        def edit(cfg):
+            cfg["grid"]["transform"] = "direct"
+
+        assert self._run(tmp_path, edit) == 2
+        assert "retired" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_grid,extra", [(["x"], ()), ([2.0], ("--p-grid", "x"))])
+    def test_non_numeric_p_grid(self, tmp_path, capsys, p_grid, extra):
+        def edit(cfg):
+            cfg["scenario"] = "sweep-p"
+            cfg["sweep"] = {"p_grid": p_grid, "horizon": 1.0, "dt": 0.05}
+
+        assert self._run(tmp_path, edit, extra) == 2
+        assert "'x'" in capsys.readouterr().err
+
+    def test_accepts_benchmark_sections(self):
+        for key in ("exponents", "geometry", "symbols", "semilinear", "strichartz", "sweep", "linear"):
+            parse_config(json.dumps({"scenario": "exponents", key: {}}))
+
+
+class TestFlagCommandManifests:
+    CASES = [
+        ("exponents", ["exponents", "--m", "1", "--n", "3"]),
+        ("exponents", ["exponents", "--sweep", "m=1..2 n=3..4", "--p", "2.0"]),
+        ("check-geometry", ["--seed", "3", "check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5"]),
+        ("symbols", ["symbols", "--m", "2", "--grid", "30:8"]),
+    ]
+
+    @pytest.mark.parametrize("scenario,argv", CASES)
+    def test_manifest_reproduces(self, tmp_path, capsys, scenario, argv):
+        digests = []
+        for run in ("a", "b"):
+            outdir = tmp_path / run
+            assert main(["--output-dir", str(outdir), *argv]) == 0
+            stdout = capsys.readouterr().out
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            assert manifest["config"]["scenario"] == scenario
+            (name,) = manifest["outputs"]
+            assert (outdir / name).read_text() == stdout
+            digests.append(manifest["outputs"])
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("scenario,argv", CASES)
+    def test_no_output_dir_writes_nothing(self, tmp_path, monkeypatch, scenario, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert list(tmp_path.iterdir()) == []

@@ -98,6 +98,13 @@ class TestUnshiftedCone:
         assert verify_unshifted_cone_inequality(1, 2.0, 0.5, d * 0.99).holds
         assert not verify_unshifted_cone_inequality(1, 2.0, 0.5, d * 1.10).holds
 
+    @pytest.mark.parametrize("m,M,T0", [(1, 2.0, 0.5), (2, 1.5, 0.9)])
+    def test_max_delta_is_sharp(self, m, M, T0):
+        # the closed form is the sampled supremum: it holds, and 1e-6 above fails
+        d = bisect_max_delta(m, M, T0)
+        assert verify_unshifted_cone_inequality(m, M, T0, d).holds
+        assert not verify_unshifted_cone_inequality(m, M, T0, d * (1 + 1e-6)).holds
+
     def test_smaller_t0_shrinks_max_delta(self):
         d_big = bisect_max_delta(1, 2.0, 0.5)
         d_small = bisect_max_delta(1, 2.0, 0.1)

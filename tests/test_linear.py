@@ -183,12 +183,18 @@ class TestGridInvariants:
         assert abs(sf.grid_l2() - sf.coeff_l2()) < 1e-12 * sf.coeff_l2()
 
     def test_transform_paths_agree(self):
-        gd = RadialGrid(12.0, 256, transform="direct")
+        # the FFT transform against the O(N^2) sine-matrix product as an oracle
         gf = RadialGrid(12.0, 256, transform="fft")
-        w = np.sin(gd.r[1:-1]) * np.exp(-gd.r[1:-1])
-        assert np.abs(gd.forward(w) - gf.forward(w)).max() < 1e-12
-        c = np.exp(-gd.lam)
-        assert np.abs(gd.inverse(c) - gf.inverse(c)).max() < 1e-12
+        j = np.arange(1, gf.N)
+        sine = np.sin(np.pi * np.outer(j, j) / gf.N)
+        w = np.sin(gf.r[1:-1]) * np.exp(-gf.r[1:-1])
+        assert np.abs(sine @ w * (2.0 / gf.N) - gf.forward(w)).max() < 1e-12
+        c = np.exp(-gf.lam)
+        assert np.abs(sine @ c - gf.inverse(c)).max() < 1e-12
+
+    def test_direct_transform_retired(self):
+        with pytest.raises(GridError, match="retired"):
+            RadialGrid(12.0, 256, transform="direct")
 
     def test_snapshot_times_must_increase(self):
         grid = RadialGrid(12.0, 128)

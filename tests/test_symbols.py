@@ -244,6 +244,14 @@ class TestSymbolMatrix:
         assert np.all(v1 == 1.0) and np.all(v2 == 0.0)
         assert np.all(v1p == 0.0) and np.all(v2p == 1.0)
 
+    def test_zero_frequency_limits(self):
+        # w = 0 takes the limits V1 = 1, V2 = t, V1' = 0, V2' = 1 next to nonzero w
+        v1, v2, v1p, v2p = symbol_matrix(1, 2.0, np.array([0.0, 1.0]))
+        assert (v1[0], v2[0], v1p[0], v2p[0]) == (1.0, 2.0, 0.0, 1.0)
+        single = symbol_matrix(1, 2.0, np.array([1.0]))
+        for f, s in zip((v1, v2, v1p, v2p), single):
+            assert f[1] == s[0]
+
     def test_matches_scalar_symbols(self):
         lam = np.array([0.3, 2.0, 9.0])
         v1, v2, _, _ = symbol_matrix(1, 4.0, lam)
