@@ -69,7 +69,7 @@ EXPONENT_HEADER = "m,n,p,p_crit,p_conf,p_strauss,q_min,q0,mu_m,alpha_m,gamma_lo,
 def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and not np.isfinite(x)):
         return "" if x is None else repr(x)
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))

@@ -73,23 +73,31 @@ class RunConfig:
     def model_params(self) -> ModelParams:
         md = self.data["model"]
         return ModelParams(
-            m=int(md["m"]),
-            n=int(md["n"]),
-            p=float(md["p"]),
-            eps=float(md["eps"]),
-            M=float(md["M"]),
+            m=_number(md, "model", "m", int),
+            n=_number(md, "model", "n", int),
+            p=_number(md, "model", "p", float),
+            eps=_number(md, "model", "eps", float),
+            M=_number(md, "model", "M", float),
         )
 
     def grid_args(self) -> dict:
         gd = self.data["grid"]
         return {
-            "r_max": float(gd["r_max"]),
-            "N": int(gd["N"]),
+            "r_max": _number(gd, "grid", "r_max", float),
+            "N": _number(gd, "grid", "N", int),
             "transform": gd.get("transform", "auto"),
         }
 
     def section(self, name: str, default=None) -> dict:
         return self.data.get(name, default if default is not None else {})
+
+
+def _number(sec: dict, name: str, key: str, kind):
+    """``kind(sec[key])``, or a ParameterError naming ``name.key`` when it is not a number."""
+    try:
+        return kind(sec[key])
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name}.{key} must be a number, got {sec[key]!r}")
 
 
 def _merge_defaults(payload: dict) -> dict:
@@ -137,8 +145,10 @@ def _validate(cfg: RunConfig) -> None:
     RadialGrid(**cfg.grid_args())  # raises GridError naming the bad grid or transform
     scenario = cfg.scenario
     # An exponent table may leave p null (its gamma columns stay empty); the
-    # table checks m and n itself.
+    # table checks the values of m and n itself.
     if scenario == "exponents" and cfg.data["model"]["p"] is None:
+        _number(cfg.data["model"], "model", "m", int)
+        _number(cfg.data["model"], "model", "n", int)
         return
     params = cfg.model_params()  # raises ParameterError with the constraint name
     if scenario == "solve-semilinear":

@@ -38,3 +38,7 @@ class PicardDivergenceError(TricomiLabError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+class TruncatedBoxError(TricomiLabError):
+    """A space-time norm would cover a shorter time box than requested (a march stopped early)."""

@@ -149,13 +149,15 @@ def verify_unshifted_cone_inequality(
 
     Samples t log-spaced on [T0/4, t_hi] and r on [0, phi(t) - phi(T0/4)].
     Returns whether the inequality held everywhere and the minimum slack.
+    ``holds`` is decided in the affine form delta <= min (phi^2 - r^2) /
+    ((phi+M)^2 - r^2), the expression :func:`bisect_max_delta` returns, so it
+    holds at exactly that delta even where rounding leaves the slack at -1e-19.
     """
     if not (0.0 <= delta < 1.0):
         raise ParameterError(f"delta in [0, 1) required, got {delta}")
     ph, rr = _unshifted_cone(m, M, T0, t_hi, n_t, n_r)
     slack = ph**2 - (1.0 - delta) * rr**2 - delta * (ph + M) ** 2
-    worst = float(slack.min())
-    return ConeCheck(holds=worst >= 0.0, worst_margin=worst)
+    return ConeCheck(holds=delta <= _max_delta(ph, rr, M), worst_margin=float(slack.min()))
 
 
 def bisect_max_delta(m: int, M: float, T0: float, t_hi: float = T_HI_DEFAULT) -> float:
@@ -165,10 +167,15 @@ def bisect_max_delta(m: int, M: float, T0: float, t_hi: float = T_HI_DEFAULT) ->
     with a positive bracket on the cone.  So the largest delta is the sampled
     minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2), on the samples of
     :func:`verify_unshifted_cone_inequality`; no search is needed.  At exactly
-    this delta that check's slack is zero up to rounding (about 1e-16 of
-    (phi+M)^2), so it may read a margin like -1e-19.
+    this delta that check holds, while its slack is zero up to rounding
+    (about 1e-16 of (phi+M)^2), so its margin may read like -1e-19.
     """
     ph, rr = _unshifted_cone(m, M, T0, t_hi, UNSHIFTED_N_T, UNSHIFTED_N_R)
+    return _max_delta(ph, rr, M)
+
+
+def _max_delta(ph, rr, M: float) -> float:
+    """Sampled minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2): the largest delta that holds."""
     return float(((ph**2 - rr**2) / ((ph + M) ** 2 - rr**2)).min())
 
 

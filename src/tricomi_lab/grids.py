@@ -9,7 +9,10 @@ diagonalize the spatial operator exactly, so each coefficient evolves under
 the scalar mode ODE handled by :mod:`tricomi_lab.symbols`.
 
 Both directions of the sine transform are one fast DST-I
-(``scipy.fft.dst(type=1)``), deterministic on a fixed install.
+(``scipy.fft.dst(type=1)``), deterministic on a fixed install.  The
+transforms, ``SpectralField.to_radial`` and ``origin_value`` act on the last
+axis, so a family of B fields stacked as (B, N-1) coefficients goes through
+them in one call, each row bit-identical to its own 1-D call.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ class RadialGrid:
         return np.arange(1, self.N) * np.pi / self.r_max
 
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
-        """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N)."""
+        """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis."""
         return _dst(w_interior, type=1) / self.N
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Interior samples w_j from sine coefficients."""
+        """Interior samples w_j from sine coefficients, along the last axis."""
         return _dst(coeffs, type=1) / 2.0
 
     def validate_horizon(self, m: int, M: float, t_final: float) -> None:
@@ -72,10 +75,11 @@ class RadialGrid:
             )
 
 
-def origin_value(w_interior: np.ndarray, h: float) -> float:
-    """lim_{r->0} w/r = w'(0) by a 4th-order one-sided stencil (w(0) = 0)."""
-    w1, w2, w3, w4 = w_interior[0], w_interior[1], w_interior[2], w_interior[3]
-    return float((48.0 * w1 - 36.0 * w2 + 16.0 * w3 - 3.0 * w4) / (12.0 * h))
+def origin_value(w_interior: np.ndarray, h: float):
+    """lim_{r->0} w/r = w'(0) by a 4th-order one-sided stencil (w(0) = 0); one per row."""
+    w1, w2, w3, w4 = w_interior.T[:4]  # scalars for one field, columns for a family
+    out = (48.0 * w1 - 36.0 * w2 + 16.0 * w3 - 3.0 * w4) / (12.0 * h)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,10 @@ class SpectralField:
     def to_radial(self) -> np.ndarray:
         """Radial samples of u = w/r on all nodes, origin by one-sided limit."""
         w = self.grid.inverse(self.coeffs)
-        u = np.empty(self.grid.N + 1)
-        u[1 : self.grid.N] = w / self.grid.r[1 : self.grid.N]
-        u[0] = origin_value(w, self.grid.h)
-        u[self.grid.N] = 0.0
+        u = np.empty(w.shape[:-1] + (self.grid.N + 1,))
+        u[..., 1 : self.grid.N] = w / self.grid.r[1 : self.grid.N]
+        u[..., 0] = origin_value(w, self.grid.h)
+        u[..., self.grid.N] = 0.0
         return u
 
     def grid_l2(self) -> float:

@@ -3,7 +3,9 @@
 ``solve_linear`` evolves each sine coefficient of w = r v exactly by the
 multiplier symbols (V1 for the data, V2 for the velocity); there is no time
 stepping and no stability constraint, so snapshots at arbitrary times cost
-one transform each.
+one transform each.  The same snapshots for a stacked family of data come
+from one symbol evaluation per time shared by all members (the Strichartz
+probes run their families that way).
 
 ``fd_oracle`` is the independent verification path: a method-of-lines
 leapfrog on w_tt = t^m w_rr with the degeneracy-aware Taylor start and a
@@ -49,18 +51,35 @@ def solve_linear(
     """
     times = np.asarray(times, dtype=float)
     grid.validate_horizon(params.m, params.M, float(times.max()))
+    fh, gh = _data_coeffs(params, grid, f, g, enforce_support)
+    snaps = np.empty((times.size, grid.N + 1))
+    for i, u in enumerate(_snapshots(params.m, grid, times, fh, gh)):
+        snaps[i] = u
+    return SpaceTimeField(times=times, grid=grid, u=snaps, m=params.m, M=params.M)
+
+
+def _data_coeffs(params, grid, f, g, enforce_support=True):
+    """Sine coefficients of the data w = r f and r g, after checking their support."""
     r = grid.r
     f_s, g_s = f(r), g(r)
     if enforce_support:
         check_support(f_s, r, params.M - 1.0)
         check_support(g_s, r, params.M - 1.0)
-    fh = SpectralField.from_radial(grid, f_s).coeffs
-    gh = SpectralField.from_radial(grid, g_s).coeffs
-    snaps = np.empty((times.size, grid.N + 1))
-    for i, t in enumerate(times):
-        v1, v2, _, _ = symbol_matrix(params.m, float(t), grid.lam)
-        snaps[i] = SpectralField(grid, v1 * fh + v2 * gh).to_radial()
-    return SpaceTimeField(times=times, grid=grid, u=snaps, m=params.m, M=params.M)
+    return (
+        SpectralField.from_radial(grid, f_s).coeffs,
+        SpectralField.from_radial(grid, g_s).coeffs,
+    )
+
+
+def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
+    """Yield the radial solution at each time, for coefficients (N-1,) or a (B, N-1) family.
+
+    The symbols are evaluated once per time and shared by every member;
+    each yielded array has shape (N+1,) or (B, N+1).
+    """
+    for t in times:
+        v1, v2, _, _ = symbol_matrix(m, float(t), grid.lam)
+        yield SpectralField(grid, v1 * fh + v2 * gh).to_radial()
 
 
 def fd_oracle(
@@ -173,32 +192,38 @@ def weighted_field_norm(field: SpaceTimeField, spec: WeightSpec) -> float:
     """
     if spec.q < 1.0:
         raise ParameterError("q >= 1 required")
-    total = np.trapezoid(_characteristic_integrals(field, spec), field.times)
+    total = np.trapezoid(_weighted_integrals(field, *_characteristic(field.m, spec)), field.times)
     return float(total ** (1.0 / spec.q))
 
 
-def _characteristic_integrals(field: SpaceTimeField, spec: WeightSpec) -> np.ndarray:
-    """Per-snapshot integrals of the characteristic weight (phi+M)^2 - r^2 on r <= phi+M-1."""
-    return _weighted_integrals(
-        field,
+def _characteristic(m: int, spec: WeightSpec):
+    """(q, power, weight, radius) for :func:`_weighted_integral`: the characteristic
+    weight (phi+M)^2 - r^2 to the power gamma q, on r <= phi+M-1."""
+    return (
         spec.q,
         spec.gamma * spec.q,
-        lambda t, r: (phi(field.m, t) + spec.M) ** 2 - r * r,
-        lambda t: finite_speed_radius(field.m, spec.M, t),
+        lambda t, r: (phi(m, t) + spec.M) ** 2 - r * r,
+        lambda t: finite_speed_radius(m, spec.M, t),
     )
 
 
 def _weighted_integrals(field: SpaceTimeField, q: float, power: float, weight, radius) -> np.ndarray:
-    """Per-snapshot 4 pi int_{r <= radius(t)} weight(t, r)^power |u(t, r)|^q r^2 dr, trapezoid in r.
-
-    The one per-time loop behind every weighted space-time norm.
-    """
+    """:func:`_weighted_integral` of each snapshot of a stored field, in time order."""
     r = field.grid.r
-    per_t = np.empty(field.times.size)
-    for i, t in enumerate(field.times):
-        t = float(t)
-        mask = r <= radius(t)
-        rr = r[mask]
-        integrand = weight(t, rr) ** power * np.abs(field.u[i, mask]) ** q * rr * rr
-        per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, rr)
-    return per_t
+    return np.array(
+        [_weighted_integral(u, r, float(t), q, power, weight, radius) for t, u in zip(field.times, field.u)]
+    )
+
+
+def _weighted_integral(u: np.ndarray, r: np.ndarray, t: float, q: float, power: float, weight, radius):
+    """4 pi int_{r <= radius(t)} weight(t, r)^power |u(r)|^q r^2 dr at one time, trapezoid in r.
+
+    ``u`` is one snapshot (N+1,) or a family (B, N+1); a family gives one
+    value per member, each equal to its own 1-D call.  The nodes ``r``
+    ascend, so r <= radius(t) is a prefix, taken as a slice: the rows stay
+    C-ordered and each is summed in the same order as a single snapshot.
+    """
+    k = int(np.searchsorted(r, radius(t), side="right"))
+    rr = r[:k]
+    integrand = weight(t, rr) ** power * np.abs(u[..., :k]) ** q * rr * rr
+    return 4.0 * np.pi * np.trapezoid(integrand, rr)

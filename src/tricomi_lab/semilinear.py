@@ -31,8 +31,8 @@ import numpy as np
 from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError
 from .exponents import ModelParams, gamma_interval
 from .geometry import WeightSpec, phi
-from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
-from .linear import _weighted_integrals, weighted_field_norm
+from .grids import RadialGrid, SpaceTimeField, SpectralField
+from .linear import _data_coeffs, _weighted_integrals, weighted_field_norm
 from .symbols import symbol_matrix
 
 __all__ = [
@@ -141,6 +141,16 @@ class _Stepper:
     def midpoint_times(self) -> np.ndarray:
         return (np.arange(self.nsteps) + 0.5) * self.dt
 
+    def snapshot_steps(self, times) -> dict:
+        """Step counts k of the step boundaries k dt nearest the requested times."""
+        steps = {}
+        for t in np.atleast_1d(times):
+            k = int(round(float(t) / self.dt))
+            if k < 1 or k > self.nsteps:
+                raise GridError(f"snapshot time {t} outside (0, horizon]")
+            steps[k] = True
+        return steps
+
     def march(
         self,
         f_coeffs: np.ndarray,
@@ -152,12 +162,20 @@ class _Stepper:
     ):
         """Run the march.  ``source_mid(i, t_mid, u_mid)`` returns the radial
         source samples for step i (or None for source-free); reconstructed
-        midpoint fields are handed to it and optionally stored."""
+        midpoint fields are handed to it and optionally stored.
+
+        The coefficients are (N-1,) for one field or (B, N-1) for a family
+        that shares every symbol evaluation; fields, sources and snapshots
+        then carry the same leading axis.  Each history entry is (t_mid,
+        sup|u|), with one sup per member for a family; the march stops at
+        the first step where any member exceeds the threshold or is not
+        finite.
+        """
         grid, m = self.grid, self.params.m
         lam = grid.lam
         cv, cd = f_coeffs.copy(), g_coeffs.copy()
         sym_prev = symbol_matrix(m, 0.0, lam)
-        mids = np.empty((self.nsteps, grid.N + 1)) if store_midpoints else None
+        mids = np.empty((self.nsteps, *cv.shape[:-1], grid.N + 1)) if store_midpoints else None
         hist = []
         snaps = {}
         for i in range(self.nsteps):
@@ -167,22 +185,17 @@ class _Stepper:
             sym_mid = symbol_matrix(m, tm, lam)
             sym_next = symbol_matrix(m, t2, lam)
             A1, B1 = _trans_row(sym_prev, sym_mid)
-            vm = A1 * cv + B1 * cd
-            wm = grid.inverse(vm)
-            um = np.empty(grid.N + 1)
-            um[1 : grid.N] = wm / self.r_int
-            um[0] = origin_value(wm, grid.h)
-            um[grid.N] = 0.0
-            sup = float(np.abs(um).max())
-            hist.append((tm, sup))
+            um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
+            sup = np.abs(um).max(axis=-1)
+            hist.append((tm, sup.tolist()))
             if store_midpoints:
                 mids[i] = um
-            if not np.isfinite(sup) or sup > blowup_threshold:
+            if not np.isfinite(sup).all() or sup.max() > blowup_threshold:
                 return cv, cd, hist, snaps, mids, tm
             src = source_mid(i, tm, um) if source_mid is not None else None
             A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
             if src is not None:
-                sh = grid.forward(self.r_int * src[1 : grid.N])
+                sh = grid.forward(self.r_int * src[..., 1 : grid.N])
                 _, Bm, _, Dm = _trans_full(sym_mid, sym_next)
                 cv, cd = (
                     A2 * cv + B2 * cd + (t2 - t1) * Bm * sh,
@@ -211,18 +224,6 @@ def _trans_row(s1, s2):
     a1, a2, a1p, a2p = s1
     b1, b2, _, _ = s2
     return b1 * a2p - b2 * a1p, b2 * a1 - b1 * a2
-
-
-def _prepare_data(params, grid, f, g, enforce_support):
-    r = grid.r
-    f_s, g_s = f(r), g(r)
-    if enforce_support:
-        check_support(f_s, r, params.M - 1.0)
-        check_support(g_s, r, params.M - 1.0)
-    return (
-        SpectralField.from_radial(grid, f_s).coeffs,
-        SpectralField.from_radial(grid, g_s).coeffs,
-    )
 
 
 def _tail_nonincreasing(hist, horizon) -> bool:
@@ -258,7 +259,7 @@ def time_march(
     of the requested snapshots.
     """
     stepper = _Stepper(params, grid, horizon, control.dt)
-    fh, gh = _prepare_data(params, grid, f, g, enforce_support)
+    fh, gh = _data_coeffs(params, grid, f, g, enforce_support)
 
     if spec is not None and source is not None:
         raise ParameterError("pass either a nonlinearity spec or a source, not both")
@@ -272,11 +273,7 @@ def time_march(
 
     snap_steps = {}
     if snapshot_times is not None and not store_midpoints:
-        for t in np.atleast_1d(snapshot_times):
-            k = int(round(float(t) / stepper.dt))
-            if k < 1 or k > stepper.nsteps:
-                raise GridError(f"snapshot time {t} outside (0, horizon]")
-            snap_steps[k] = True
+        snap_steps = stepper.snapshot_steps(snapshot_times)
 
     cv, cd, hist, snaps, mids, t_blow = stepper.march(
         fh,
@@ -344,7 +341,7 @@ def picard_solve(
     q = params.p + 1.0
     wspec = WeightSpec(gamma=gamma, q=q, M=params.M)
     stepper = _Stepper(params, grid, horizon, control.dt)
-    fh, gh = _prepare_data(params, grid, f, g, enforce_support)
+    fh, gh = _data_coeffs(params, grid, f, g, enforce_support)
     t_mid = stepper.midpoint_times()
     mask = t_mid >= spec.T0 / 2.0
 

@@ -28,13 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, SupportError
+from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import _characteristic_integrals, solve_linear, weighted_field_norm
+from .linear import (
+    _characteristic,
+    _data_coeffs,
+    _snapshots,
+    _weighted_integral,
+    solve_linear,
+    weighted_field_norm,
+)
 from .profiles import annular_bump, bump, dilate
-from .semilinear import StepControl, time_march
+from .semilinear import StepControl, _Stepper
 
 __all__ = [
     "DyadicCutoff",
@@ -195,19 +202,18 @@ def _time_grid(t_max: float, n_pts: int = 72) -> np.ndarray:
     return np.concatenate([early, late])
 
 
-def _lhs_and_tail(field: SpaceTimeField, spec: WeightSpec, t_split: float):
-    """Weighted norm over the box plus a decay-extrapolated tail estimate.
+def _lhs_and_tail(per_t: np.ndarray, times: np.ndarray, q: float, t_split: float):
+    """Box integral of the per-time integrand g(t) of the norm^q, plus a tail estimate.
 
-    The per-time integrand g(t) of the norm^q is fitted as a power law over
-    t >= t_split; the tail int_T^inf is estimated from the fitted slope (or
-    flagged infinite when the slope is not integrable).
+    g is fitted as a power law over t >= t_split; the tail int_T^inf is
+    estimated from the fitted slope (or flagged infinite when the slope is
+    not integrable).
     """
-    per_t = _characteristic_integrals(field, spec)
-    total = float(np.trapezoid(per_t, field.times))
-    sel = (field.times >= t_split) & (per_t > 0)
+    total = float(np.trapezoid(per_t, times))
+    sel = (times >= t_split) & (per_t > 0)
     if sel.sum() >= 4:
-        slope, logc = np.polyfit(np.log(field.times[sel]), np.log(per_t[sel]), 1)
-        T = float(field.times.max())
+        slope, logc = np.polyfit(np.log(times[sel]), np.log(per_t[sel]), 1)
+        T = float(times.max())
         gT = np.exp(logc) * T**slope
         tail = gT * T / (-slope - 1.0) if slope < -1.0 else np.inf
     else:
@@ -218,8 +224,16 @@ def _lhs_and_tail(field: SpaceTimeField, spec: WeightSpec, t_split: float):
         return total, 0.0
     if not np.isfinite(tail):
         return total, 1.0
-    frac = float((1.0 + tail / total) ** (1.0 / spec.q) - 1.0)
+    frac = float((1.0 + tail / total) ** (1.0 / q) - 1.0)
     return total, frac
+
+
+def _ratio_row(name: str, per_t: np.ndarray, times: np.ndarray, q: float, t_split: float, rhs: float):
+    """The row of one member: LHS from its per-time integrals, with tail estimate and flags."""
+    lhs_q, tail_frac = _lhs_and_tail(per_t, times, q, t_split)
+    lhs = lhs_q ** (1.0 / q)
+    flags = "tail-dominated" if tail_frac > TAIL_DOMINATED_FRACTION else ""
+    return RatioRow(name, lhs, rhs, lhs / rhs, tail_frac, flags)
 
 
 def homogeneous_ratio(
@@ -237,6 +251,9 @@ def homogeneous_ratio(
     LHS is the weighted space-time norm of the linear solution over the box
     t <= t_max with a decay-extrapolated tail estimate attached; RHS is the
     sum of the two W^(s,1) data norms.  Zero data yields an excluded row.
+    The members with data are solved as one batch: each snapshot time
+    evaluates the symbols once for all of them, and each snapshot is reduced
+    at once to the members' per-time integrals.
     """
     _check_homogeneous_window(params.m, params.n, q, gamma, delta)
     s_f, s_g = sobolev_orders(params.m, params.n, delta)
@@ -244,16 +261,23 @@ def homogeneous_ratio(
     spec = WeightSpec(gamma=gamma, q=q, M=params.M)
     times = _time_grid(t_max)
     rows = []
+    live = []  # (row index, name, f coeffs, g coeffs, rhs) of the members with data
     for name, f, g in family:
         if np.abs(f(sgrid.r)).max() == 0.0 and np.abs(g(sgrid.r)).max() == 0.0:
             rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
             continue
-        fld = solve_linear(params, f, g, times, grid)
-        lhs_q, tail_frac = _lhs_and_tail(fld, spec, t_split=t_max / 10.0)
-        lhs = lhs_q ** (1.0 / q)
+        fh, gh = _data_coeffs(params, grid, f, g)
         rhs = sobolev_w_s1_norm(f, s_f, sgrid) + sobolev_w_s1_norm(g, s_g, sgrid)
-        flags = "tail-dominated" if tail_frac > TAIL_DOMINATED_FRACTION else ""
-        rows.append(RatioRow(name, lhs, rhs, lhs / rhs, tail_frac, flags))
+        live.append((len(rows), name, fh, gh, rhs))
+        rows.append(None)
+    if live:
+        grid.validate_horizon(params.m, params.M, float(times.max()))
+        idx, names, fh, gh, rhs = zip(*live)
+        r, kernel = grid.r, _characteristic(params.m, spec)
+        snaps = _snapshots(params.m, grid, times, np.array(fh), np.array(gh))
+        per_t = np.array([_weighted_integral(u, r, float(t), *kernel) for t, u in zip(times, snaps)])
+        for i, name, pt, rh in zip(idx, names, per_t.T, rhs):
+            rows[i] = _ratio_row(name, pt, times, q, t_max / 10.0, rh)
     return rows
 
 
@@ -326,7 +350,10 @@ def inhomogeneous_ratio(
     ``source_family`` yields (name, source) with source(t, r_array) -> samples,
     vanishing for r > phi(t) + M - 1 (checked on a sample of times; violation
     is a named error).  LHS uses weight^gamma1 in L^q over [T0/2, t_max];
-    RHS uses weight^gamma2 in L^(q/(q-1)) over the source.
+    RHS uses weight^gamma2 in L^(q/(q-1)) over the source.  The nonzero
+    sources march as one batch, so each step evaluates the symbols once for
+    all of them.  A march that stops at the blowup threshold would leave a
+    truncated box: TruncatedBoxError names the members and the stop time.
     """
     q_min, _ = q_bounds(params.m, params.n)
     if q <= q_min:
@@ -339,38 +366,45 @@ def inhomogeneous_ratio(
     if not gamma2 > 1.0 / q:
         raise ParameterError(f"gamma2 window violated: need gamma2 > 1/q={1.0 / q:.6f}, got {gamma2}")
     qp = q / (q - 1.0)
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     times = _time_grid(t_max)[1:]
     rows = []
+    live = []  # (row index, name, source, rhs) of the nonzero sources
     for name, source in source_family:
         _check_source_support(source, params, grid, t_max)
         src_sup = max(np.abs(source(t, grid.r)).max() for t in np.linspace(0.0, t_max, 40))
         if src_sup == 0.0:
             rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
             continue
-        _, fld = time_march(
-            params,
-            None,
-            zero,
-            zero,
-            t_max,
-            StepControl(dt=dt),
-            grid,
-            snapshot_times=times,
-            source=source,
-        )
-        sel = fld.times >= T0 / 2.0
-        sol = SpaceTimeField(
-            times=fld.times[sel], grid=grid, u=fld.u[sel], m=params.m, M=params.M
-        )
-        lhs_q, tail_frac = _lhs_and_tail(
-            sol, WeightSpec(gamma=gamma1, q=q, M=params.M), t_split=t_max / 10.0
-        )
-        lhs = lhs_q ** (1.0 / q)
         src_field = _sample_source(source, params, grid, t_max)
         rhs = weighted_field_norm(src_field, WeightSpec(gamma=gamma2, q=qp, M=params.M))
-        flags = "tail-dominated" if tail_frac > TAIL_DOMINATED_FRACTION else ""
-        rows.append(RatioRow(name, lhs, rhs, lhs / rhs, tail_frac, flags))
+        live.append((len(rows), name, source, rhs))
+        rows.append(None)
+    if live:
+        idx, names, sources, rhs = zip(*live)
+        control = StepControl(dt=dt)
+        stepper = _Stepper(params, grid, t_max, control.dt)
+        zero = np.zeros((len(live), grid.N - 1))
+        _, _, hist, snaps, _, t_stop = stepper.march(
+            zero,
+            zero,
+            lambda i, tm, um: np.array([s(tm, grid.r) for s in sources]),
+            blowup_threshold=control.blowup_threshold,
+            snapshot_steps=stepper.snapshot_steps(times),
+        )
+        if t_stop is not None:
+            over = [n for n, sup in zip(names, hist[-1][1]) if not sup <= control.blowup_threshold]
+            raise TruncatedBoxError(
+                f"forced march of {', '.join(over)} stopped at t={t_stop:.6g} "
+                f"(sup|u| above {control.blowup_threshold:.0e} or not finite), "
+                f"short of the box end t_max={t_max}"
+            )
+        ks = sorted(snaps)
+        t_snap = np.array([k * stepper.dt for k in ks])
+        r, kernel = grid.r, _characteristic(params.m, WeightSpec(gamma=gamma1, q=q, M=params.M))
+        per_t = np.array([_weighted_integral(snaps[k], r, float(t), *kernel) for k, t in zip(ks, t_snap)])
+        sel = t_snap >= T0 / 2.0
+        for i, name, pt, rh in zip(idx, names, per_t[sel].T, rhs):
+            rows[i] = _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, rh)
     return rows
 
 

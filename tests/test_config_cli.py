@@ -115,6 +115,9 @@ class TestGeometrySymbolsCommands:
         unshifted = lines[1].split(",")
         assert unshifted[0] == "unshifted-cone" and unshifted[1] == "true"
         assert float(unshifted[3]) >= 1e-4
+        # the holds cell of a numpy bool prints like a Python bool
+        assert [line.split(",")[:2] for line in lines[2:]] == [
+            ["shifted-cone-lower", "true"], ["shifted-cone-upper", "true"]]
 
     def test_symbols_dump(self, capsys):
         assert main(["symbols", "--m", "1", "--grid", "50:16"]) == 0
@@ -252,6 +255,19 @@ class TestBadInput:
 
         assert self._run(tmp_path, edit, extra) == 2
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [("model", "m"), ("grid", "N")])
+    def test_non_numeric_model_and_grid(self, tmp_path, capsys, section, key):
+        def edit(cfg):
+            cfg[section][key] = "x"
+
+        assert self._run(tmp_path, edit) == 2
+        assert f"{section}.{key} must be a number, got 'x'" in capsys.readouterr().err
+
+    def test_non_numeric_exponent_table_m(self):
+        # without p the exponent table skips the model check, but m must still be a number
+        with pytest.raises(ParameterError, match="model.m must be a number"):
+            parse_config(json.dumps({"scenario": "exponents", "model": {"m": "x", "p": None}}))
 
     def test_accepts_benchmark_sections(self):
         for key in ("exponents", "geometry", "symbols", "semilinear", "strichartz", "sweep", "linear"):

@@ -105,6 +105,17 @@ class TestUnshiftedCone:
         assert verify_unshifted_cone_inequality(m, M, T0, d).holds
         assert not verify_unshifted_cone_inequality(m, M, T0, d * (1 + 1e-6)).holds
 
+    def test_max_delta_holds_on_scan(self):
+        # the delta_max the CLI prints must pass the holds check, not miss it by rounding
+        misses = [
+            (m, M, T0)
+            for m in range(1, 5)
+            for M in np.linspace(1.1, 4.0, 15)
+            for T0 in np.linspace(0.05, 0.95, 15)
+            if not verify_unshifted_cone_inequality(m, M, T0, bisect_max_delta(m, M, T0)).holds
+        ]
+        assert misses == []
+
     def test_smaller_t0_shrinks_max_delta(self):
         d_big = bisect_max_delta(1, 2.0, 0.5)
         d_small = bisect_max_delta(1, 2.0, 0.1)

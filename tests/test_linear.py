@@ -6,8 +6,15 @@ import pytest
 from tricomi_lab.errors import GridError, ParameterError, SupportError
 from tricomi_lab.exponents import ModelParams
 from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
-from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
-from tricomi_lab.linear import decay_slope, fd_oracle, solve_linear, weighted_field_norm
+from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField, origin_value
+from tricomi_lab.linear import (
+    _characteristic,
+    _weighted_integral,
+    decay_slope,
+    fd_oracle,
+    solve_linear,
+    weighted_field_norm,
+)
 from tricomi_lab.profiles import bump
 from tricomi_lab.symbols import evolve_mode
 
@@ -195,6 +202,22 @@ class TestGridInvariants:
     def test_direct_transform_retired(self):
         with pytest.raises(GridError, match="retired"):
             RadialGrid(12.0, 256, transform="direct")
+
+    def test_family_rows_equal_single_calls(self):
+        # a (B, N-1) family through the transforms, to_radial and the weighted
+        # integral gives each row bit for bit what its own 1-D call gives
+        grid = RadialGrid(100.0, 2048)
+        coeffs = np.random.default_rng(3).standard_normal((8, grid.N - 1))
+        family = SpectralField(grid, coeffs).to_radial()
+        kernel = _characteristic(1, WeightSpec(gamma=0.2, q=3.0, M=2.0))
+        assert np.array_equal(grid.forward(family[:, 1:-1]), np.array([grid.forward(u[1:-1]) for u in family]))
+        assert np.array_equal(origin_value(family[:, 1:5], grid.h), [origin_value(u[1:5], grid.h) for u in family])
+        for t in (0.0, 0.5, 3.0):
+            per_member = _weighted_integral(family, grid.r, t, *kernel)
+            for c, u_b, i_b in zip(coeffs, family, per_member):
+                u = SpectralField(grid, c).to_radial()
+                assert np.array_equal(u, u_b)
+                assert _weighted_integral(u, grid.r, t, *kernel) == i_b
 
     def test_snapshot_times_must_increase(self):
         grid = RadialGrid(12.0, 128)

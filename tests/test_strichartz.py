@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tricomi_lab.errors import AccuracyError, ParameterError, SupportError
-from tricomi_lab.exponents import ModelParams
-from tricomi_lab.grids import RadialGrid, SpectralField
+import tricomi_lab.linear
+import tricomi_lab.semilinear
+from tricomi_lab.errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError
+from tricomi_lab.exponents import ModelParams, q_bounds, strichartz_gamma_bound
+from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
+from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
+from tricomi_lab.linear import solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump, dilate, gaussian_truncated
+from tricomi_lab.semilinear import StepControl, time_march
 from tricomi_lab.strichartz import (
+    TAIL_DOMINATED_FRACTION,
     DyadicCutoff,
+    RatioRow,
+    _sample_source,
+    _time_grid,
     default_sobolev_grid,
     dyadic_decompose,
     homogeneous_ratio,
@@ -18,6 +27,7 @@ from tricomi_lab.strichartz import (
     lhs_box_values,
     lp_partition_check,
     paired_gamma2,
+    sobolev_orders,
     sobolev_w_s1_norm,
     square_function_ratio,
     standard_family,
@@ -28,6 +38,16 @@ PARAMS = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
 
 def zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def _pulse(t_lo, t_hi, prof, amplitude=1.0):
+    def s(t, r):
+        if t <= t_lo or t >= t_hi:
+            return zero(r)
+        x = (t - t_lo) / (t_hi - t_lo)
+        return amplitude * float(np.exp(1.0 - 1.0 / (1.0 - (2.0 * x - 1.0) ** 2))) * prof(r)
+
+    return s
 
 
 class TestSobolevNorm:
@@ -112,15 +132,6 @@ class TestHomogeneousRatio:
 
 
 class TestInhomogeneousRatio:
-    def _pulse(self, t_lo, t_hi, prof):
-        def s(t, r):
-            if t <= t_lo or t >= t_hi:
-                return zero(r)
-            x = (t - t_lo) / (t_hi - t_lo)
-            return float(np.exp(1.0 - 1.0 / (1.0 - (2.0 * x - 1.0) ** 2))) * prof(r)
-
-        return s
-
     def test_defaults_satisfy_pairing(self):
         q, g1, g2 = inhomogeneous_defaults(1, 3)
         assert g2 == pytest.approx(paired_gamma2(q, g1))
@@ -129,13 +140,13 @@ class TestInhomogeneousRatio:
     def test_single_pulse_ratio_finite(self):
         q, g1, g2 = inhomogeneous_defaults(1, 3)
         grid = RadialGrid(60.0, 2048, transform="fft")
-        fam = [("pulse", self._pulse(1.0, 2.0, bump(0.8)))]
+        fam = [("pulse", _pulse(1.0, 2.0, bump(0.8)))]
         rows = inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, t_max=15.0, dt=0.02)
         assert rows[0].ratio is not None and np.isfinite(rows[0].ratio)
 
     def test_window_violations_named(self):
         grid = RadialGrid(60.0, 512)
-        fam = [("pulse", self._pulse(1.0, 2.0, bump(0.8)))]
+        fam = [("pulse", _pulse(1.0, 2.0, bump(0.8)))]
         with pytest.raises(ParameterError, match="q window"):
             inhomogeneous_ratio(PARAMS, fam, 2.0, 0.2, 0.6, grid)
         with pytest.raises(ParameterError, match="gamma1 window"):
@@ -152,6 +163,125 @@ class TestInhomogeneousRatio:
 
         with pytest.raises(SupportError, match="source leaks"):
             inhomogeneous_ratio(PARAMS, [("bad", bad)], q, g1, g2, grid, t_max=10.0)
+
+
+def _field_row(name, field, spec, t_split, rhs):
+    """One member's row the unbatched way: per-snapshot loop over a stored field, then the tail fit."""
+    r = field.grid.r
+    per_t = np.empty(field.times.size)
+    for i, t in enumerate(field.times):
+        t = float(t)
+        mask = r <= finite_speed_radius(field.m, spec.M, t)
+        rr = r[mask]
+        weight = (phi(field.m, t) + spec.M) ** 2 - rr * rr
+        integrand = weight ** (spec.gamma * spec.q) * np.abs(field.u[i, mask]) ** spec.q * rr * rr
+        per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, rr)
+    total = float(np.trapezoid(per_t, field.times))
+    sel = (field.times >= t_split) & (per_t > 0)
+    if sel.sum() >= 4:
+        slope, logc = np.polyfit(np.log(field.times[sel]), np.log(per_t[sel]), 1)
+        T = float(field.times.max())
+        tail = np.exp(logc) * T**slope * T / (-slope - 1.0) if slope < -1.0 else np.inf
+    else:
+        tail = 0.0
+    if total <= 0:
+        frac = 0.0
+    elif not np.isfinite(tail):
+        frac = 1.0
+    else:
+        frac = float((1.0 + tail / total) ** (1.0 / spec.q) - 1.0)
+    lhs = total ** (1.0 / spec.q)
+    flags = "tail-dominated" if frac > TAIL_DOMINATED_FRACTION else ""
+    return RatioRow(name, lhs, rhs, lhs / rhs, frac, flags)
+
+
+def _counting(monkeypatch, module):
+    calls = []
+    inner = module.symbol_matrix
+
+    def counted(m, t, lam):
+        calls.append(t)
+        return inner(m, t, lam)
+
+    monkeypatch.setattr(module, "symbol_matrix", counted)
+    return calls
+
+
+class TestBatchEngine:
+    """The ratio probes solve their members as one batch; each row must equal its unbatched solve."""
+
+    def test_homogeneous_rows_equal_unbatched(self):
+        grid = RadialGrid(100.0, 2048, transform="fft")
+        fam = standard_family(2.0, 1)
+        fam = [fam[0], ("null", zero, zero), fam[5], fam[7]]
+        # a short box weights the early, narrow-support snapshots, where a changed
+        # summation order in the batched radial integral would show
+        q, gamma, delta, t_max = 3.0, 0.2, 0.3, 3.0
+        rows = homogeneous_ratio(PARAMS, fam, q, gamma, delta, grid, t_max=t_max)
+
+        s_f, s_g = sobolev_orders(1, 3, delta)
+        sgrid = default_sobolev_grid(2.0)
+        spec = WeightSpec(gamma=gamma, q=q, M=2.0)
+        want = []
+        for name, f, g in fam:
+            if name == "null":
+                want.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
+                continue
+            fld = solve_linear(PARAMS, f, g, _time_grid(t_max), grid)
+            rhs = sobolev_w_s1_norm(f, s_f, sgrid) + sobolev_w_s1_norm(g, s_g, sgrid)
+            want.append(_field_row(name, fld, spec, t_max / 10.0, rhs))
+        assert rows == want
+
+    def test_inhomogeneous_rows_equal_unbatched(self, monkeypatch):
+        grid = RadialGrid(60.0, 1024, transform="fft")
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        fam = [
+            ("p1", _pulse(1.0, 2.0, bump(0.8))),
+            ("none", lambda t, r: zero(r)),
+            ("p2", _pulse(0.5, 1.5, bump(0.65))),
+            ("p3", _pulse(1.0, 3.0, bump(0.9))),
+        ]
+        t_max, dt, T0 = 10.0, 0.05, 0.5
+        calls = _counting(monkeypatch, tricomi_lab.semilinear)
+        rows = inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, T0=T0, t_max=t_max, dt=dt)
+        assert len(calls) == 1 + 2 * 200  # one march for the three sources
+        monkeypatch.undo()
+
+        want = []
+        for name, source in fam:
+            if name == "none":
+                want.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
+                continue
+            _, fld = time_march(
+                PARAMS, None, zero, zero, t_max, StepControl(dt=dt), grid,
+                snapshot_times=_time_grid(t_max)[1:], source=source,
+            )
+            sel = fld.times >= T0 / 2.0
+            sol = SpaceTimeField(times=fld.times[sel], grid=grid, u=fld.u[sel], m=1, M=2.0)
+            rhs = weighted_field_norm(
+                _sample_source(source, PARAMS, grid, t_max), WeightSpec(gamma=g2, q=q / (q - 1.0), M=2.0)
+            )
+            want.append(_field_row(name, sol, WeightSpec(gamma=g1, q=q, M=2.0), t_max / 10.0, rhs))
+        assert rows == want
+
+    def test_family_evaluates_symbols_once_per_time(self, monkeypatch):
+        grid = RadialGrid(60.0, 1024, transform="fft")
+        q_min, q0 = q_bounds(1, 3)
+        q = 0.5 * (q_min + q0)
+        gamma = 0.5 * strichartz_gamma_bound(1, 3, q)
+        delta = 0.5 * (1.5 + 1.0 / 3.0 - gamma - 1.0 / q)
+        calls = _counting(monkeypatch, tricomi_lab.linear)
+        rows = homogeneous_ratio(PARAMS, standard_family(2.0, 1), q, gamma, delta, grid, t_max=10.0)
+        assert len(rows) == 8 and all(r.ratio is not None for r in rows)
+        assert calls == list(_time_grid(10.0))
+
+    def test_stopped_march_raises_not_truncates(self):
+        grid = RadialGrid(60.0, 512, transform="fft")
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        fam = [("small", _pulse(1.0, 2.0, bump(0.8))), ("huge", _pulse(1.0, 2.0, bump(0.8), 1e9))]
+        with pytest.raises(TruncatedBoxError, match=r"of huge stopped at t=1\.") as exc:
+            inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, t_max=10.0, dt=0.05)
+        assert "small" not in str(exc.value)
 
 
 class TestLittlewoodPaley:
