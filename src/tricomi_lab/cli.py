@@ -463,7 +463,7 @@ def _load_config(args) -> RunConfig:
     if isinstance(payload, dict):  # parse_config names anything else
         if args.output_dir is not None:
             payload["output_dir"] = args.output_dir
-        if getattr(args, "p_grid", None):
+        if getattr(args, "p_grid", None) and isinstance(payload.get("sweep", {}), dict):
             payload["sweep"] = {**payload.get("sweep", {}), "p_grid": args.p_grid.split(",")}
     cfg = parse_config(json.dumps(payload))
     if cfg.scenario != args.command:

@@ -38,11 +38,31 @@ SCENARIOS = (
     "symbols",
 )
 
-# Every top-level key a config may carry: the common ones, then one section per scenario.
-_SECTIONS = (
-    "scenario", "model", "grid", "output_dir", "seed",
-    "exponents", "geometry", "symbols", "linear", "semilinear", "sweep", "strichartz",
-)
+# The keys each section may carry: those the CLI reads.  A number is converted
+# by its kind (int or float); None marks a value its reader checks itself, and
+# a dict a nested section.  The keys in _NULLABLE may also be null.
+_DATA_KEYS = {"profile": None, "amplitude": float, "vel_amplitude": float}
+_SNAPSHOT_KEYS = {"snapshots": int, "snapshot_spacing": None, "t_start": float, "field_r_points": int}
+_SECTION_KEYS = {
+    "model": {"m": int, "n": int, "p": float, "eps": float, "M": float},
+    "grid": {"r_max": float, "N": int, "transform": None},
+    "exponents": {"sweep": None},
+    "geometry": {"T0": float, "nu": float, "delta": float},
+    "symbols": {"grid": None},
+    "linear": {"t_final": float, "data": _DATA_KEYS, **_SNAPSHOT_KEYS},
+    "semilinear": {
+        "horizon": float, "dt": float, "T0": float, "mode": None, "max_iters": int,
+        "write_field": None, "data": _DATA_KEYS, **_SNAPSHOT_KEYS,
+    },
+    "sweep": {"p_grid": None, "horizon": float, "dt": float, "T0": float, "data": _DATA_KEYS},
+    "strichartz": {
+        "kind": None, "q": float, "gamma": float, "delta": float, "t_max": float, "T0": float,
+        "q_inhom": float, "gamma1": float, "gamma2": float, "t_max_inhom": float, "dt": float,
+    },
+}
+_NULLABLE = {"model.p", "geometry.nu"}
+# Every top-level key a config may carry: the common ones and the sections.
+_SECTIONS = ("scenario", "output_dir", "seed", *_SECTION_KEYS)
 
 _DEFAULTS = {
     "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1e-3, "M": 2.0},
@@ -100,6 +120,26 @@ def _number(sec: dict, name: str, key: str, kind):
         raise ParameterError(f"{name}.{key} must be a number, got {sec[key]!r}")
 
 
+def _check_section(sec, name: str, keys: dict) -> None:
+    """Raise a ParameterError naming ``name`` unless ``sec`` is an object of
+    known keys whose numbers convert to their kinds."""
+    if not isinstance(sec, dict):
+        raise ParameterError(f"config section {name!r} must be a JSON object, got {sec!r}")
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown key(s) {', '.join(f'{name}.{k}' for k in unknown)}; "
+            f"known in {name}: {', '.join(keys)}"
+        )
+    for key, kind in keys.items():
+        if key not in sec or kind is None or (sec[key] is None and f"{name}.{key}" in _NULLABLE):
+            continue
+        if isinstance(kind, dict):
+            _check_section(sec[key], f"{name}.{key}", kind)
+        else:
+            _number(sec, name, key, kind)
+
+
 def _merge_defaults(payload: dict) -> dict:
     out = dict(payload)
     for key, sub in _DEFAULTS.items():
@@ -126,6 +166,16 @@ def parse_config(text: str) -> RunConfig:
         raise ParameterError(
             f"unknown scenario {payload['scenario']!r}; known: {', '.join(SCENARIOS)}"
         )
+    unknown = sorted(set(payload) - set(_SECTIONS))
+    if unknown:
+        raise ParameterError(
+            f"unknown config section(s) {', '.join(map(repr, unknown))}; known: {', '.join(_SECTIONS)}"
+        )
+    if "seed" in payload:
+        _number(payload, "config", "seed", int)
+    for name, keys in _SECTION_KEYS.items():
+        if name in payload:
+            _check_section(payload[name], name, keys)
     cfg = RunConfig(data=_merge_defaults(payload))
     _validate(cfg)
     return cfg
@@ -137,18 +187,10 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _validate(cfg: RunConfig) -> None:
-    unknown = sorted(set(cfg.data) - set(_SECTIONS))
-    if unknown:
-        raise ParameterError(
-            f"unknown config section(s) {', '.join(map(repr, unknown))}; known: {', '.join(_SECTIONS)}"
-        )
     RadialGrid(**cfg.grid_args())  # raises GridError naming the bad grid or transform
     scenario = cfg.scenario
-    # An exponent table may leave p null (its gamma columns stay empty); the
-    # table checks the values of m and n itself.
+    # An exponent table may leave p null (its gamma columns stay empty).
     if scenario == "exponents" and cfg.data["model"]["p"] is None:
-        _number(cfg.data["model"], "model", "m", int)
-        _number(cfg.data["model"], "model", "n", int)
         return
     params = cfg.model_params()  # raises ParameterError with the constraint name
     if scenario == "solve-semilinear":

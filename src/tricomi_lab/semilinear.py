@@ -11,10 +11,12 @@ F_smooth(0) = 0 and |F_smooth(u)| <= C (1 + |u|)^(p-1) |u|.
 Time marching is per-step per-mode Duhamel: over [t1, t2] each sine
 coefficient advances by the exact 2x2 propagator of v'' + t^m lambda^2 v = 0
 (unit Wronskian), and the source is frozen at the step midpoint -- a
-second-order scheme whose linear part is exact at any dt.  Blowup is a
-result, not an error: the march reports kind "blowup" with the first time
-sup|u| exceeds the threshold (default 1e6) or goes non-finite, and
-"global-horizon" otherwise.
+second-order scheme whose linear part is exact at any dt.  One function,
+``_march``, runs this scheme for ``time_march``, ``picard_solve`` and the
+inhomogeneous Strichartz probe, on one field or a batch of them.  Blowup is
+a result, not an error: ``time_march`` reports kind "blowup" with the first
+midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or goes
+non-finite, and "global-horizon" otherwise.
 
 ``picard_solve`` runs the fixed-point iteration u_k <- (linear solve with
 source F_p(t, u_{k-1})), recording the weighted norms M_k of iterates and
@@ -36,6 +38,7 @@ from .linear import _data_coeffs, _weighted_integrals, weighted_field_norm
 from .symbols import symbol_matrix
 
 __all__ = [
+    "BLOWUP_THRESHOLD",
     "NonlinearitySpec",
     "StepControl",
     "RunOutcome",
@@ -93,12 +96,14 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
     return (1.0 - c) * smooth + c * power
 
 
+BLOWUP_THRESHOLD = 1e6  # sup|u| past which a march reports blowup
+
+
 @dataclass(frozen=True)
 class StepControl:
     """Fixed-step control for the Duhamel march."""
 
     dt: float
-    blowup_threshold: float = 1e6
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -126,87 +131,70 @@ class PicardDiagnostics:
     iterations: int
 
 
-class _Stepper:
-    """Shared Duhamel stepping core over a fixed grid and step sequence."""
+def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
+    """(nsteps, dt) of the fixed-step march to ``horizon``, after the wall check."""
+    if not dt > 0:
+        raise ParameterError(f"dt > 0 required, got {dt}")
+    grid.validate_horizon(params.m, params.M, horizon)
+    nsteps = int(np.ceil(horizon / dt))
+    return nsteps, horizon / nsteps
 
-    def __init__(self, params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
-        grid.validate_horizon(params.m, params.M, horizon)
-        self.params = params
-        self.grid = grid
-        self.nsteps = int(np.ceil(horizon / dt))
-        self.dt = horizon / self.nsteps
-        self.horizon = horizon
-        self.r_int = grid.r[1 : grid.N]
 
-    def midpoint_times(self) -> np.ndarray:
-        return (np.arange(self.nsteps) + 0.5) * self.dt
+def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep=()):
+    """Midpoint-frozen Duhamel march of the sine coefficients (cv, cd) to ``horizon``.
 
-    def snapshot_steps(self, times) -> dict:
-        """Step counts k of the step boundaries k dt nearest the requested times."""
-        steps = {}
-        for t in np.atleast_1d(times):
-            k = int(round(float(t) / self.dt))
-            if k < 1 or k > self.nsteps:
-                raise GridError(f"snapshot time {t} outside (0, horizon]")
-            steps[k] = True
-        return steps
+    ``source(i, t_mid, u_mid)`` gets step i's midpoint field and returns the
+    radial source samples frozen over the step (None for source-free).  The
+    coefficients are (N-1,) for one field or (B, N-1) for a family that
+    shares every symbol evaluation; fields and sources then carry the same
+    leading axis.  The march stops at the first midpoint where any member's
+    sup|u| exceeds ``threshold`` or is not finite; ``source`` is not called
+    for that step.
 
-    def march(
-        self,
-        f_coeffs: np.ndarray,
-        g_coeffs: np.ndarray,
-        source_mid,
-        blowup_threshold: float = np.inf,
-        snapshot_steps: dict | None = None,
-        store_midpoints: bool = False,
-    ):
-        """Run the march.  ``source_mid(i, t_mid, u_mid)`` returns the radial
-        source samples for step i (or None for source-free); reconstructed
-        midpoint fields are handed to it and optionally stored.
-
-        The coefficients are (N-1,) for one field or (B, N-1) for a family
-        that shares every symbol evaluation; fields, sources and snapshots
-        then carry the same leading axis.  Each history entry is (t_mid,
-        sup|u|), with one sup per member for a family; the march stops at
-        the first step where any member exceeds the threshold or is not
-        finite.
-        """
-        grid, m = self.grid, self.params.m
-        lam = grid.lam
-        cv, cd = f_coeffs.copy(), g_coeffs.copy()
-        sym_prev = symbol_matrix(m, 0.0, lam)
-        mids = np.empty((self.nsteps, *cv.shape[:-1], grid.N + 1)) if store_midpoints else None
-        hist = []
-        snaps = {}
-        for i in range(self.nsteps):
-            t1 = i * self.dt
-            t2 = min((i + 1) * self.dt, self.horizon)
-            tm = 0.5 * (t1 + t2)
-            sym_mid = symbol_matrix(m, tm, lam)
-            sym_next = symbol_matrix(m, t2, lam)
-            A1, B1 = _trans_row(sym_prev, sym_mid)
-            um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
-            sup = np.abs(um).max(axis=-1)
-            hist.append((tm, sup.tolist()))
-            if store_midpoints:
-                mids[i] = um
-            if not np.isfinite(sup).all() or sup.max() > blowup_threshold:
-                return cv, cd, hist, snaps, mids, tm
-            src = source_mid(i, tm, um) if source_mid is not None else None
-            A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
-            if src is not None:
-                sh = grid.forward(self.r_int * src[..., 1 : grid.N])
-                _, Bm, _, Dm = _trans_full(sym_mid, sym_next)
-                cv, cd = (
-                    A2 * cv + B2 * cd + (t2 - t1) * Bm * sh,
-                    C2 * cv + D2 * cd + (t2 - t1) * Dm * sh,
-                )
-            else:
-                cv, cd = A2 * cv + B2 * cd, C2 * cv + D2 * cd
-            sym_prev = sym_next
-            if snapshot_steps and (i + 1) in snapshot_steps:
-                snaps[i + 1] = SpectralField(grid, cv.copy()).to_radial()
-        return cv, cd, hist, snaps, mids, None
+    Returns (hist, t_stop, kept): hist holds (t_mid, sup|u|) per step, with
+    one sup per member for a family; t_stop is the stopping midpoint time or
+    None; kept lists (k dt, u) at the step ends k dt nearest the ``keep``
+    times, in step order.
+    """
+    dt = horizon / nsteps
+    keep_steps = set()
+    for t in np.atleast_1d(keep):
+        k = int(round(float(t) / dt))
+        if not 1 <= k <= nsteps:
+            raise GridError(
+                f"snapshot time {t} falls on step {k}, outside steps 1..{nsteps} of dt={dt:.6g}"
+            )
+        keep_steps.add(k)
+    lam, r_int = grid.lam, grid.r[1 : grid.N]
+    sym_prev = symbol_matrix(m, 0.0, lam)
+    hist, kept = [], []
+    for i in range(nsteps):
+        t1 = i * dt
+        t2 = min((i + 1) * dt, horizon)
+        tm = 0.5 * (t1 + t2)
+        sym_mid = symbol_matrix(m, tm, lam)
+        sym_next = symbol_matrix(m, t2, lam)
+        A1, B1 = _trans_row(sym_prev, sym_mid)
+        um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
+        sup = np.abs(um).max(axis=-1)
+        hist.append((tm, sup.tolist()))
+        if not np.isfinite(sup).all() or sup.max() > threshold:
+            return hist, tm, kept
+        src = source(i, tm, um) if source is not None else None
+        A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
+        if src is not None:
+            sh = grid.forward(r_int * src[..., 1 : grid.N])
+            _, Bm, _, Dm = _trans_full(sym_mid, sym_next)
+            cv, cd = (
+                A2 * cv + B2 * cd + (t2 - t1) * Bm * sh,
+                C2 * cv + D2 * cd + (t2 - t1) * Dm * sh,
+            )
+        else:
+            cv, cd = A2 * cv + B2 * cd, C2 * cv + D2 * cd
+        sym_prev = sym_next
+        if i + 1 in keep_steps:
+            kept.append(((i + 1) * dt, SpectralField(grid, cv).to_radial()))
+    return hist, None, kept
 
 
 def _trans_full(s1, s2):
@@ -245,66 +233,37 @@ def time_march(
     control: StepControl,
     grid: RadialGrid,
     snapshot_times=None,
-    source=None,
     store_midpoints: bool = False,
-    enforce_support: bool = True,
 ):
-    """March the semilinear (or externally forced) problem to the horizon.
+    """March the semilinear problem (the linear one with ``spec=None``) to the horizon.
 
-    ``spec`` supplies the nonlinearity; pass ``spec=None`` with an explicit
-    ``source(t, r_array)`` for the inhomogeneous linear problem, or both
-    None for a pure linear march (consistency path).  Snapshot times are
+    The march stops with kind "blowup" at the first step midpoint where
+    sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  Snapshot times are
     snapped to step boundaries.  Returns (RunOutcome, SpaceTimeField); when
-    ``store_midpoints`` is set the field holds every step midpoint instead
-    of the requested snapshots.
+    ``store_midpoints`` is set the field holds the midpoints of the accepted
+    steps instead of the requested snapshots.  After a blowup these are
+    len(norm_history) - 1 finite midpoints: the crossing step's is not kept.
     """
-    stepper = _Stepper(params, grid, horizon, control.dt)
-    fh, gh = _data_coeffs(params, grid, f, g, enforce_support)
+    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    fh, gh = _data_coeffs(params, grid, f, g)
+    mids = []
 
-    if spec is not None and source is not None:
-        raise ParameterError("pass either a nonlinearity spec or a source, not both")
+    def source(i, tm, um):
+        if store_midpoints:
+            mids.append(um)
+        return evaluate_nonlinearity(spec, tm, um) if spec is not None else None
 
-    def source_mid(i, tm, um):
-        if spec is not None:
-            return evaluate_nonlinearity(spec, tm, um)
-        if source is not None:
-            return source(tm, grid.r)
-        return None
-
-    snap_steps = {}
-    if snapshot_times is not None and not store_midpoints:
-        snap_steps = stepper.snapshot_steps(snapshot_times)
-
-    cv, cd, hist, snaps, mids, t_blow = stepper.march(
-        fh,
-        gh,
-        source_mid if (spec is not None or source is not None) else None,
-        blowup_threshold=control.blowup_threshold,
-        snapshot_steps=snap_steps,
-        store_midpoints=store_midpoints,
-    )
-
+    keep = () if store_midpoints or snapshot_times is None else snapshot_times
+    hist, t_stop, kept = _march(params.m, grid, horizon, nsteps, fh, gh, source, BLOWUP_THRESHOLD, keep)
     if store_midpoints:
-        n_done = len(hist)
-        fld = SpaceTimeField(
-            times=stepper.midpoint_times()[:n_done],
-            grid=grid,
-            u=mids[:n_done],
-            m=params.m,
-            M=params.M,
-        )
+        times, u = (np.arange(len(mids)) + 0.5) * dt, np.array(mids)
     else:
-        ks = sorted(snaps)
-        fld = SpaceTimeField(
-            times=np.array([k * stepper.dt for k in ks]),
-            grid=grid,
-            u=np.array([snaps[k] for k in ks]).reshape(len(ks), grid.N + 1),
-            m=params.m,
-            M=params.M,
-        )
-
-    if t_blow is not None:
-        outcome = RunOutcome(kind="blowup", blowup_time=t_blow, norm_history=hist)
+        times, u = np.array([t for t, _ in kept]), np.array([u for _, u in kept])
+    fld = SpaceTimeField(
+        times=times, grid=grid, u=u.reshape(len(times), grid.N + 1), m=params.m, M=params.M
+    )
+    if t_stop is not None:
+        outcome = RunOutcome(kind="blowup", blowup_time=t_stop, norm_history=hist)
     else:
         outcome = RunOutcome(
             kind="global-horizon",
@@ -325,7 +284,6 @@ def picard_solve(
     max_iters: int = 25,
     gamma: float | None = None,
     tol: float = 1e-6,
-    enforce_support: bool = True,
 ):
     """Picard iteration u_k <- linear solve with source F_p(t, u_{k-1}).
 
@@ -340,9 +298,9 @@ def picard_solve(
         gamma = 0.5 * (lo + hi)
     q = params.p + 1.0
     wspec = WeightSpec(gamma=gamma, q=q, M=params.M)
-    stepper = _Stepper(params, grid, horizon, control.dt)
-    fh, gh = _data_coeffs(params, grid, f, g, enforce_support)
-    t_mid = stepper.midpoint_times()
+    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    fh, gh = _data_coeffs(params, grid, f, g)
+    t_mid = (np.arange(nsteps) + 0.5) * dt
     mask = t_mid >= spec.T0 / 2.0
 
     def norm_of(mid_arr):
@@ -351,19 +309,20 @@ def picard_solve(
         )
         return weighted_field_norm(fld, wspec)
 
-    prev_mid = np.zeros((stepper.nsteps, grid.N + 1))
+    prev_mid = np.zeros((nsteps, grid.N + 1))
     M_seq, N_seq = [], []
     converged = False
     final_mid = prev_mid
     rising = 0
     for k in range(max_iters):
-        def source_mid(i, tm, um, _prev=prev_mid):
+        mids = np.empty_like(prev_mid)
+
+        def source(i, tm, um, _prev=prev_mid, _mids=mids):
+            _mids[i] = um
             return evaluate_nonlinearity(spec, tm, _prev[i])
 
-        _, _, hist, _, mids, t_blow = stepper.march(
-            fh, gh, source_mid, blowup_threshold=np.inf, store_midpoints=True
-        )
-        if t_blow is not None or not np.isfinite(mids).all():
+        _, t_stop, _ = _march(params.m, grid, horizon, nsteps, fh, gh, source)
+        if t_stop is not None:
             raise PicardDivergenceError(
                 f"iterate {k} left the finite range",
                 PicardDiagnostics(M_seq, N_seq, False, k),
@@ -382,7 +341,6 @@ def picard_solve(
             rising = 0
         if N_seq[-1] < tol * max(M_seq[0], 1e-300):
             converged = True
-            prev_mid = mids
             break
         prev_mid = mids
 
@@ -450,9 +408,7 @@ def sweep_p(
         try:
             params = ModelParams(params_base.m, params_base.n, float(p), params_base.eps, params_base.M)
             spec = NonlinearitySpec(p=float(p), T0=T0)
-            outcome, _ = time_march(
-                params, spec, f, g, horizon, control, grid, snapshot_times=[horizon]
-            )
+            outcome, _ = time_march(params, spec, f, g, horizon, control, grid)
             row["kind"] = outcome.kind
             row["blowup_time"] = outcome.blowup_time
             row["final_sup"] = outcome.norm_history[-1][1] if outcome.norm_history else None

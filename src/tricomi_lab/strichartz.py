@@ -41,7 +41,7 @@ from .linear import (
     weighted_field_norm,
 )
 from .profiles import annular_bump, bump, dilate
-from .semilinear import StepControl, _Stepper
+from .semilinear import BLOWUP_THRESHOLD, _march, _steps
 
 __all__ = [
     "DyadicCutoff",
@@ -350,7 +350,8 @@ def inhomogeneous_ratio(
     ``source_family`` yields (name, source) with source(t, r_array) -> samples,
     vanishing for r > phi(t) + M - 1 (checked on a sample of times; violation
     is a named error).  LHS uses weight^gamma1 in L^q over [T0/2, t_max];
-    RHS uses weight^gamma2 in L^(q/(q-1)) over the source.  The nonzero
+    RHS uses weight^gamma2 in L^(q/(q-1)) over the source; a T0 that leaves
+    fewer than two snapshot times in that box is a ParameterError.  The nonzero
     sources march as one batch, so each step evaluates the symbols once for
     all of them.  A march that stops at the blowup threshold would leave a
     truncated box: TruncatedBoxError names the members and the stop time.
@@ -367,6 +368,10 @@ def inhomogeneous_ratio(
         raise ParameterError(f"gamma2 window violated: need gamma2 > 1/q={1.0 / q:.6f}, got {gamma2}")
     qp = q / (q - 1.0)
     times = _time_grid(t_max)[1:]
+    if np.count_nonzero(times >= T0 / 2.0) < 2:
+        raise ParameterError(
+            f"T0={T0} leaves fewer than two snapshot times in [T0/2, t_max={t_max}]"
+        )
     rows = []
     live = []  # (row index, name, source, rhs) of the nonzero sources
     for name, source in source_family:
@@ -381,27 +386,23 @@ def inhomogeneous_ratio(
         rows.append(None)
     if live:
         idx, names, sources, rhs = zip(*live)
-        control = StepControl(dt=dt)
-        stepper = _Stepper(params, grid, t_max, control.dt)
+        nsteps, _ = _steps(params, grid, t_max, dt)
         zero = np.zeros((len(live), grid.N - 1))
-        _, _, hist, snaps, _, t_stop = stepper.march(
-            zero,
-            zero,
+        hist, t_stop, kept = _march(
+            params.m, grid, t_max, nsteps, zero, zero,
             lambda i, tm, um: np.array([s(tm, grid.r) for s in sources]),
-            blowup_threshold=control.blowup_threshold,
-            snapshot_steps=stepper.snapshot_steps(times),
+            BLOWUP_THRESHOLD, times,
         )
         if t_stop is not None:
-            over = [n for n, sup in zip(names, hist[-1][1]) if not sup <= control.blowup_threshold]
+            over = [n for n, sup in zip(names, hist[-1][1]) if not sup <= BLOWUP_THRESHOLD]
             raise TruncatedBoxError(
                 f"forced march of {', '.join(over)} stopped at t={t_stop:.6g} "
-                f"(sup|u| above {control.blowup_threshold:.0e} or not finite), "
+                f"(sup|u| above {BLOWUP_THRESHOLD:.0e} or not finite), "
                 f"short of the box end t_max={t_max}"
             )
-        ks = sorted(snaps)
-        t_snap = np.array([k * stepper.dt for k in ks])
+        t_snap = np.array([t for t, _ in kept])
         r, kernel = grid.r, _characteristic(params.m, WeightSpec(gamma=gamma1, q=q, M=params.M))
-        per_t = np.array([_weighted_integral(snaps[k], r, float(t), *kernel) for k, t in zip(ks, t_snap)])
+        per_t = np.array([_weighted_integral(u, r, t, *kernel) for t, u in kept])
         sel = t_snap >= T0 / 2.0
         for i, name, pt, rh in zip(idx, names, per_t[sel].T, rhs):
             rows[i] = _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, rh)

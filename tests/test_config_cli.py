@@ -11,6 +11,7 @@ from tricomi_lab.cli import EXPONENT_HEADER, main, run_exponents
 from tricomi_lab.config import RunConfig, emit_config, parse_config
 from tricomi_lab.errors import ParameterError
 
+ROOT = Path(__file__).resolve().parent.parent
 MINIMAL_EXPONENTS = json.dumps({"scenario": "exponents", "model": {"m": 1, "n": 3, "p": 2.0}})
 
 
@@ -272,6 +273,67 @@ class TestBadInput:
     def test_accepts_benchmark_sections(self):
         for key in ("exponents", "geometry", "symbols", "semilinear", "strichartz", "sweep", "linear"):
             parse_config(json.dumps({"scenario": "exponents", key: {}}))
+
+    def test_accepts_readme_grammar_and_benchmark_configs(self, monkeypatch):
+        readme = (ROOT / "README.md").read_text()
+        parse_config(readme.split("### Config grammar", 1)[1].split("```json", 1)[1].split("```", 1)[0])
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import WORKLOADS
+
+        for make in WORKLOADS.values():
+            for cfg in make(np.random.default_rng(1)):
+                parse_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("section,value", [("model", 5), ("linear", 3)])
+    def test_non_object_section(self, tmp_path, capsys, section, value):
+        def edit(cfg):
+            cfg[section] = value
+
+        assert self._run(tmp_path, edit) == 2
+        assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario,path",
+        [("solve-semilinear", "semilinear.dt"), ("solve-linear", "linear.snapshots"),
+         ("solve-linear", "linear.data.amplitude")],
+    )
+    def test_non_numeric_section_value(self, tmp_path, capsys, scenario, path):
+        def edit(cfg):
+            cfg["scenario"] = scenario
+            *outer, key = path.split(".")
+            sec = cfg
+            for name in outer:
+                sec = sec.setdefault(name, {})
+            sec[key] = "x"
+
+        assert self._run(tmp_path, edit) == 2
+        assert f"{path} must be a number, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["linear.snapshot", "linear.data.amplitud", "model.mm"])
+    def test_unknown_section_key(self, tmp_path, capsys, path):
+        def edit(cfg):
+            *outer, key = path.split(".")
+            sec = cfg
+            for name in outer:
+                sec = sec.setdefault(name, {})
+            sec[key] = 1.0
+
+        assert self._run(tmp_path, edit) == 2
+        assert f"unknown key(s) {path};" in capsys.readouterr().err
+
+    def test_non_numeric_seed(self):
+        with pytest.raises(ParameterError, match="seed must be a number"):
+            parse_config(json.dumps({"scenario": "check-geometry", "seed": "x"}))
+
+    def test_inhomogeneous_T0_past_the_box(self, tmp_path, capsys):
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "verify-strichartz"
+            cfg["grid"] = {"r_max": 60.0, "N": 512}
+            cfg["strichartz"] = {"kind": "inhomogeneous", "t_max": 10.0, "T0": 40.0}
+
+        assert self._run(tmp_path, edit) == 2
+        assert "T0=40.0 leaves fewer than two snapshot times" in capsys.readouterr().err
 
 
 class TestFlagCommandManifests:

@@ -1,7 +1,8 @@
-"""The demos import only names the package still has (they are not run here)."""
+"""The demos use only names and keywords the package still has (they are not run here)."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,24 @@ import pytest
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def _package_imports(path: Path):
-    for node in ast.walk(ast.parse(path.read_text())):
+def _package_imports(tree: ast.AST):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tricomi_lab"):
             for alias in node.names:
-                yield node.module, alias.name
+                yield node.module, alias.name, alias.asname or alias.name
+
+
+def _bad_keywords(tree: ast.AST, objects: dict) -> list[str]:
+    """``name(kw=...)`` calls whose keyword the imported callable ``name`` does not take."""
+    bad = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in objects):
+            continue
+        params = inspect.signature(objects[node.func.id]).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+            continue
+        bad += [f"{node.func.id}({kw.arg}=)" for kw in node.keywords if kw.arg and kw.arg not in params]
+    return bad
 
 
 def test_demos_found():
@@ -24,7 +38,25 @@ def test_demos_found():
 def test_demo_imports_exist(path):
     missing = [
         f"{module}.{name}"
-        for module, name in _package_imports(path)
+        for module, name, _ in _package_imports(ast.parse(path.read_text()))
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_keywords_exist(path):
+    tree = ast.parse(path.read_text())
+    found = {
+        local: getattr(importlib.import_module(module), name, None)
+        for module, name, local in _package_imports(tree)
+    }
+    bad = _bad_keywords(tree, {local: obj for local, obj in found.items() if callable(obj)})
+    assert not bad, f"{path.name} passes keywords the package does not take: {bad}"
+
+
+def test_keyword_check_catches_removed_option():
+    from tricomi_lab.semilinear import time_march
+
+    tree = ast.parse("time_march(p, s, f, g, 1.0, c, grid, enforce_support=False)")
+    assert _bad_keywords(tree, {"time_march": time_march}) == ["time_march(enforce_support=)"]

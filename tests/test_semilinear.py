@@ -9,6 +9,7 @@ from tricomi_lab.grids import RadialGrid
 from tricomi_lab.linear import solve_linear
 from tricomi_lab.profiles import bump
 from tricomi_lab.semilinear import (
+    BLOWUP_THRESHOLD,
     NonlinearitySpec,
     StepControl,
     evaluate_nonlinearity,
@@ -98,14 +99,19 @@ class TestTimeMarch:
         assert out.kind == "blowup"
         assert out.blowup_time is not None and 0.0 < out.blowup_time < 6.5
 
-    def test_both_spec_and_source_rejected(self):
-        params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
-        grid = RadialGrid(20.0, 256)
-        with pytest.raises(ParameterError):
-            time_march(
-                params, NonlinearitySpec(p=2.0), zero, zero, 1.0,
-                StepControl(dt=0.05), grid, source=lambda t, r: zero(r),
-            )
+    def test_stored_midpoints_stop_before_the_crossing_step(self):
+        params = ModelParams(1, 3, 3.5, eps=0.5, M=2.0)
+        grid = RadialGrid(14.0, 512, transform="fft")
+        f = lambda r: 0.5 * 256.0 * bump(0.8)(r)
+        out, fld = time_march(
+            params, NonlinearitySpec(p=3.5), f, f, 1.0,
+            StepControl(dt=5e-3), grid, store_midpoints=True,
+        )
+        assert out.kind == "blowup"
+        assert fld.u.shape == (len(out.norm_history) - 1, grid.N + 1)
+        assert np.isfinite(fld.u).all() and np.abs(fld.u).max() <= BLOWUP_THRESHOLD
+        accepted = [t for t, _ in out.norm_history[:-1]]
+        assert np.allclose(fld.times, accepted, rtol=0.0, atol=1e-12)
 
     def test_snapshot_out_of_range(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)

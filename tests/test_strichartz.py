@@ -12,7 +12,7 @@ from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
 from tricomi_lab.linear import solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump, dilate, gaussian_truncated
-from tricomi_lab.semilinear import StepControl, time_march
+from tricomi_lab.semilinear import _march, _steps
 from tricomi_lab.strichartz import (
     TAIL_DOMINATED_FRACTION,
     DyadicCutoff,
@@ -252,12 +252,16 @@ class TestBatchEngine:
             if name == "none":
                 want.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
                 continue
-            _, fld = time_march(
-                PARAMS, None, zero, zero, t_max, StepControl(dt=dt), grid,
-                snapshot_times=_time_grid(t_max)[1:], source=source,
+            nsteps, _ = _steps(PARAMS, grid, t_max, dt)
+            c0 = np.zeros(grid.N - 1)
+            _, _, kept = _march(
+                1, grid, t_max, nsteps, c0, c0, lambda i, tm, um, s=source: s(tm, grid.r),
+                keep=_time_grid(t_max)[1:],
             )
-            sel = fld.times >= T0 / 2.0
-            sol = SpaceTimeField(times=fld.times[sel], grid=grid, u=fld.u[sel], m=1, M=2.0)
+            times = np.array([t for t, _ in kept])
+            sel = times >= T0 / 2.0
+            u = np.array([u for _, u in kept])
+            sol = SpaceTimeField(times=times[sel], grid=grid, u=u[sel], m=1, M=2.0)
             rhs = weighted_field_norm(
                 _sample_source(source, PARAMS, grid, t_max), WeightSpec(gamma=g2, q=q / (q - 1.0), M=2.0)
             )
