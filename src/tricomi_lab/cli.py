@@ -199,10 +199,11 @@ def _data_callables(cfg: RunConfig, section: dict):
     return f, g
 
 
-def _snapshot_times(section: dict, t_final: float):
+def _snapshot_times(section: dict, t_final: float, step: float = 0.0):
+    """Snapshot times to ``t_final``; the default start is never before ``step``."""
     n = int(section.get("snapshots", 16))
     spacing = section.get("snapshot_spacing", "log")
-    t_start = float(section.get("t_start", max(t_final / 100.0, 1e-3)))
+    t_start = float(section.get("t_start", max(t_final / 100.0, 1e-3, step)))
     if spacing == "linear":
         return np.linspace(t_start, t_final, n)
     return np.geomspace(t_start, t_final, n)
@@ -280,7 +281,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
             N_seq=diag.N_seq,
         )
     else:
-        times = _snapshot_times(sec, horizon)
+        times = _snapshot_times(sec, horizon, step=min(control.dt, horizon))
         outcome, field = time_march(
             params, spec, f, g, horizon, control, grid, snapshot_times=times
         )

@@ -39,10 +39,13 @@ SCENARIOS = (
 )
 
 # The keys each section may carry: those the CLI reads.  A number is converted
-# by its kind (int or float); None marks a value its reader checks itself, and
-# a dict a nested section.  The keys in _NULLABLE may also be null.
+# by its kind (int or float); bool takes a JSON boolean only, a tuple lists the
+# allowed strings, None marks a value its reader checks itself, and a dict a
+# nested section.  The keys in _NULLABLE may also be null.
 _DATA_KEYS = {"profile": None, "amplitude": float, "vel_amplitude": float}
-_SNAPSHOT_KEYS = {"snapshots": int, "snapshot_spacing": None, "t_start": float, "field_r_points": int}
+_SNAPSHOT_KEYS = {
+    "snapshots": int, "snapshot_spacing": ("log", "linear"), "t_start": float, "field_r_points": int,
+}
 _SECTION_KEYS = {
     "model": {"m": int, "n": int, "p": float, "eps": float, "M": float},
     "grid": {"r_max": float, "N": int, "transform": None},
@@ -51,13 +54,14 @@ _SECTION_KEYS = {
     "symbols": {"grid": None},
     "linear": {"t_final": float, "data": _DATA_KEYS, **_SNAPSHOT_KEYS},
     "semilinear": {
-        "horizon": float, "dt": float, "T0": float, "mode": None, "max_iters": int,
-        "write_field": None, "data": _DATA_KEYS, **_SNAPSHOT_KEYS,
+        "horizon": float, "dt": float, "T0": float, "mode": ("march", "picard"), "max_iters": int,
+        "write_field": bool, "data": _DATA_KEYS, **_SNAPSHOT_KEYS,
     },
     "sweep": {"p_grid": None, "horizon": float, "dt": float, "T0": float, "data": _DATA_KEYS},
     "strichartz": {
-        "kind": None, "q": float, "gamma": float, "delta": float, "t_max": float, "T0": float,
-        "q_inhom": float, "gamma1": float, "gamma2": float, "t_max_inhom": float, "dt": float,
+        "kind": ("homogeneous", "inhomogeneous", "both"), "q": float, "gamma": float, "delta": float,
+        "t_max": float, "T0": float, "q_inhom": float, "gamma1": float, "gamma2": float,
+        "t_max_inhom": float, "dt": float,
     },
 }
 _NULLABLE = {"model.p", "geometry.nu"}
@@ -136,6 +140,12 @@ def _check_section(sec, name: str, keys: dict) -> None:
             continue
         if isinstance(kind, dict):
             _check_section(sec[key], f"{name}.{key}", kind)
+        elif kind is bool:
+            if not isinstance(sec[key], bool):
+                raise ParameterError(f"{name}.{key} must be true or false, got {sec[key]!r}")
+        elif isinstance(kind, tuple):
+            if not (isinstance(sec[key], str) and sec[key] in kind):
+                raise ParameterError(f"{name}.{key} must be one of {', '.join(kind)}, got {sec[key]!r}")
         else:
             _number(sec, name, key, kind)
 
@@ -205,6 +215,8 @@ def _validate(cfg: RunConfig) -> None:
                 )
         if float(sl.get("dt", 0.01)) <= 0:
             raise ParameterError("semilinear.dt must be positive")
+        if int(sl.get("max_iters", 25)) < 1:
+            raise ParameterError(f"semilinear.max_iters must be at least 1, got {sl['max_iters']!r}")
     if scenario == "sweep-p":
         grid = cfg.section("sweep").get("p_grid", [])
         if not isinstance(grid, list) or not grid:
@@ -216,8 +228,3 @@ def _validate(cfg: RunConfig) -> None:
                 raise ParameterError(f"sweep.p_grid entry {p!r} is not a number")
             if not p_val > 1.0:
                 raise ParameterError(f"sweep.p_grid entries must satisfy p > 1, got {p!r}")
-    if scenario == "verify-strichartz":
-        st = cfg.section("strichartz")
-        kind = st.get("kind", "homogeneous")
-        if kind not in ("homogeneous", "inhomogeneous", "both"):
-            raise ParameterError(f"strichartz.kind {kind!r} invalid")

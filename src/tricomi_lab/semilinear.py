@@ -12,16 +12,23 @@ Time marching is per-step per-mode Duhamel: over [t1, t2] each sine
 coefficient advances by the exact 2x2 propagator of v'' + t^m lambda^2 v = 0
 (unit Wronskian), and the source is frozen at the step midpoint -- a
 second-order scheme whose linear part is exact at any dt.  One function,
-``_march``, runs this scheme for ``time_march``, ``picard_solve`` and the
-inhomogeneous Strichartz probe, on one field or a batch of them.  Blowup is
-a result, not an error: ``time_march`` reports kind "blowup" with the first
-midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or goes
-non-finite, and "global-horizon" otherwise.
+``_march``, runs this scheme for ``time_march``, ``picard_solve``,
+``sweep_p`` and the inhomogeneous Strichartz probe, on one field or a family
+of them that shares every symbol evaluation.  A family member whose sup|u|
+crosses the threshold stops alone; the others march on with unchanged bits.
+Blowup is a result, not an error: ``time_march`` reports kind "blowup" with
+the first midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or
+goes non-finite, and "global-horizon" otherwise.  ``sweep_p`` marches all
+its powers as one family, each row with its own p.
 
 ``picard_solve`` runs the fixed-point iteration u_k <- (linear solve with
 source F_p(t, u_{k-1})), recording the weighted norms M_k of iterates and
 N_k of consecutive differences at q = p + 1; in the contraction regime the
-N_k ratios sit well below 1.
+N_k ratios sit well below 1.  Iterate k's source at step i needs only
+iterate k-1's midpoint at step i, so a block of iterates marches in one
+time loop as one family (the pipelined correction sweeps of RIDC, or
+Picard-Lindeloef waveform relaxation marched in lockstep), bit-identical to
+marching them one after another.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLab
 from .exponents import ModelParams, gamma_interval
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import _data_coeffs, _weighted_integrals, weighted_field_norm
+from .linear import _characteristic, _data_coeffs, _weighted_integral, _weighted_integrals
 from .symbols import symbol_matrix
 
 __all__ = [
@@ -97,6 +104,7 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
 
 
 BLOWUP_THRESHOLD = 1e6  # sup|u| past which a march reports blowup
+_PICARD_BLOCK = 3  # Picard iterates marched together; chosen by measurement (CHANGES.md)
 
 
 @dataclass(frozen=True)
@@ -143,18 +151,19 @@ def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
 def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep=()):
     """Midpoint-frozen Duhamel march of the sine coefficients (cv, cd) to ``horizon``.
 
-    ``source(i, t_mid, u_mid)`` gets step i's midpoint field and returns the
-    radial source samples frozen over the step (None for source-free).  The
-    coefficients are (N-1,) for one field or (B, N-1) for a family that
-    shares every symbol evaluation; fields and sources then carry the same
-    leading axis.  The march stops at the first midpoint where any member's
-    sup|u| exceeds ``threshold`` or is not finite; ``source`` is not called
-    for that step.
+    The coefficients are (N-1,) for one field, member 0, or (B, N-1) for a
+    family of B members that shares every symbol evaluation.  A member stops
+    at the first midpoint where its sup|u| exceeds ``threshold`` or is not
+    finite; the others march on, each with the bits it would have alone.
+    ``source(i, t_mid, u_mid, live)`` gets step i's midpoint field of the
+    members still marching, whose indices are the list ``live``, and returns
+    their radial source samples frozen over the step (None for source-free).
+    It is not called once every member has stopped.
 
-    Returns (hist, t_stop, kept): hist holds (t_mid, sup|u|) per step, with
-    one sup per member for a family; t_stop is the stopping midpoint time or
-    None; kept lists (k dt, u) at the step ends k dt nearest the ``keep``
-    times, in step order.
+    Returns (hists, t_stops, kept): hists[b] lists member b's (t_mid, sup|u|)
+    per step, ending at its crossing; t_stops[b] is its stopping midpoint
+    time or None; kept lists (k dt, u) at the step ends k dt nearest the
+    ``keep`` times, in step order, with u holding the live members.
     """
     dt = horizon / nsteps
     keep_steps = set()
@@ -166,8 +175,11 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
             )
         keep_steps.add(k)
     lam, r_int = grid.lam, grid.r[1 : grid.N]
+    live = list(range(len(cv) if cv.ndim == 2 else 1))
+    hists, t_stops = [[] for _ in live], [None for _ in live]
+    limit = min(threshold, np.finfo(float).max)  # sup <= limit also fails for inf and NaN
     sym_prev = symbol_matrix(m, 0.0, lam)
-    hist, kept = [], []
+    kept = []
     for i in range(nsteps):
         t1 = i * dt
         t2 = min((i + 1) * dt, horizon)
@@ -176,11 +188,19 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
         sym_next = symbol_matrix(m, t2, lam)
         A1, B1 = _trans_row(sym_prev, sym_mid)
         um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
-        sup = np.abs(um).max(axis=-1)
-        hist.append((tm, sup.tolist()))
-        if not np.isfinite(sup).all() or sup.max() > threshold:
-            return hist, tm, kept
-        src = source(i, tm, um) if source is not None else None
+        sup = np.atleast_1d(np.abs(um).max(axis=-1))
+        for b, s in zip(live, sup.tolist()):
+            hists[b].append((tm, s))
+        ok = sup <= limit
+        if not ok.all():
+            for b, o in zip(live, ok):
+                if not o:
+                    t_stops[b] = tm
+            if not ok.any():
+                break
+            live = [b for b, o in zip(live, ok) if o]
+            cv, cd, um = cv[ok], cd[ok], um[ok]
+        src = source(i, tm, um, live) if source is not None else None
         A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
         if src is not None:
             sh = grid.forward(r_int * src[..., 1 : grid.N])
@@ -194,7 +214,7 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
         sym_prev = sym_next
         if i + 1 in keep_steps:
             kept.append(((i + 1) * dt, SpectralField(grid, cv).to_radial()))
-    return hist, None, kept
+    return hists, t_stops, kept
 
 
 def _trans_full(s1, s2):
@@ -248,13 +268,13 @@ def time_march(
     fh, gh = _data_coeffs(params, grid, f, g)
     mids = []
 
-    def source(i, tm, um):
+    def source(i, tm, um, live):
         if store_midpoints:
             mids.append(um)
         return evaluate_nonlinearity(spec, tm, um) if spec is not None else None
 
     keep = () if store_midpoints or snapshot_times is None else snapshot_times
-    hist, t_stop, kept = _march(params.m, grid, horizon, nsteps, fh, gh, source, BLOWUP_THRESHOLD, keep)
+    (hist,), (t_stop,), kept = _march(params.m, grid, horizon, nsteps, fh, gh, source, BLOWUP_THRESHOLD, keep)
     if store_midpoints:
         times, u = (np.arange(len(mids)) + 0.5) * dt, np.array(mids)
     else:
@@ -288,65 +308,94 @@ def picard_solve(
     """Picard iteration u_k <- linear solve with source F_p(t, u_{k-1}).
 
     Requires p in the critical-conformal window (gamma defaults to the
-    midpoint of its admissible interval).  The weighted norms use q = p + 1
-    and are taken over midpoint samples with t >= T0/2.  Divergence (N_k
-    increasing three times in a row) raises PicardDivergenceError carrying
-    the diagnostics; plain slow convergence just returns converged=False.
+    midpoint of its admissible interval) and max_iters >= 1.  The weighted
+    norms use q = p + 1 and are taken over midpoint samples with t >= T0/2.
+    Divergence (N_k increasing three times in a row, an iterate leaving the
+    finite range, or a non-finite M_k or N_k) raises PicardDivergenceError
+    carrying the diagnostics; plain slow convergence just returns
+    converged=False.
+
+    Iterates march _PICARD_BLOCK at a time as the rows of one family: row 0
+    takes its source from the previous block's last iterate (zero in the
+    first block), row j from row j-1's midpoint in the same step, so every
+    step's symbols serve the whole block.  Each step is reduced at once to
+    its per-time integrals of M_k and N_k.  The results are bit-identical to
+    marching one iterate at a time.
     """
+    if max_iters < 1:
+        raise ParameterError(f"max_iters >= 1 required, got {max_iters}")
     lo, hi = gamma_interval(params)  # validates p range
     if gamma is None:
         gamma = 0.5 * (lo + hi)
     q = params.p + 1.0
-    wspec = WeightSpec(gamma=gamma, q=q, M=params.M)
+    kernel = _characteristic(params.m, WeightSpec(gamma=gamma, q=q, M=params.M))
     nsteps, dt = _steps(params, grid, horizon, control.dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
-    mask = t_mid >= spec.T0 / 2.0
+    in_box = t_mid >= spec.T0 / 2.0
+    r = grid.r
 
-    def norm_of(mid_arr):
-        fld = SpaceTimeField(
-            times=t_mid[mask], grid=grid, u=mid_arr[mask], m=params.m, M=params.M
-        )
-        return weighted_field_norm(fld, wspec)
+    def norm(per_t):
+        return float(np.trapezoid(per_t, t_mid[in_box]) ** (1.0 / q))
 
-    prev_mid = np.zeros((nsteps, grid.N + 1))
+    width = min(_PICARD_BLOCK, max_iters)
+    mids = np.empty((nsteps, width, grid.N + 1))  # the midpoints of one block, reused by the next
+    prev = np.broadcast_to(0.0, (nsteps, grid.N + 1))  # row 0's predecessor; iterate -1 is 0
     M_seq, N_seq = [], []
-    converged = False
-    final_mid = prev_mid
-    rising = 0
-    for k in range(max_iters):
-        mids = np.empty_like(prev_mid)
+    converged, rising, k0 = False, 0, 0
+    while not converged and k0 < max_iters:
+        if k0:
+            prev = mids[:, -1].copy()
+        rows = min(width, max_iters - k0)
+        M_int, N_int = [], []
 
-        def source(i, tm, um, _prev=prev_mid, _mids=mids):
-            _mids[i] = um
-            return evaluate_nonlinearity(spec, tm, _prev[i])
+        # After a row stops, the rows before it keep their places; those behind it
+        # get a shifted predecessor and are discarded.
+        def source(i, tm, um, live, _prev=prev):
+            pred = np.concatenate((_prev[i : i + 1], um[:-1]))
+            mids[i, : len(um)] = um
+            if in_box[i]:
+                t = float(t_mid[i])
+                M_int.append(_weighted_integral(um, r, t, *kernel))
+                N_int.append(_weighted_integral(um - pred, r, t, *kernel))
+            return evaluate_nonlinearity(spec, tm, pred)
 
-        _, t_stop, _ = _march(params.m, grid, horizon, nsteps, fh, gh, source)
-        if t_stop is not None:
-            raise PicardDivergenceError(
-                f"iterate {k} left the finite range",
-                PicardDiagnostics(M_seq, N_seq, False, k),
-            )
-        M_seq.append(norm_of(mids))
-        N_seq.append(norm_of(mids - prev_mid))
-        final_mid = mids
-        if k >= 1 and N_seq[-1] >= N_seq[-2]:
-            rising += 1
-            if rising >= 3:
+        block = (rows, fh.size)
+        _, t_stops, _ = _march(
+            params.m, grid, horizon, nsteps, np.broadcast_to(fh, block), np.broadcast_to(gh, block), source
+        )
+        for j in range(rows):
+            k = k0 + j
+            if t_stops[j] is not None:
                 raise PicardDivergenceError(
-                    f"N_k increased 3 times in a row at k={k}",
-                    PicardDiagnostics(M_seq, N_seq, False, k + 1),
+                    f"iterate {k} left the finite range",
+                    PicardDiagnostics(M_seq, N_seq, False, k),
                 )
-        else:
-            rising = 0
-        if N_seq[-1] < tol * max(M_seq[0], 1e-300):
-            converged = True
-            break
-        prev_mid = mids
+            M_k, N_k = norm([v[j] for v in M_int]), norm([v[j] for v in N_int])
+            if not np.isfinite([M_k, N_k]).all():
+                raise PicardDivergenceError(
+                    f"iterate {k} has a non-finite weighted norm (M_k={M_k}, N_k={N_k})",
+                    PicardDiagnostics(M_seq, N_seq, False, k),
+                )
+            M_seq.append(M_k)
+            N_seq.append(N_k)
+            if k >= 1 and N_seq[-1] >= N_seq[-2]:
+                rising += 1
+                if rising >= 3:
+                    raise PicardDivergenceError(
+                        f"N_k increased 3 times in a row at k={k}",
+                        PicardDiagnostics(M_seq, N_seq, False, k + 1),
+                    )
+            else:
+                rising = 0
+            if N_seq[-1] < tol * max(M_seq[0], 1e-300):
+                converged = True
+                break
+        k0 += rows
 
     diag = PicardDiagnostics(M_seq, N_seq, converged, len(M_seq))
     fld = SpaceTimeField(
-        times=t_mid, grid=grid, u=final_mid, m=params.m, M=params.M
+        times=t_mid, grid=grid, u=mids[:, j], m=params.m, M=params.M
     )
     return diag, fld
 
@@ -385,16 +434,19 @@ def sweep_p(
     grid: RadialGrid,
     T0: float = 0.5,
 ):
-    """Run time_march per p and tabulate outcomes; per-run errors do not stop the sweep.
+    """Tabulate the march outcome per p; per-run errors do not stop the sweep.
 
-    Returns a list of row dicts with keys p, kind, blowup_time, final_sup,
-    is_supercritical (p > p_crit), is_superconformal (p > p_conf), error.
+    The valid powers march as one family, each row with its own p in the
+    source; a row that blows up stops alone, and each row is bit-identical
+    to its own ``time_march``.  Returns a list of row dicts with keys p,
+    kind, blowup_time, final_sup, is_supercritical (p > p_crit),
+    is_superconformal (p > p_conf), error.
     """
     from .exponents import p_conf, p_crit
 
     pc = p_crit(params_base.m, params_base.n)
     pf = p_conf(params_base.m, params_base.n)
-    rows = []
+    rows, marching, specs = [], [], []  # marching: the rows of the valid powers
     for p in p_grid:
         row = {
             "p": float(p),
@@ -406,13 +458,32 @@ def sweep_p(
             "error": "",
         }
         try:
-            params = ModelParams(params_base.m, params_base.n, float(p), params_base.eps, params_base.M)
-            spec = NonlinearitySpec(p=float(p), T0=T0)
-            outcome, _ = time_march(params, spec, f, g, horizon, control, grid)
-            row["kind"] = outcome.kind
-            row["blowup_time"] = outcome.blowup_time
-            row["final_sup"] = outcome.norm_history[-1][1] if outcome.norm_history else None
+            ModelParams(params_base.m, params_base.n, float(p), params_base.eps, params_base.M)
+            specs.append(NonlinearitySpec(p=float(p), T0=T0))
+            marching.append(row)
         except TricomiLabError as exc:  # recorded per row, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
+    if not marching:
+        return rows
+
+    def source(i, tm, um, live):
+        return np.array([evaluate_nonlinearity(specs[b], tm, u) for b, u in zip(live, um)])
+
+    try:
+        nsteps, _ = _steps(params_base, grid, horizon, control.dt)
+        fh, gh = _data_coeffs(params_base, grid, f, g)
+        family = (len(specs), fh.size)
+        hists, t_stops, _ = _march(
+            params_base.m, grid, horizon, nsteps, np.broadcast_to(fh, family), np.broadcast_to(gh, family),
+            source, BLOWUP_THRESHOLD,
+        )
+    except TricomiLabError as exc:  # no p enters these checks: every valid row gets the error
+        for row in marching:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        return rows
+    for row, hist, t_stop in zip(marching, hists, t_stops):
+        row["kind"] = "global-horizon" if t_stop is None else "blowup"
+        row["blowup_time"] = t_stop
+        row["final_sup"] = hist[-1][1] if hist else None
     return rows

@@ -354,7 +354,7 @@ def inhomogeneous_ratio(
     fewer than two snapshot times in that box is a ParameterError.  The nonzero
     sources march as one batch, so each step evaluates the symbols once for
     all of them.  A march that stops at the blowup threshold would leave a
-    truncated box: TruncatedBoxError names the members and the stop time.
+    truncated box: TruncatedBoxError names each stopped member and its stop time.
     """
     q_min, _ = q_bounds(params.m, params.n)
     if q <= q_min:
@@ -388,15 +388,15 @@ def inhomogeneous_ratio(
         idx, names, sources, rhs = zip(*live)
         nsteps, _ = _steps(params, grid, t_max, dt)
         zero = np.zeros((len(live), grid.N - 1))
-        hist, t_stop, kept = _march(
+        _, t_stops, kept = _march(
             params.m, grid, t_max, nsteps, zero, zero,
-            lambda i, tm, um: np.array([s(tm, grid.r) for s in sources]),
+            lambda i, tm, um, members: np.array([sources[b](tm, grid.r) for b in members]),
             BLOWUP_THRESHOLD, times,
         )
-        if t_stop is not None:
-            over = [n for n, sup in zip(names, hist[-1][1]) if not sup <= BLOWUP_THRESHOLD]
+        stopped = [f"{n} stopped at t={t:.6g}" for n, t in zip(names, t_stops) if t is not None]
+        if stopped:
             raise TruncatedBoxError(
-                f"forced march of {', '.join(over)} stopped at t={t_stop:.6g} "
+                f"forced march of {', '.join(stopped)} "
                 f"(sup|u| above {BLOWUP_THRESHOLD:.0e} or not finite), "
                 f"short of the box end t_max={t_max}"
             )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricomi_lab.cli import EXPONENT_HEADER, main, run_exponents
+from tricomi_lab.cli import EXPONENT_HEADER, _snapshot_times, main, run_exponents
 from tricomi_lab.config import RunConfig, emit_config, parse_config
 from tricomi_lab.errors import ParameterError
 
@@ -320,6 +320,53 @@ class TestBadInput:
 
         assert self._run(tmp_path, edit) == 2
         assert f"unknown key(s) {path};" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("mode", "picrad", "semilinear.mode must be one of march, picard, got 'picrad'"),
+            ("snapshot_spacing", "lin", "semilinear.snapshot_spacing must be one of log, linear, got 'lin'"),
+            ("write_field", "false", "semilinear.write_field must be true or false, got 'false'"),
+            ("max_iters", 0, "semilinear.max_iters must be at least 1, got 0"),
+            ("max_iters", -3, "semilinear.max_iters must be at least 1, got -3"),
+        ],
+    )
+    def test_semilinear_values(self, tmp_path, capsys, key, value, message):
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "solve-semilinear"
+            cfg["semilinear"] = {"horizon": 1.0, "dt": 0.05, "mode": "picard", key: value}
+
+        assert self._run(tmp_path, edit) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_snapshot_start_is_a_step(self, tmp_path):
+        # horizon / 100 = 0.01 would round to step 0 of dt = 0.05
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "solve-semilinear"
+            cfg["semilinear"] = {"horizon": 1.0, "dt": 0.05}
+
+        assert self._run(tmp_path, edit) == 0
+        assert _snapshot_times({}, 1.0, step=0.05)[0] == 0.05
+        # where horizon / 100 >= dt the snapshot times stay as they were
+        assert np.array_equal(_snapshot_times({}, 1.0, step=0.01), np.geomspace(0.01, 1.0, 16))
+        assert np.array_equal(_snapshot_times({}, 20.0, step=0.01), np.geomspace(0.2, 20.0, 16))
+
+    def test_picard_non_finite_norm_exit_3(self, tmp_path, capsys):
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "solve-semilinear"
+            cfg["semilinear"] = {"horizon": 8.0, "dt": 0.02, "mode": "picard", "max_iters": 2,
+                                 "data": {"profile": "bump", "amplitude": 1e80}}
+            cfg["grid"]["transform"] = "fft"
+            cfg["grid"]["N"] = 512
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._run(tmp_path, edit) == 3
+        assert "iterate 1 has a non-finite weighted norm" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "outcome.json-lines").exists()
 
     def test_non_numeric_seed(self):
         with pytest.raises(ParameterError, match="seed must be a number"):

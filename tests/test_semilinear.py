@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+import tricomi_lab.semilinear as semilinear
 from tricomi_lab.errors import ParameterError, PicardDivergenceError
-from tricomi_lab.exponents import ModelParams
-from tricomi_lab.grids import RadialGrid
-from tricomi_lab.linear import solve_linear
+from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
+from tricomi_lab.geometry import WeightSpec
+from tricomi_lab.grids import RadialGrid, SpaceTimeField
+from tricomi_lab.linear import _data_coeffs, solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump
 from tricomi_lab.semilinear import (
     BLOWUP_THRESHOLD,
     NonlinearitySpec,
+    PicardDiagnostics,
     StepControl,
+    _march,
+    _steps,
     evaluate_nonlinearity,
     picard_solve,
     sweep_p,
@@ -22,6 +27,60 @@ from tricomi_lab.semilinear import (
 
 def zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def sequential_picard(params, spec, f, g, horizon, control, grid, max_iters=25, tol=1e-6):
+    """Oracle: one whole march per Picard iterate, with the divergence rules of picard_solve."""
+    lo, hi = gamma_interval(params)
+    q = params.p + 1.0
+    wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
+    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    fh, gh = _data_coeffs(params, grid, f, g)
+    t_mid = (np.arange(nsteps) + 0.5) * dt
+    mask = t_mid >= spec.T0 / 2.0
+
+    def norm_of(mid_arr):
+        fld = SpaceTimeField(times=t_mid[mask], grid=grid, u=mid_arr[mask], m=params.m, M=params.M)
+        return weighted_field_norm(fld, wspec)
+
+    prev_mid = np.zeros((nsteps, grid.N + 1))
+    M_seq, N_seq = [], []
+    converged, rising = False, 0
+    for k in range(max_iters):
+        mids = np.empty_like(prev_mid)
+
+        def source(i, tm, um, live, _prev=prev_mid, _mids=mids):
+            _mids[i] = um
+            return evaluate_nonlinearity(spec, tm, _prev[i])
+
+        _, (t_stop,), _ = _march(params.m, grid, horizon, nsteps, fh, gh, source)
+        if t_stop is not None:
+            raise PicardDivergenceError(
+                f"iterate {k} left the finite range", PicardDiagnostics(M_seq, N_seq, False, k)
+            )
+        M_k, N_k = norm_of(mids), norm_of(mids - prev_mid)
+        if not np.isfinite([M_k, N_k]).all():
+            raise PicardDivergenceError(
+                f"iterate {k} has a non-finite weighted norm (M_k={M_k}, N_k={N_k})",
+                PicardDiagnostics(M_seq, N_seq, False, k),
+            )
+        M_seq.append(M_k)
+        N_seq.append(N_k)
+        if k >= 1 and N_seq[-1] >= N_seq[-2]:
+            rising += 1
+            if rising >= 3:
+                raise PicardDivergenceError(
+                    f"N_k increased 3 times in a row at k={k}",
+                    PicardDiagnostics(M_seq, N_seq, False, k + 1),
+                )
+        else:
+            rising = 0
+        prev_mid = mids
+        if N_seq[-1] < tol * max(M_seq[0], 1e-300):
+            converged = True
+            break
+    fld = SpaceTimeField(times=t_mid, grid=grid, u=prev_mid, m=params.m, M=params.M)
+    return PicardDiagnostics(M_seq, N_seq, converged, len(M_seq)), fld
 
 
 class TestNonlinearity:
@@ -125,6 +184,38 @@ class TestTimeMarch:
             )
 
 
+class TestMarchFamily:
+    def test_stopped_member_leaves_the_others_bits(self):
+        # member 1 blows up early; members 0 and 2 march on as if alone
+        params = ModelParams(1, 3, 3.5, eps=0.5, M=2.0)
+        grid = RadialGrid(14.0, 512, transform="fft")
+        spec = NonlinearitySpec(p=3.5)
+        nsteps, _ = _steps(params, grid, 1.0, 5e-3)
+        coeffs = [_data_coeffs(params, grid, bump(0.8, a), bump(0.8, a)) for a in (0.01, 128.0, 1.0)]
+        lives = []
+
+        def source(i, tm, um, live):
+            lives.append(live)
+            return evaluate_nonlinearity(spec, tm, um)
+
+        fh, gh = (np.array(c) for c in zip(*coeffs))
+        hists, t_stops, kept = _march(1, grid, 1.0, nsteps, fh, gh, source, BLOWUP_THRESHOLD, [0.5, 1.0])
+        assert t_stops[0] is None and t_stops[2] is None and 0.0 < t_stops[1] < 0.5
+        assert lives[0] == [0, 1, 2] and lives[-1] == [0, 2]
+        *before, (t_cross, s_cross) = hists[1]
+        assert t_cross == t_stops[1] and not s_cross <= BLOWUP_THRESHOLD
+        assert all(s <= BLOWUP_THRESHOLD for _, s in before)
+        for b in range(3):
+            (hist,), (t_stop,), alone = _march(
+                1, grid, 1.0, nsteps, fh[b], gh[b], source, BLOWUP_THRESHOLD, [0.5, 1.0]
+            )
+            assert hists[b] == hist and t_stops[b] == t_stop
+            if t_stop is None:
+                row = [0, 2].index(b)
+                assert [t for t, _ in kept] == [t for t, _ in alone]
+                assert all(np.array_equal(u[row], v) for (_, u), (_, v) in zip(kept, alone))
+
+
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
@@ -169,6 +260,64 @@ class TestPicard:
             )
         diag = exc_info.value.diagnostics
         assert diag is not None and len(diag.N_seq) >= 1
+
+    # (params, data, grid, horizon, max_iters, iterations or error, marches)
+    PIPELINE_CASES = {
+        "zero-data": (ModelParams(1, 3, 2.0, eps=1.0, M=2.0), zero, (20.0, 256), 3.0, 25, 1, 1),
+        "three-iterates": (
+            ModelParams(1, 3, 2.0, eps=1e-3, M=2.0), bump(0.95, 1e-3), (64.0, 2048), 1.5, 25, 3, 1
+        ),
+        "two-blocks": (ModelParams(1, 3, 2.0, eps=1.0, M=2.0), bump(0.8), (64.0, 2048), 1.5, 25, 6, 2),
+        "rising-N": (
+            ModelParams(1, 3, 2.0, eps=1.0, M=2.0), bump(0.8, 30.0), (25.0, 512), 8.0, 12,
+            "N_k increased 3 times in a row at k=3", 2,
+        ),
+        "non-finite": (
+            ModelParams(1, 3, 2.0, eps=1.0, M=2.0), bump(0.95, 1e80), (25.0, 512), 8.0, 2,
+            "iterate 1 has a non-finite weighted norm", 1,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PIPELINE_CASES)
+    def test_pipelined_equals_sequential(self, case, monkeypatch):
+        params, f, (r_max, N), horizon, max_iters, expect, marches = self.PIPELINE_CASES[case]
+        grid = RadialGrid(r_max, N, transform="fft")
+        args = (params, NonlinearitySpec(p=2.0), f, f, horizon, StepControl(dt=0.02), grid)
+
+        def outcome(solve):
+            try:
+                diag, fld = solve(*args, max_iters=max_iters)
+            except PicardDivergenceError as exc:
+                diag, fld = exc.diagnostics, None
+                assert str(exc).startswith(expect)
+            return diag.M_seq, diag.N_seq, diag.iterations, diag.converged, fld
+
+        calls = []
+        monkeypatch.setattr(
+            semilinear, "symbol_matrix", lambda *a, _f=semilinear.symbol_matrix: calls.append(a) or _f(*a)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = outcome(picard_solve)
+            monkeypatch.undo()
+            want = outcome(sequential_picard)
+        nsteps, _ = _steps(params, grid, horizon, 0.02)
+        assert len(calls) == marches * (1 + 2 * nsteps)  # one symbol evaluation per step per block
+        assert got[:4] == want[:4]
+        assert np.isfinite(got[0] + got[1]).all()  # a non-finite norm raises, it is never recorded
+        if isinstance(expect, int):
+            assert got[2] == expect and got[3]
+            assert np.array_equal(got[4].times, want[4].times) and np.array_equal(got[4].u, want[4].u)
+        else:
+            assert got[4] is None and want[4] is None
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_must_be_positive(self, max_iters):
+        params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
+        with pytest.raises(ParameterError, match="max_iters >= 1"):
+            picard_solve(
+                params, NonlinearitySpec(p=2.0), zero, zero, 1.0, StepControl(dt=0.05),
+                RadialGrid(20.0, 256), max_iters=max_iters,
+            )
 
 
 class TestWeightedSolutionNorm:
@@ -226,6 +375,33 @@ class TestSweep:
             blowup_sets.append({row["p"] for row in rows if row["kind"] == "blowup"})
         assert blowup_sets[1] <= blowup_sets[0]
         assert len(blowup_sets[1]) < len(blowup_sets[0])
+
+    def test_batched_rows_equal_per_power_marches(self, monkeypatch):
+        # one march for every valid power; each row as its own time_march gives it
+        params = ModelParams(1, 3, 2.0, eps=0.3, M=2.0)
+        grid = RadialGrid(20.0, 512, transform="fft")
+        f = bump(0.95, 0.3 * 32.0)
+        p_grid, control = [0.9, 1.5, 2.0, 3.0], StepControl(dt=5e-3)
+        marches = []
+        monkeypatch.setattr(
+            semilinear, "_march", lambda *a, _f=semilinear._march: marches.append(a) or _f(*a)
+        )
+        rows = sweep_p(params, p_grid, f, f, 3.0, control, grid)
+        monkeypatch.undo()
+        assert len(marches) == 1
+        want = []
+        for p in p_grid:
+            row = {"p": p, "kind": None, "blowup_time": None, "final_sup": None,
+                   "is_supercritical": p > p_crit(1, 3), "is_superconformal": p > p_conf(1, 3), "error": ""}
+            try:
+                params_p = ModelParams(1, 3, p, 0.3, 2.0)
+                out, _ = time_march(params_p, NonlinearitySpec(p=p), f, f, 3.0, control, grid)
+                row.update(kind=out.kind, blowup_time=out.blowup_time, final_sup=out.norm_history[-1][1])
+            except ParameterError as exc:
+                row["error"] = f"ParameterError: {exc}"
+            want.append(row)
+        assert rows == want
+        assert [row["kind"] for row in rows] == [None, "global-horizon", "blowup", "blowup"]
 
     def test_errors_recorded_per_row(self):
         params = ModelParams(1, 3, 2.0, eps=0.5, M=2.0)

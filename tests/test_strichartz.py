@@ -255,7 +255,7 @@ class TestBatchEngine:
             nsteps, _ = _steps(PARAMS, grid, t_max, dt)
             c0 = np.zeros(grid.N - 1)
             _, _, kept = _march(
-                1, grid, t_max, nsteps, c0, c0, lambda i, tm, um, s=source: s(tm, grid.r),
+                1, grid, t_max, nsteps, c0, c0, lambda i, tm, um, live, s=source: s(tm, grid.r),
                 keep=_time_grid(t_max)[1:],
             )
             times = np.array([t for t, _ in kept])
