@@ -65,6 +65,12 @@ _SECTION_KEYS = {
     },
 }
 _NULLABLE = {"model.p", "geometry.nu"}
+# The times and steps of each scenario's own section, which must be positive.
+_POSITIVE = {
+    "solve-linear": ("linear", ("t_final",)),
+    "solve-semilinear": ("semilinear", ("horizon", "dt")),
+    "sweep-p": ("sweep", ("horizon", "dt")),
+}
 # Every top-level key a config may carry: the common ones and the sections.
 _SECTIONS = ("scenario", "output_dir", "seed", *_SECTION_KEYS)
 
@@ -203,6 +209,12 @@ def _validate(cfg: RunConfig) -> None:
     if scenario == "exponents" and cfg.data["model"]["p"] is None:
         return
     params = cfg.model_params()  # raises ParameterError with the constraint name
+    if scenario in _POSITIVE:
+        name, keys = _POSITIVE[scenario]
+        sec = cfg.section(name)
+        for key in keys:
+            if key in sec and not float(sec[key]) > 0:
+                raise ParameterError(f"{name}.{key} must be positive, got {sec[key]!r}")
     if scenario == "solve-semilinear":
         sl = cfg.section("semilinear")
         if sl.get("mode", "march") == "picard":
@@ -213,8 +225,6 @@ def _validate(cfg: RunConfig) -> None:
                     f"exponent out of range (p_crit = {lo_p:.6f}, p_conf = {hi_p:.6f}): "
                     f"picard mode requires p strictly between them, got p = {params.p}"
                 )
-        if float(sl.get("dt", 0.01)) <= 0:
-            raise ParameterError("semilinear.dt must be positive")
         if int(sl.get("max_iters", 25)) < 1:
             raise ParameterError(f"semilinear.max_iters must be at least 1, got {sl['max_iters']!r}")
     if scenario == "sweep-p":

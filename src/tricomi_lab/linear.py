@@ -78,7 +78,7 @@ def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
     each yielded array has shape (N+1,) or (B, N+1).
     """
     for t in times:
-        v1, v2, _, _ = symbol_matrix(m, float(t), grid.lam)
+        v1, v2 = symbol_matrix(m, float(t), grid.lam, derivatives=False)
         yield SpectralField(grid, v1 * fh + v2 * gh).to_radial()
 
 

@@ -11,7 +11,10 @@ F_smooth(0) = 0 and |F_smooth(u)| <= C (1 + |u|)^(p-1) |u|.
 Time marching is per-step per-mode Duhamel: over [t1, t2] each sine
 coefficient advances by the exact 2x2 propagator of v'' + t^m lambda^2 v = 0
 (unit Wronskian), and the source is frozen at the step midpoint -- a
-second-order scheme whose linear part is exact at any dt.  One function,
+second-order scheme whose linear part is exact at any dt.  The midpoint
+enters only through its values V1 and V2 (the field u_mid and the source's
+Duhamel weights), so the symbols there are evaluated without derivatives,
+from two Bessel orders instead of four.  One function,
 ``_march``, runs this scheme for ``time_march``, ``picard_solve``,
 ``sweep_p`` and the inhomogeneous Strichartz probe, on one field or a family
 of them that shares every symbol evaluation.  A family member whose sup|u|
@@ -184,7 +187,7 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
         t1 = i * dt
         t2 = min((i + 1) * dt, horizon)
         tm = 0.5 * (t1 + t2)
-        sym_mid = symbol_matrix(m, tm, lam)
+        sym_mid = symbol_matrix(m, tm, lam, derivatives=False)
         sym_next = symbol_matrix(m, t2, lam)
         A1, B1 = _trans_row(sym_prev, sym_mid)
         um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
@@ -204,7 +207,7 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
         A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
         if src is not None:
             sh = grid.forward(r_int * src[..., 1 : grid.N])
-            _, Bm, _, Dm = _trans_full(sym_mid, sym_next)
+            Bm, Dm = _trans_col(sym_mid, sym_next)
             cv, cd = (
                 A2 * cv + B2 * cd + (t2 - t1) * Bm * sh,
                 C2 * cv + D2 * cd + (t2 - t1) * Dm * sh,
@@ -229,9 +232,17 @@ def _trans_full(s1, s2):
 
 
 def _trans_row(s1, s2):
+    """(A, B) of the step propagator from s1's time to s2's; reads s2's values only."""
     a1, a2, a1p, a2p = s1
-    b1, b2, _, _ = s2
+    b1, b2 = s2
     return b1 * a2p - b2 * a1p, b2 * a1 - b1 * a2
+
+
+def _trans_col(s1, s2):
+    """(B, D) of the step propagator from s1's time to s2's; reads s1's values only."""
+    a1, a2 = s1
+    b1, b2, b1p, b2p = s2
+    return b2 * a1 - b1 * a2, b2p * a1 - b1p * a2
 
 
 def _tail_nonincreasing(hist, horizon) -> bool:
@@ -356,8 +367,10 @@ def picard_solve(
             mids[i, : len(um)] = um
             if in_box[i]:
                 t = float(t_mid[i])
-                M_int.append(_weighted_integral(um, r, t, *kernel))
-                N_int.append(_weighted_integral(um - pred, r, t, *kernel))
+                # an overflow here gives a non-finite norm, which raises PicardDivergenceError below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    M_int.append(_weighted_integral(um, r, t, *kernel))
+                    N_int.append(_weighted_integral(um - pred, r, t, *kernel))
             return evaluate_nonlinearity(spec, tm, pred)
 
         block = (rows, fh.size)

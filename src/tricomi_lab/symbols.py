@@ -31,13 +31,20 @@ quotients.
 
 The solver-facing entry point is :func:`symbol_matrix`, which evaluates
 (V1, V2, V1', V2') vectorized over a frequency array via the Bessel route,
-all four Bessel orders in one pass of one kernel; the Wronskian
-V1 V2' - V1' V2 is identically 1 (no first-order term in the mode ODE),
-which the stepper relies on, and is met to about 1e-11 in floating point.
+all its Bessel orders in one pass of one kernel.  The values V1 and V2 need
+only J_(-nu) and J_(+nu), which share one Hankel P/Q pair; the derivatives
+add J_(1-nu) and J_(1+nu).  Callers that read the values only (snapshots,
+step midpoints) pass ``derivatives=False`` and get (V1, V2) from the two
+orders.  The kernel's per-order constants (series coefficients, reciprocal
+gammas, Hankel a_k, cos/sin(nu pi/2)) are computed once per order tuple and
+cached.  The Wronskian V1 V2' - V1' V2 is identically 1 (no first-order term
+in the mode ODE), which the stepper relies on, and is met to about 1e-11 in
+floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,18 +119,46 @@ def _horner(coef, x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # cached and shared by every call
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _series_constants(nus: tuple) -> tuple:
+    """(Horner coefficients, orders, reciprocal gammas) of :func:`_bessel_series`, as columns."""
+    nu = _frozen(np.asarray(nus, dtype=float)[:, None])
+    k = np.arange(1.0, _SERIES_TERMS)
+    coef = np.cumprod(1.0 / (k * (nu + k)), axis=1)
+    rgamma = np.array([[_rgamma(v + 1.0)] for v in nus])
+    return (1.0, *(_frozen(c) for c in coef.T[:, :, None])), nu, _frozen(rgamma)
+
+
 def _bessel_series(nus, w: np.ndarray) -> np.ndarray:
     """J_nu(w) for each order in ``nus`` (rows) by the ascending series (DLMF 10.2.2).
 
     J_nu(w) = (w/2)^nu / Gamma(nu + 1) * sum_k x^k / (k! (nu + 1)_k),  x = -w^2/4,
     over ``_SERIES_TERMS`` terms, all orders in one Horner pass.
     """
-    nu = np.asarray(nus, dtype=float)[:, None]
-    k = np.arange(1.0, _SERIES_TERMS)
-    coef = np.cumprod(1.0 / (k * (nu + k)), axis=1)
-    s = _horner([1.0, *coef.T[:, :, None]], -0.25 * w * w)
-    rgamma = np.array([[_rgamma(v + 1.0)] for v in nus])
+    coef, nu, rgamma = _series_constants(nus)
+    s = _horner(coef, -0.25 * w * w)
     return s * (rgamma * (0.5 * w) ** nu)
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_constants(nus: tuple) -> tuple:
+    """(4 nu^2, P and Q Horner coefficients, cos(nu pi/2), sin(nu pi/2)) per order
+    of :func:`_bessel_hankel`."""
+    j = np.arange(1.0, 2 * _HANKEL_TERMS)
+    out = []
+    for nu in nus:
+        mu = 4.0 * nu * nu
+        a = np.cumprod([1.0, *((mu - (2.0 * j - 1.0) ** 2) / (8.0 * j))])
+        a[2::4] *= -1.0
+        a[3::4] *= -1.0
+        p, q = tuple(a[0::2].tolist()), tuple(a[1::2].tolist())
+        out.append((mu, p, q, math.cos(0.5 * math.pi * nu), math.sin(0.5 * math.pi * nu)))
+    return tuple(out)
 
 
 def _bessel_hankel(nus, w: np.ndarray) -> np.ndarray:
@@ -140,20 +175,15 @@ def _bessel_hankel(nus, w: np.ndarray) -> np.ndarray:
     y = 1.0 / (w * w)
     amp = np.sqrt(2.0 / (np.pi * w))
     amp_cos, amp_sin = amp * np.cos(w - 0.25 * np.pi), amp * np.sin(w - 0.25 * np.pi)
-    j = np.arange(1.0, 2 * _HANKEL_TERMS)
     rotated = {}
     out = np.empty((len(nus), w.size))
-    for row, nu in zip(out, nus):
-        mu = 4.0 * nu * nu
+    for row, (mu, p_coef, q_coef, cos_nu, sin_nu) in zip(out, _hankel_constants(nus)):
         if mu not in rotated:
-            a = np.cumprod([1.0, *((mu - (2.0 * j - 1.0) ** 2) / (8.0 * j))])
-            a[2::4] *= -1.0
-            a[3::4] *= -1.0
-            p, q = _horner(a[0::2].tolist(), y), _horner(a[1::2].tolist(), y) / w
+            p, q = _horner(p_coef, y), _horner(q_coef, y) / w
             rotated[mu] = p * amp_cos - q * amp_sin, p * amp_sin + q * amp_cos
         a_rot, b_rot = rotated[mu]
-        np.multiply(a_rot, math.cos(0.5 * math.pi * nu), out=row)
-        row += math.sin(0.5 * math.pi * nu) * b_rot
+        np.multiply(a_rot, cos_nu, out=row)
+        row += sin_nu * b_rot
     return out
 
 
@@ -161,14 +191,20 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
     """J_nu(w) for every order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
 
     Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
-    truncation, so an element's value depends on its own w only.
+    truncation, so an element's value depends on its own w only; an input
+    that one branch covers whole goes to it without a gather and scatter.
+    The constants of each order tuple are computed once and cached.
     """
+    nus = tuple(float(v) for v in nus)
     flat = w.ravel()
     small = flat <= W_SWITCH
-    out = np.empty((len(nus), flat.size))
-    if small.any():
+    if small.all():
+        out = _bessel_series(nus, flat)
+    elif not small.any():
+        out = _bessel_hankel(nus, flat)
+    else:
+        out = np.empty((len(nus), flat.size))
         out[:, small] = _bessel_series(nus, flat[small])
-    if not small.all():
         out[:, ~small] = _bessel_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
 
@@ -339,13 +375,16 @@ def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     raise ParameterError(f"unknown route {route!r}")
 
 
-def symbol_matrix(m: int, t: float, lam: np.ndarray):
+def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True):
     """(V1, V2, V1', V2') at time t for an array of frequencies, Bessel route.
 
     This is the solver's hot path: four real arrays whose 2x2 mode
-    propagator has unit Wronskian.  Derivatives use
+    propagator has unit Wronskian.  The values V1 and V2 need the orders
+    -nu and nu only; the derivatives add 1-nu and 1+nu through
     d/dw [w^nu J_(-nu)] = -w^nu J_(1-nu) and d/dw [w^-nu J_nu] = -w^-nu J_(nu+1)
-    with dw/dt = t^(m/2) lambda.
+    with dw/dt = t^(m/2) lambda.  With ``derivatives=False`` only (V1, V2)
+    are returned, from those two orders, bit-identical to the first two
+    arrays of the full call.
     """
     lam = np.asarray(lam, dtype=float)
     nu = 1.0 / (m + 2.0)
@@ -356,17 +395,18 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray):
     c1 = math.gamma(1.0 - nu)
     c2 = math.gamma(1.0 + nu)
     half_pow = (0.5 * w) ** nu
-    j_m, j_1m, j_p, j_p1 = _bessel_kernel((-nu, 1.0 - nu, nu, 1.0 + nu), w)
-    dw = t ** (m / 2.0) * lam
     inv_half_pow = (0.5 * w) ** (-nu)
-    v1 = c1 * half_pow * j_m
-    v1p = -c1 * half_pow * j_1m * dw
-    v2 = t * c2 * inv_half_pow * j_p
-    v2p = c2 * inv_half_pow * (j_p - w / (2.0 * nu) * j_p1)
+    if derivatives:
+        j_m, j_1m, j_p, j_p1 = _bessel_kernel((-nu, 1.0 - nu, nu, 1.0 + nu), w)
+    else:
+        j_m, j_p = _bessel_kernel((-nu, nu), w)
+    out = (c1 * half_pow * j_m, t * c2 * inv_half_pow * j_p)
+    if derivatives:
+        dw = t ** (m / 2.0) * lam
+        out += (-c1 * half_pow * j_1m * dw, c2 * inv_half_pow * (j_p - w / (2.0 * nu) * j_p1))
     if zero.any():
-        return (np.where(zero, 1.0, v1), np.where(zero, t, v2),
-                np.where(zero, 0.0, v1p), np.where(zero, 1.0, v2p))
-    return v1, v2, v1p, v2p
+        return tuple(np.where(zero, limit, v) for limit, v in zip((1.0, t, 0.0, 1.0), out))
+    return out
 
 
 def amplitude_envelope_bound(m: int, t, lam):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,28 @@ class TestBadInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario,section,values",
+        [
+            ("solve-semilinear", "semilinear", {"horizon": 0}),
+            ("solve-semilinear", "semilinear", {"horizon": 0, "mode": "picard"}),
+            ("sweep-p", "sweep", {"horizon": 0, "p_grid": [2.0]}),
+            ("sweep-p", "sweep", {"dt": 0, "p_grid": [2.0]}),
+            ("solve-linear", "linear", {"t_final": 0}),
+        ],
+    )
+    def test_zero_time_or_step(self, tmp_path, capsys, scenario, section, values):
+        key = next(iter(values))
+
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = scenario
+            cfg[section] = values
+
+        assert self._run(tmp_path, edit) == 2
+        assert f"{section}.{key} must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_snapshot_start_is_a_step(self, tmp_path):
         # horizon / 100 = 0.01 would round to step 0 of dt = 0.05
         def edit(cfg):
@@ -367,6 +390,22 @@ class TestBadInput:
             assert self._run(tmp_path, edit) == 3
         assert "iterate 1 has a non-finite weighted norm" in capsys.readouterr().err
         assert not (tmp_path / "out" / "outcome.json-lines").exists()
+
+    def test_picard_overflow_prints_only_the_failure(self, tmp_path, capfd):
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "solve-semilinear"
+            cfg["semilinear"] = {"horizon": 8.0, "dt": 0.02, "mode": "picard", "max_iters": 2,
+                                 "data": {"profile": "bump", "amplitude": 1e80}}
+            cfg["grid"] = {"r_max": 25.0, "N": 512, "transform": "fft"}
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self._run(tmp_path, edit) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capfd.readouterr().err
+        assert err.startswith("numerical failure: iterate 1 has a non-finite weighted norm")
+        assert err.count("\n") == 1
 
     def test_non_numeric_seed(self):
         with pytest.raises(ParameterError, match="seed must be a number"):

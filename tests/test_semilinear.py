@@ -294,7 +294,8 @@ class TestPicard:
 
         calls = []
         monkeypatch.setattr(
-            semilinear, "symbol_matrix", lambda *a, _f=semilinear.symbol_matrix: calls.append(a) or _f(*a)
+            semilinear, "symbol_matrix",
+            lambda *a, _f=semilinear.symbol_matrix, **kw: calls.append(kw) or _f(*a, **kw),
         )
         with np.errstate(over="ignore", invalid="ignore"):
             got = outcome(picard_solve)
@@ -302,6 +303,7 @@ class TestPicard:
             want = outcome(sequential_picard)
         nsteps, _ = _steps(params, grid, horizon, 0.02)
         assert len(calls) == marches * (1 + 2 * nsteps)  # one symbol evaluation per step per block
+        assert calls.count({"derivatives": False}) == marches * nsteps  # the midpoints need values only
         assert got[:4] == want[:4]
         assert np.isfinite(got[0] + got[1]).all()  # a non-finite norm raises, it is never recorded
         if isinstance(expect, int):

@@ -199,9 +199,9 @@ def _counting(monkeypatch, module):
     calls = []
     inner = module.symbol_matrix
 
-    def counted(m, t, lam):
+    def counted(m, t, lam, **kw):
         calls.append(t)
-        return inner(m, t, lam)
+        return inner(m, t, lam, **kw)
 
     monkeypatch.setattr(module, "symbol_matrix", counted)
     return calls

@@ -1,5 +1,6 @@
 """Symbol evaluations: three routes, asymptotics, envelopes, Wronskian."""
 
+import inspect
 import math
 
 import numpy as np
@@ -237,6 +238,43 @@ class TestSymbolMatrix:
         assert (w <= W_SWITCH).any() and (w > W_SWITCH).any()
         for f, s in zip(symbol_matrix(m, 5.0, lam), symbol_matrix(m, 5.0, lam[order])):
             assert np.array_equal(f[order], s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_values_only_equals_full(self, m):
+        # t = 0.05 is all series, t = 1 mixed and t = 10, 40 all Hankel (besides lam = 0)
+        lam = np.pi * np.arange(0, 2048) / 32.0
+        branches = set()
+        for t in (0.0, 0.05, 1.0, 10.0, 40.0):
+            small = phi(m, t) * lam[1:] <= W_SWITCH
+            branches.add((bool(small.all()), bool(small.any())))
+            for grid in (lam, lam[1:]):
+                full = symbol_matrix(m, t, grid)
+                values = symbol_matrix(m, t, grid, derivatives=False)
+                assert len(values) == 2
+                assert np.array_equal(values[0], full[0]) and np.array_equal(values[1], full[1])
+        assert branches == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_single_branch_equals_mixed(self, derivatives):
+        # an input one branch covers skips the gather and scatter, with the same bits
+        lam = np.pi * np.arange(1, 2048) / 32.0
+        small = phi(1, 1.0) * lam <= W_SWITCH
+        assert small.any() and not small.all()
+        mixed = symbol_matrix(1, 1.0, lam, derivatives=derivatives)
+        for part in (small, ~small):
+            for f, s in zip(mixed, symbol_matrix(1, 1.0, lam[part], derivatives=derivatives)):
+                assert np.array_equal(f[part], s)
+
+    def test_signature(self):
+        # callers pass (m, t, lam) positionally; the flag is keyword-only
+        params = inspect.signature(symbol_matrix).parameters
+        assert [(p.name, p.kind) for p in params.values()] == [
+            ("m", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("t", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("lam", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("derivatives", inspect.Parameter.KEYWORD_ONLY),
+        ]
+        assert params["derivatives"].default is True
 
     def test_t_zero(self):
         lam = np.linspace(0.1, 5.0, 7)
