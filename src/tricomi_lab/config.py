@@ -65,12 +65,8 @@ _SECTION_KEYS = {
     },
 }
 _NULLABLE = {"model.p", "geometry.nu"}
-# The times and steps of each scenario's own section, which must be positive.
-_POSITIVE = {
-    "solve-linear": ("linear", ("t_final",)),
-    "solve-semilinear": ("semilinear", ("horizon", "dt")),
-    "sweep-p": ("sweep", ("horizon", "dt")),
-}
+# Times and steps, which must be positive.
+_POSITIVE = {"linear.t_final", "semilinear.horizon", "semilinear.dt", "sweep.horizon", "sweep.dt"}
 # Every top-level key a config may carry: the common ones and the sections.
 _SECTIONS = ("scenario", "output_dir", "seed", *_SECTION_KEYS)
 
@@ -132,7 +128,8 @@ def _number(sec: dict, name: str, key: str, kind):
 
 def _check_section(sec, name: str, keys: dict) -> None:
     """Raise a ParameterError naming ``name`` unless ``sec`` is an object of
-    known keys whose numbers convert to their kinds."""
+    known keys whose numbers convert to their kinds (and are positive where
+    listed in _POSITIVE)."""
     if not isinstance(sec, dict):
         raise ParameterError(f"config section {name!r} must be a JSON object, got {sec!r}")
     unknown = sorted(set(sec) - set(keys))
@@ -153,7 +150,9 @@ def _check_section(sec, name: str, keys: dict) -> None:
             if not (isinstance(sec[key], str) and sec[key] in kind):
                 raise ParameterError(f"{name}.{key} must be one of {', '.join(kind)}, got {sec[key]!r}")
         else:
-            _number(sec, name, key, kind)
+            value = _number(sec, name, key, kind)
+            if f"{name}.{key}" in _POSITIVE and not value > 0:
+                raise ParameterError(f"{name}.{key} must be positive, got {sec[key]!r}")
 
 
 def _merge_defaults(payload: dict) -> dict:
@@ -209,12 +208,6 @@ def _validate(cfg: RunConfig) -> None:
     if scenario == "exponents" and cfg.data["model"]["p"] is None:
         return
     params = cfg.model_params()  # raises ParameterError with the constraint name
-    if scenario in _POSITIVE:
-        name, keys = _POSITIVE[scenario]
-        sec = cfg.section(name)
-        for key in keys:
-            if key in sec and not float(sec[key]) > 0:
-                raise ParameterError(f"{name}.{key} must be positive, got {sec[key]!r}")
     if scenario == "solve-semilinear":
         sl = cfg.section("semilinear")
         if sl.get("mode", "march") == "picard":

@@ -191,20 +191,16 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
     """J_nu(w) for every order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
 
     Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
-    truncation, so an element's value depends on its own w only; an input
-    that one branch covers whole goes to it without a gather and scatter.
-    The constants of each order tuple are computed once and cached.
+    truncation, so an element's value depends on its own w only.  The
+    constants of each order tuple are computed once and cached.
     """
     nus = tuple(float(v) for v in nus)
     flat = w.ravel()
     small = flat <= W_SWITCH
-    if small.all():
-        out = _bessel_series(nus, flat)
-    elif not small.any():
-        out = _bessel_hankel(nus, flat)
-    else:
-        out = np.empty((len(nus), flat.size))
+    out = np.empty((len(nus), flat.size))
+    if small.any():
         out[:, small] = _bessel_series(nus, flat[small])
+    if not small.all():
         out[:, ~small] = _bessel_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
 
@@ -392,18 +388,16 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True
     zero = w == 0.0
     if zero.any():  # (w/2)^(-nu) is infinite there; the w -> 0 limits are set below
         w = np.where(zero, 1.0, w)
+    orders = (-nu, nu, 1.0 - nu, 1.0 + nu) if derivatives else (-nu, nu)
+    j = _bessel_kernel(orders, w)
     c1 = math.gamma(1.0 - nu)
     c2 = math.gamma(1.0 + nu)
     half_pow = (0.5 * w) ** nu
     inv_half_pow = (0.5 * w) ** (-nu)
-    if derivatives:
-        j_m, j_1m, j_p, j_p1 = _bessel_kernel((-nu, 1.0 - nu, nu, 1.0 + nu), w)
-    else:
-        j_m, j_p = _bessel_kernel((-nu, nu), w)
-    out = (c1 * half_pow * j_m, t * c2 * inv_half_pow * j_p)
+    out = (c1 * half_pow * j[0], t * c2 * inv_half_pow * j[1])
     if derivatives:
         dw = t ** (m / 2.0) * lam
-        out += (-c1 * half_pow * j_1m * dw, c2 * inv_half_pow * (j_p - w / (2.0 * nu) * j_p1))
+        out += (-c1 * half_pow * j[2] * dw, c2 * inv_half_pow * (j[1] - w / (2.0 * nu) * j[3]))
     if zero.any():
         return tuple(np.where(zero, limit, v) for limit, v in zip((1.0, t, 0.0, 1.0), out))
     return out

@@ -256,7 +256,7 @@ class TestSymbolMatrix:
 
     @pytest.mark.parametrize("derivatives", [True, False])
     def test_single_branch_equals_mixed(self, derivatives):
-        # an input one branch covers skips the gather and scatter, with the same bits
+        # an element gets the same bits in a one-branch input as inside a mixed one
         lam = np.pi * np.arange(1, 2048) / 32.0
         small = phi(1, 1.0) * lam <= W_SWITCH
         assert small.any() and not small.all()
