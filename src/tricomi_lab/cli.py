@@ -36,6 +36,7 @@ from .exponents import (
     p_crit,
     q_bounds,
     strauss_exponent,
+    strichartz_gamma_bound,
 )
 from .geometry import (
     bisect_max_delta,
@@ -46,7 +47,7 @@ from .geometry import (
 )
 from .grids import RadialGrid
 from .linear import solve_linear
-from .profiles import make_profile
+from .profiles import bump, make_profile
 from .semilinear import (
     NonlinearitySpec,
     StepControl,
@@ -57,6 +58,7 @@ from .semilinear import (
 )
 from .strichartz import (
     homogeneous_ratio,
+    inhomogeneous_defaults,
     inhomogeneous_ratio,
     paired_gamma2,
     standard_family,
@@ -79,7 +81,6 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
@@ -131,7 +132,7 @@ def run_exponents(m, n, p=None, sweep: str | None = None) -> str:
     if sweep:
         match = _SWEEP_RE.match(sweep.strip())
         if not match:
-            raise ParameterError(f"bad sweep spec {sweep!r}; expected 'm=1..6 n=3..8'")
+            raise ParameterError(f"exponents.sweep: bad sweep spec {sweep!r}; expected 'm=1..6 n=3..8'")
         m0, m1, n0, n1 = (int(g) for g in match.groups())
         for mm in range(m0, m1 + 1):
             for nn in range(n0, n1 + 1):
@@ -146,7 +147,7 @@ def run_exponents(m, n, p=None, sweep: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_check_geometry(m, M, T0, nu=None, delta=1e-4, seed=0) -> str:
+def run_check_geometry(m, M, T0, nu, delta, seed) -> str:
     d_max = bisect_max_delta(m, M, T0)
     un = verify_unshifted_cone_inequality(m, M, T0, delta)
     nu_val = max_shift(m, M, T0) if nu is None else nu
@@ -165,12 +166,14 @@ def run_check_geometry(m, M, T0, nu=None, delta=1e-4, seed=0) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_symbols(m: int, grid_spec: str = "100:64") -> str:
+def run_symbols(m: int, grid_spec: str) -> str:
     try:
         w_max_s, n_s = grid_spec.split(":")
         w_max, n_pts = float(w_max_s), int(n_s)
     except ValueError:
-        raise ParameterError(f"bad symbols grid {grid_spec!r}; expected 'WMAX:NPOINTS'")
+        w_max = n_pts = 0
+    if not (0.0 < w_max < np.inf and n_pts >= 1):
+        raise ParameterError(f"bad symbols.grid {grid_spec!r}; expected 'WMAX:NPOINTS', finite WMAX > 0, NPOINTS >= 1")
     lam = 1.0
     ws = np.geomspace(max(w_max, 1.0) * 1e-4, w_max, n_pts)
     rows = []
@@ -190,10 +193,10 @@ def run_symbols(m: int, grid_spec: str = "100:64") -> str:
 
 def _data_callables(cfg: RunConfig, section: dict):
     params = cfg.model_params()
-    dd = section.get("data", {"profile": "bump", "amplitude": 1.0})
-    amp = float(dd.get("amplitude", 1.0)) * params.eps
-    vel = float(dd.get("vel_amplitude", dd.get("amplitude", 1.0))) * params.eps
-    prof = make_profile(dd.get("profile", "bump"), params.M, 1.0)
+    dd = section["data"]
+    amp = dd["amplitude"] * params.eps
+    vel = (dd["amplitude"] if dd["vel_amplitude"] is None else dd["vel_amplitude"]) * params.eps
+    prof = make_profile(dd["profile"], params.M, 1.0)
     f = lambda r: amp * prof(r)
     g = (lambda r: vel * prof(r)) if vel != 0.0 else (lambda r: np.zeros_like(np.asarray(r, float)))
     return f, g
@@ -201,67 +204,58 @@ def _data_callables(cfg: RunConfig, section: dict):
 
 def _snapshot_times(section: dict, t_final: float, step: float = 0.0):
     """Snapshot times to ``t_final``; the default start is never before ``step``."""
-    n = int(section.get("snapshots", 16))
-    spacing = section.get("snapshot_spacing", "log")
-    t_start = float(section.get("t_start", max(t_final / 100.0, 1e-3, step)))
-    if spacing == "linear":
-        return np.linspace(t_start, t_final, n)
-    return np.geomspace(t_start, t_final, n)
+    t_start = section["t_start"]
+    if t_start is None:
+        t_start = max(t_final / 100.0, 1e-3, step)
+    spaced = np.linspace if section["snapshot_spacing"] == "linear" else np.geomspace
+    return spaced(t_start, t_final, section["snapshots"])
+
+
+def _field_rows(field, grid: RadialGrid, r_points: int) -> list:
+    stride = max(1, grid.N // r_points)
+    return [[t, grid.r[j], field.u[i, j]] for i, t in enumerate(field.times) for j in range(0, grid.N + 1, stride)]
 
 
 def _scenario_exponents(cfg: RunConfig) -> dict[str, str]:
     md = cfg.data["model"]
-    sweep = cfg.section("exponents").get("sweep")
-    return {"exponents.csv": run_exponents(int(md["m"]), int(md["n"]), md["p"], sweep)}
+    return {"exponents.csv": run_exponents(md["m"], md["n"], md["p"], cfg.data["exponents"]["sweep"])}
 
 
 def _scenario_check_geometry(cfg: RunConfig) -> dict[str, str]:
-    sec = cfg.section("geometry")
-    md = cfg.data["model"]
-    text = run_check_geometry(
-        int(md["m"]), float(md["M"]), float(sec.get("T0", 0.5)),
-        sec.get("nu"), float(sec.get("delta", 1e-4)), cfg.seed
-    )
-    return {"geometry.csv": text}
+    sec, md = cfg.data["geometry"], cfg.data["model"]
+    return {"geometry.csv": run_check_geometry(md["m"], md["M"], sec["T0"], sec["nu"], sec["delta"], cfg.data["seed"])}
 
 
 def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
-    md = cfg.data["model"]
-    return {"symbols.csv": run_symbols(int(md["m"]), cfg.section("symbols").get("grid", "100:64"))}
+    return {"symbols.csv": run_symbols(cfg.data["model"]["m"], cfg.data["symbols"]["grid"])}
 
 
 def _scenario_solve_linear(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
-    grid = RadialGrid(**cfg.grid_args())
-    sec = cfg.section("linear")
-    t_final = float(sec.get("t_final", 10.0))
-    times = _snapshot_times(sec, t_final)
+    grid = cfg.grid()
+    sec = cfg.data["linear"]
+    times = _snapshot_times(sec, sec["t_final"])
     f, g = _data_callables(cfg, sec)
     field = solve_linear(params, f, g, times, grid)
-    field_rows = []
-    stride = max(1, grid.N // int(sec.get("field_r_points", 512)))
-    for i, t in enumerate(field.times):
-        for j in range(0, grid.N + 1, stride):
-            field_rows.append([t, grid.r[j], field.u[i, j]])
     sup = field.sup_norms()
     l2 = field.l2_norms()
     leak = field.support_leak()
     summary_rows = [[t, sup[i], l2[i], leak[i]] for i, t in enumerate(field.times)]
     return {
-        "field.csv": _csv("t,r,u", field_rows),
+        "field.csv": _csv("t,r,u", _field_rows(field, grid, sec["field_r_points"])),
         "summary.csv": _csv("t,sup_norm,l2_norm,support_leak", summary_rows),
     }
 
 
 def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
-    grid = RadialGrid(**cfg.grid_args())
-    sec = cfg.section("semilinear")
-    horizon = float(sec.get("horizon", 20.0))
-    control = StepControl(dt=float(sec.get("dt", 0.01)))
-    spec = NonlinearitySpec(p=params.p, T0=float(sec.get("T0", 0.5)))
+    grid = cfg.grid()
+    sec = cfg.data["semilinear"]
+    horizon = sec["horizon"]
+    control = StepControl(dt=sec["dt"])
+    spec = NonlinearitySpec(p=params.p, T0=sec["T0"])
     f, g = _data_callables(cfg, sec)
-    mode = sec.get("mode", "march")
+    mode = sec["mode"]
     record: dict = {
         "params": {"m": params.m, "n": params.n, "p": params.p, "eps": params.eps, "M": params.M},
         "mode": mode,
@@ -269,10 +263,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
         "dt": control.dt,
     }
     if mode == "picard":
-        diag, field = picard_solve(
-            params, spec, f, g, horizon, control, grid,
-            max_iters=int(sec.get("max_iters", 25)),
-        )
+        diag, field = picard_solve(params, spec, f, g, horizon, control, grid, max_iters=sec["max_iters"])
         record.update(
             kind="picard",
             converged=diag.converged,
@@ -295,56 +286,44 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
                 record["weighted_norm_gamma"] = gamma
         record["norm_history"] = [[t, s] for t, s in outcome.norm_history[:: max(1, len(outcome.norm_history) // 200)]]
     artifacts = {"outcome.json-lines": json.dumps(record, sort_keys=True) + "\n"}
-    if sec.get("write_field", False) and field.times.size:
-        rows = []
-        stride = max(1, grid.N // int(sec.get("field_r_points", 256)))
-        for i, t in enumerate(field.times):
-            for j in range(0, grid.N + 1, stride):
-                rows.append([t, grid.r[j], field.u[i, j]])
-        artifacts["field.csv"] = _csv("t,r,u", rows)
+    if sec["write_field"] and field.times.size:
+        artifacts["field.csv"] = _csv("t,r,u", _field_rows(field, grid, sec["field_r_points"]))
     return artifacts
 
 
 def _scenario_sweep_p(cfg: RunConfig) -> dict[str, str]:
-    params = cfg.model_params()
-    grid = RadialGrid(**cfg.grid_args())
-    sec = cfg.section("sweep")
-    horizon = float(sec.get("horizon", 20.0))
-    control = StepControl(dt=float(sec.get("dt", 0.01)))
+    sec = cfg.data["sweep"]
     f, g = _data_callables(cfg, sec)
-    rows = sweep_p(params, [float(p) for p in sec["p_grid"]], f, g, horizon, control, grid,
-                   T0=float(sec.get("T0", 0.5)))
+    rows = sweep_p(cfg.model_params(), sec["p_grid"], f, g, sec["horizon"], StepControl(dt=sec["dt"]),
+                   cfg.grid(), T0=sec["T0"])
     lines = [json.dumps(row, sort_keys=True) for row in rows]
     return {"outcome.json-lines": "\n".join(lines) + "\n"}
 
 
 def _scenario_verify_strichartz(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
-    grid = RadialGrid(**cfg.grid_args())
-    sec = cfg.section("strichartz")
-    kind = sec.get("kind", "homogeneous")
+    grid = cfg.grid()
+    sec = cfg.data["strichartz"]
+    kind = sec["kind"]
     q_min, q0 = q_bounds(params.m, params.n)
-    q = float(sec.get("q", 0.5 * (q_min + q0)))
-    from .exponents import strichartz_gamma_bound
-
-    gamma = float(sec.get("gamma", 0.5 * strichartz_gamma_bound(params.m, params.n, q)))
+    q = 0.5 * (q_min + q0) if sec["q"] is None else sec["q"]
+    gamma = 0.5 * strichartz_gamma_bound(params.m, params.n, q) if sec["gamma"] is None else sec["gamma"]
     delta_max = params.n / 2.0 + 1.0 / (params.m + 2.0) - gamma - 1.0 / q
-    delta = float(sec.get("delta", 0.5 * delta_max))
-    t_max = float(sec.get("t_max", 100.0))
+    delta = 0.5 * delta_max if sec["delta"] is None else sec["delta"]
+    t_max = sec["t_max"]
     rows = []
     if kind in ("homogeneous", "both"):
         fam = standard_family(params.M, params.m)
         for row in homogeneous_ratio(params, fam, q, gamma, delta, grid, t_max=t_max):
             rows.append([f"hom:{row.member}", row.lhs, row.rhs, row.ratio, row.tail_fraction, row.flags])
     if kind in ("inhomogeneous", "both"):
-        from .profiles import bump as _bump
-        from .strichartz import inhomogeneous_defaults
-
         qi_d, g1_d, g2_d = inhomogeneous_defaults(params.m, params.n)
-        qi = float(sec.get("q_inhom", qi_d))
-        g1 = float(sec.get("gamma1", g1_d))
-        g2 = float(sec.get("gamma2", paired_gamma2(qi, g1) if "gamma1" in sec else g2_d))
-        prof = _bump(0.8 * (params.M - 1.0))
+        qi = qi_d if sec["q_inhom"] is None else sec["q_inhom"]
+        g1 = g1_d if sec["gamma1"] is None else sec["gamma1"]
+        g2 = sec["gamma2"]
+        if g2 is None:
+            g2 = g2_d if sec["gamma1"] is None else paired_gamma2(qi, g1)
+        prof = bump(0.8 * (params.M - 1.0))
 
         def src(name, t_lo, t_hi):
             def s(t, r):
@@ -358,9 +337,7 @@ def _scenario_verify_strichartz(cfg: RunConfig) -> dict[str, str]:
         fam2 = [src("pulse-1-2", 1.0, 2.0), src("pulse-1.5-2.5", 1.5, 2.5)]
         for row in inhomogeneous_ratio(
             params, fam2, qi, g1, g2, grid,
-            T0=float(sec.get("T0", 0.5)),
-            t_max=min(t_max, float(sec.get("t_max_inhom", 50.0))),
-            dt=float(sec.get("dt", 0.02)),
+            T0=sec["T0"], t_max=min(t_max, sec["t_max_inhom"]), dt=sec["dt"],
         ):
             rows.append([f"inh:{row.member}", row.lhs, row.rhs, row.ratio, row.tail_fraction, row.flags])
     return {"ratios.csv": _csv("member_id,lhs,rhs,ratio,tail_fraction,flags", rows)}
@@ -380,6 +357,11 @@ _RUNNERS = {
 def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
     """Run the config's scenario; with an ``outdir``, write its artifacts and manifest there."""
     t0 = time.time()
+    if outdir is not None:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ParameterError(f"cannot make output directory {str(outdir)!r}: {exc.strerror}")
     artifacts = _RUNNERS[cfg.scenario](cfg)
     if outdir is not None:
         paths = [outdir / name for name in artifacts]
@@ -406,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the semilinear generalized Tricomi equation.",
     )
     ap.add_argument("--output-dir", default=None, help="directory for artifacts (default: stdout only / config value)")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
+    ap.add_argument("--seed", type=int, default=None, help="seed for randomized sampling")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("exponents", help="closed-form exponent table")
@@ -420,11 +402,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--M", type=float, required=True)
     p_geo.add_argument("--T0", type=float, required=True)
     p_geo.add_argument("--nu", type=float, default=None)
-    p_geo.add_argument("--delta", type=float, default=1e-4)
+    p_geo.add_argument("--delta", type=float, default=None)
 
     p_sym = sub.add_parser("symbols", help="multiplier symbol dump")
     p_sym.add_argument("--m", type=int, required=True)
-    p_sym.add_argument("--grid", default="100:64", help="'WMAX:NPOINTS' in w = phi(t)*lambda")
+    p_sym.add_argument("--grid", default=None, help="'WMAX:NPOINTS' in w = phi(t)*lambda")
 
     for name in ("solve-linear", "solve-semilinear", "verify-strichartz"):
         pc = sub.add_parser(name, help=f"run the {name} scenario from a config file")
@@ -436,36 +418,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _given(**flags) -> dict:
+    """The flags given on the command line; parse_config fills in the others' defaults."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _flag_payload(args) -> dict:
     """The config payload of a flag subcommand (exponents, check-geometry, symbols)."""
     if args.command == "exponents":
         if args.sweep is None and (args.m is None or args.n is None):
             raise ParameterError("exponents requires --m and --n (or --sweep)")
         # p stays null without --p, so the table leaves its gamma columns empty
-        model = {"p": args.p, **{k: v for k, v in (("m", args.m), ("n", args.n)) if v is not None}}
-        payload = {"scenario": "exponents", "model": model, "exponents": {"sweep": args.sweep}}
+        payload = {"model": {"p": args.p, **_given(m=args.m, n=args.n)}, "exponents": _given(sweep=args.sweep)}
     elif args.command == "check-geometry":
-        payload = {
-            "scenario": "check-geometry",
-            "model": {"m": args.m, "M": args.M},
-            "geometry": {"T0": args.T0, "nu": args.nu, "delta": args.delta},
-        }
+        payload = {"model": {"m": args.m, "M": args.M},
+                   "geometry": _given(T0=args.T0, nu=args.nu, delta=args.delta)}
     else:
-        payload = {"scenario": "symbols", "model": {"m": args.m}, "symbols": {"grid": args.grid}}
-    payload["seed"] = args.seed
-    if args.output_dir:
-        payload["output_dir"] = args.output_dir
-    return payload
+        payload = {"model": {"m": args.m}, "symbols": _given(grid=args.grid)}
+    return {"scenario": args.command, **payload, **_given(seed=args.seed, output_dir=args.output_dir)}
 
 
 def _load_config(args) -> RunConfig:
     """The config file with the command-line overrides applied, then validated."""
-    payload = json.loads(Path(args.config).read_text())
+    try:
+        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ParameterError(f"cannot read config {args.config!r}: {exc}")
     if isinstance(payload, dict):  # parse_config names anything else
         if args.output_dir is not None:
             payload["output_dir"] = args.output_dir
-        if getattr(args, "p_grid", None) and isinstance(payload.get("sweep", {}), dict):
-            payload["sweep"] = {**payload.get("sweep", {}), "p_grid": args.p_grid.split(",")}
+        if getattr(args, "p_grid", None) and isinstance(payload.setdefault("sweep", {}), dict):
+            try:
+                payload["sweep"]["p_grid"] = [float(p) for p in args.p_grid.split(",")]
+            except ValueError as exc:
+                raise ParameterError(f"--p-grid: {exc}")
     cfg = parse_config(json.dumps(payload))
     if cfg.scenario != args.command:
         raise ParameterError(
@@ -483,7 +469,7 @@ def main(argv=None) -> int:
             sys.stdout.write("".join(artifacts.values()))
             return 0
         return run_scenario(_load_config(args))
-    except (ParameterError, GridError, SupportError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParameterError, GridError, SupportError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except TricomiLabError as exc:  # every other package error is a numerical failure

@@ -11,76 +11,105 @@ The grammar is plain JSON with nested sections (documented in the README):
       ... scenario-specific section ...
     }
 
+One table per section (``SCHEMA``) gives each key its kind, default and
+limit.  ``parse_config`` checks every section a config carries against it,
+converts the numbers to their kinds and fills in the defaults of ``model``,
+``grid`` and the scenario's own section, so the CLI reads typed values.
+
 ``parse_config(emit_config(cfg)) == cfg`` holds exactly: emission is
 canonical JSON (sorted keys), and equality is dict equality on the
 normalized payload.  Validation errors always name the violated
-constraint; exponent-window checks are delegated to the exponents module.
+``section.key``; the exponent window is delegated to the exponents module.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .exponents import ModelParams, p_conf, p_crit
 from .grids import RadialGrid
+from .profiles import PROFILES
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "SCENARIOS"]
+__all__ = ["RunConfig", "parse_config", "emit_config", "SCENARIOS", "SCHEMA"]
 
-SCENARIOS = (
-    "exponents",
-    "solve-linear",
-    "solve-semilinear",
-    "sweep-p",
-    "verify-strichartz",
-    "check-geometry",
-    "symbols",
-)
+# Each scenario and the section it reads.
+SCENARIOS = {"exponents": "exponents", "solve-linear": "linear", "solve-semilinear": "semilinear",
+             "sweep-p": "sweep", "verify-strichartz": "strichartz", "check-geometry": "geometry",
+             "symbols": "symbols"}
 
-# The keys each section may carry: those the CLI reads.  A number is converted
-# by its kind (int or float); bool takes a JSON boolean only, a tuple lists the
-# allowed strings, None marks a value its reader checks itself, and a dict a
-# nested section.  The keys in _NULLABLE may also be null.
-_DATA_KEYS = {"profile": None, "amplitude": float, "vel_amplitude": float}
-_SNAPSHOT_KEYS = {
-    "snapshots": int, "snapshot_spacing": ("log", "linear"), "t_start": float, "field_r_points": int,
+
+class Key(NamedTuple):
+    """A key's kind: int, float, bool, str, list (of floats), a tuple of the
+    allowed strings, or a dict (a section).  A None default may be given as
+    null, and its reader derives the value; a section with a None default is
+    optional.  ``limit`` names the _LIMITS test of a number."""
+
+    kind: object
+    default: object = None
+    limit: str | None = None
+    nullable: bool = False
+
+
+_LIMITS = {
+    "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "greater than 1": lambda v: v > 1,
+    "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1)": lambda v: 0 <= v < 1,
+    "at least 1": lambda v: v >= 1, "at least 3": lambda v: v >= 3, "at least 8": lambda v: v >= 8,
 }
-_SECTION_KEYS = {
-    "model": {"m": int, "n": int, "p": float, "eps": float, "M": float},
-    "grid": {"r_max": float, "N": int, "transform": None},
-    "exponents": {"sweep": None},
-    "geometry": {"T0": float, "nu": float, "delta": float},
-    "symbols": {"grid": None},
-    "linear": {"t_final": float, "data": _DATA_KEYS, **_SNAPSHOT_KEYS},
-    "semilinear": {
-        "horizon": float, "dt": float, "T0": float, "mode": ("march", "picard"), "max_iters": int,
-        "write_field": bool, "data": _DATA_KEYS, **_SNAPSHOT_KEYS,
-    },
-    "sweep": {"p_grid": None, "horizon": float, "dt": float, "T0": float, "data": _DATA_KEYS},
-    "strichartz": {
-        "kind": ("homogeneous", "inhomogeneous", "both"), "q": float, "gamma": float, "delta": float,
-        "t_max": float, "T0": float, "q_inhom": float, "gamma1": float, "gamma2": float,
-        "t_max_inhom": float, "dt": float,
-    },
+# vel_amplitude defaults to amplitude
+_DATA = {"profile": Key(tuple(PROFILES), "bump"), "amplitude": Key(float, 1.0), "vel_amplitude": Key(float)}
+_SNAPSHOTS = {  # t_start: see cli._snapshot_times
+    "snapshots": Key(int, 16, "at least 1"), "snapshot_spacing": Key(("log", "linear"), "log"),
+    "t_start": Key(float, None, "positive"),
 }
-_NULLABLE = {"model.p", "geometry.nu"}
-# Times and steps, which must be positive.
-_POSITIVE = {"linear.t_final", "semilinear.horizon", "semilinear.dt", "sweep.horizon", "sweep.dt"}
-# Every top-level key a config may carry: the common ones and the sections.
-_SECTIONS = ("scenario", "output_dir", "seed", *_SECTION_KEYS)
 
-_DEFAULTS = {
-    "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1e-3, "M": 2.0},
-    "grid": {"r_max": 64.0, "N": 2048, "transform": "auto"},
-    "output_dir": ".",
-    "seed": 0,
+
+SCHEMA = {
+    "scenario": Key(tuple(SCENARIOS)),
+    "output_dir": Key(str, "."),
+    "seed": Key(int, 0, "non-negative"),  # numpy.random.default_rng
+    # a null p is an exponent table without gamma columns
+    "model": Key({"m": Key(int, 1, "at least 1"), "n": Key(int, 3, "at least 3"),
+                  "p": Key(float, 2.0, "greater than 1", nullable=True), "eps": Key(float, 1e-3, "positive"),
+                  "M": Key(float, 2.0, "greater than 1")}, {}),
+    # RadialGrid checks the transform: "auto" or "fft" ("direct" is retired)
+    "grid": Key({"r_max": Key(float, 64.0, "positive"), "N": Key(int, 2048, "at least 8"),
+                 "transform": Key(str, "auto")}, {}),
+    "exponents": Key({"sweep": Key(str)}),  # cli.run_exponents parses the sweep
+    "geometry": Key({"T0": Key(float, 0.5, "in (0, 1)"), "nu": Key(float, None, "non-negative"),
+                     "delta": Key(float, 1e-4, "in [0, 1)")}),
+    "symbols": Key({"grid": Key(str, "100:64")}),  # cli.run_symbols parses the grid
+    "linear": Key({"t_final": Key(float, 10.0, "positive"), "data": Key(_DATA, {}), **_SNAPSHOTS,
+                   "field_r_points": Key(int, 512, "at least 1")}),
+    "semilinear": Key({
+        "horizon": Key(float, 20.0, "positive"), "dt": Key(float, 0.01, "positive"),
+        "T0": Key(float, 0.5, "in (0, 1)"), "mode": Key(("march", "picard"), "march"),
+        "max_iters": Key(int, 25, "at least 1"), "write_field": Key(bool, False),
+        "data": Key(_DATA, {}), **_SNAPSHOTS, "field_r_points": Key(int, 256, "at least 1"),
+    }),
+    "sweep": Key({
+        "p_grid": Key(list, None, "greater than 1"), "horizon": Key(float, 20.0, "positive"),
+        "dt": Key(float, 0.01, "positive"), "T0": Key(float, 0.5, "in (0, 1)"), "data": Key(_DATA, {}),
+    }),
+    # The window parameters left null default to the midpoints of their ranges.
+    "strichartz": Key({
+        "kind": Key(("homogeneous", "inhomogeneous", "both"), "homogeneous"),
+        "q": Key(float, None, "greater than 1"), "gamma": Key(float, None, "positive"),
+        "delta": Key(float, None, "positive"), "t_max": Key(float, 100.0, "positive"),
+        "T0": Key(float, 0.5, "positive"), "q_inhom": Key(float, None, "greater than 1"),
+        "gamma1": Key(float, None, "positive"), "gamma2": Key(float, None, "positive"),
+        "t_max_inhom": Key(float, 50.0, "positive"), "dt": Key(float, 0.02, "positive"),
+    }),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized configuration payload with typed accessors."""
+    """Normalized configuration payload: every key of ``model``, ``grid`` and
+    the scenario's section is present, with the kind its table gives."""
 
     data: dict = field(default_factory=dict)
 
@@ -90,46 +119,54 @@ class RunConfig:
 
     @property
     def output_dir(self) -> str:
-        return self.data.get("output_dir", ".")
-
-    @property
-    def seed(self) -> int:
-        return int(self.data.get("seed", 0))
+        return self.data["output_dir"]
 
     def model_params(self) -> ModelParams:
-        md = self.data["model"]
-        return ModelParams(
-            m=_number(md, "model", "m", int),
-            n=_number(md, "model", "n", int),
-            p=_number(md, "model", "p", float),
-            eps=_number(md, "model", "eps", float),
-            M=_number(md, "model", "M", float),
-        )
+        return ModelParams(**self.data["model"])
 
-    def grid_args(self) -> dict:
-        gd = self.data["grid"]
-        return {
-            "r_max": _number(gd, "grid", "r_max", float),
-            "N": _number(gd, "grid", "N", int),
-            "transform": gd.get("transform", "auto"),
-        }
-
-    def section(self, name: str, default=None) -> dict:
-        return self.data.get(name, default if default is not None else {})
+    def grid(self) -> RadialGrid:
+        return RadialGrid(**self.data["grid"])
 
 
-def _number(sec: dict, name: str, key: str, kind):
-    """``kind(sec[key])``, or a ParameterError naming ``name.key`` when it is not a number."""
-    try:
-        return kind(sec[key])
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name}.{key} must be a number, got {sec[key]!r}")
+def _finite_number(value, path: str, kind, limit):
+    """``value`` as a finite number of ``kind`` within ``limit``, or a ParameterError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{path} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, int):
+        raise ParameterError(f"{path} must be an integer, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past float range
+        raise ParameterError(f"{path} must be finite, got {value!r}")
+    if limit is not None and not _LIMITS[limit](value):
+        raise ParameterError(f"{path} must be {limit}, got {value!r}")
+    return kind(value)
 
 
-def _check_section(sec, name: str, keys: dict) -> None:
-    """Raise a ParameterError naming ``name`` unless ``sec`` is an object of
-    known keys whose numbers convert to their kinds (and are positive where
-    listed in _POSITIVE)."""
+def _value(value, path: str, key: Key):
+    """``value`` checked and converted by ``key``, or a ParameterError naming ``path``."""
+    kind = key.kind
+    if value is None and (key.default is None or key.nullable) and not isinstance(kind, dict):
+        return None
+    if isinstance(kind, dict):
+        return _section(value, path, kind)
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            expected = "true or false" if kind is bool else "a string"
+            raise ParameterError(f"{path} must be {expected}, got {value!r}")
+    elif isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise ParameterError(f"{path} must be one of {', '.join(kind)}, got {value!r}")
+    elif kind is list:
+        if not (isinstance(value, list) and value):
+            raise ParameterError(f"{path} must be a nonempty list of numbers, got {value!r}")
+        return [_finite_number(v, f"{path} entry", float, key.limit) for v in value]
+    else:
+        return _finite_number(value, path, kind, key.limit)
+    return value
+
+
+def _section(sec, name: str, keys: dict) -> dict:
+    """The object ``sec`` checked against ``keys``, with each default filled in
+    except that of an optional section."""
     if not isinstance(sec, dict):
         raise ParameterError(f"config section {name!r} must be a JSON object, got {sec!r}")
     unknown = sorted(set(sec) - set(keys))
@@ -138,32 +175,14 @@ def _check_section(sec, name: str, keys: dict) -> None:
             f"unknown key(s) {', '.join(f'{name}.{k}' for k in unknown)}; "
             f"known in {name}: {', '.join(keys)}"
         )
-    for key, kind in keys.items():
-        if key not in sec or kind is None or (sec[key] is None and f"{name}.{key}" in _NULLABLE):
-            continue
-        if isinstance(kind, dict):
-            _check_section(sec[key], f"{name}.{key}", kind)
-        elif kind is bool:
-            if not isinstance(sec[key], bool):
-                raise ParameterError(f"{name}.{key} must be true or false, got {sec[key]!r}")
-        elif isinstance(kind, tuple):
-            if not (isinstance(sec[key], str) and sec[key] in kind):
-                raise ParameterError(f"{name}.{key} must be one of {', '.join(kind)}, got {sec[key]!r}")
-        else:
-            value = _number(sec, name, key, kind)
-            if f"{name}.{key}" in _POSITIVE and not value > 0:
-                raise ParameterError(f"{name}.{key} must be positive, got {sec[key]!r}")
-
-
-def _merge_defaults(payload: dict) -> dict:
-    out = dict(payload)
-    for key, sub in _DEFAULTS.items():
-        if isinstance(sub, dict):
-            merged = dict(sub)
-            merged.update(out.get(key, {}))
-            out[key] = merged
-        else:
-            out.setdefault(key, sub)
+    prefix, out = f"{name}." if name else "", {}
+    for key, spec in keys.items():
+        if key in sec:
+            out[key] = _value(sec[key], prefix + key, spec)
+        elif not isinstance(spec.kind, dict):
+            out[key] = spec.default
+        elif spec.default is not None:
+            out[key] = _section({}, prefix + key, spec.kind)
     return out
 
 
@@ -177,21 +196,16 @@ def parse_config(text: str) -> RunConfig:
         raise ParameterError("config must be a JSON object")
     if "scenario" not in payload:
         raise ParameterError("missing required key 'scenario'")
-    if payload["scenario"] not in SCENARIOS:
+    if not (isinstance(payload["scenario"], str) and payload["scenario"] in SCENARIOS):
         raise ParameterError(
             f"unknown scenario {payload['scenario']!r}; known: {', '.join(SCENARIOS)}"
         )
-    unknown = sorted(set(payload) - set(_SECTIONS))
+    unknown = sorted(set(payload) - set(SCHEMA))
     if unknown:
         raise ParameterError(
-            f"unknown config section(s) {', '.join(map(repr, unknown))}; known: {', '.join(_SECTIONS)}"
+            f"unknown config section(s) {', '.join(map(repr, unknown))}; known: {', '.join(SCHEMA)}"
         )
-    if "seed" in payload:
-        _number(payload, "config", "seed", int)
-    for name, keys in _SECTION_KEYS.items():
-        if name in payload:
-            _check_section(payload[name], name, keys)
-    cfg = RunConfig(data=_merge_defaults(payload))
+    cfg = RunConfig(data=_section({SCENARIOS[payload["scenario"]]: {}, **payload}, "", SCHEMA))
     _validate(cfg)
     return cfg
 
@@ -202,32 +216,18 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _validate(cfg: RunConfig) -> None:
-    RadialGrid(**cfg.grid_args())  # raises GridError naming the bad grid or transform
-    scenario = cfg.scenario
+    """The checks that span keys, after each key is checked by its table."""
+    cfg.grid()  # raises GridError naming a retired or unknown grid.transform
+    scenario, md = cfg.scenario, cfg.data["model"]
     # An exponent table may leave p null (its gamma columns stay empty).
-    if scenario == "exponents" and cfg.data["model"]["p"] is None:
-        return
-    params = cfg.model_params()  # raises ParameterError with the constraint name
-    if scenario == "solve-semilinear":
-        sl = cfg.section("semilinear")
-        if sl.get("mode", "march") == "picard":
-            lo_p = p_crit(params.m, params.n)
-            hi_p = p_conf(params.m, params.n)
-            if not (lo_p < params.p < hi_p):
-                raise ParameterError(
-                    f"exponent out of range (p_crit = {lo_p:.6f}, p_conf = {hi_p:.6f}): "
-                    f"picard mode requires p strictly between them, got p = {params.p}"
-                )
-        if int(sl.get("max_iters", 25)) < 1:
-            raise ParameterError(f"semilinear.max_iters must be at least 1, got {sl['max_iters']!r}")
-    if scenario == "sweep-p":
-        grid = cfg.section("sweep").get("p_grid", [])
-        if not isinstance(grid, list) or not grid:
-            raise ParameterError("sweep requires a nonempty list p_grid (config sweep.p_grid or --p-grid)")
-        for p in grid:
-            try:
-                p_val = float(p)
-            except (TypeError, ValueError):
-                raise ParameterError(f"sweep.p_grid entry {p!r} is not a number")
-            if not p_val > 1.0:
-                raise ParameterError(f"sweep.p_grid entries must satisfy p > 1, got {p!r}")
+    if md["p"] is None and scenario != "exponents":
+        raise ParameterError(f"model.p must be a number for scenario {scenario!r}, got None")
+    if scenario == "solve-semilinear" and cfg.data["semilinear"]["mode"] == "picard":
+        lo_p, hi_p = p_crit(md["m"], md["n"]), p_conf(md["m"], md["n"])
+        if not (lo_p < md["p"] < hi_p):
+            raise ParameterError(
+                f"model.p: exponent out of range (p_crit = {lo_p:.6f}, p_conf = {hi_p:.6f}): "
+                f"picard mode requires p strictly between them, got p = {md['p']}"
+            )
+    if scenario == "sweep-p" and cfg.data["sweep"]["p_grid"] is None:
+        raise ParameterError("sweep requires a nonempty list sweep.p_grid (config sweep.p_grid or --p-grid)")

@@ -40,9 +40,9 @@ class RadialGrid:
         if self.r_max <= 0 or self.N < 8:
             raise GridError(f"need r_max > 0 and N >= 8, got {self.r_max}, {self.N}")
         if self.transform == "direct":
-            raise GridError("transform 'direct' is retired (O(N^2) sine product); use 'auto' or 'fft'")
+            raise GridError("grid.transform 'direct' is retired (O(N^2) sine product); use 'auto' or 'fft'")
         if self.transform not in ("fft", "auto"):
-            raise GridError(f"unknown transform {self.transform!r}; known: 'auto', 'fft'")
+            raise GridError(f"unknown grid.transform {self.transform!r}; known: 'auto', 'fft'")
 
     @property
     def h(self) -> float:
@@ -70,7 +70,7 @@ class RadialGrid:
         needed = finite_speed_radius(m, M, t_final) + 2.0 * self.h
         if self.r_max <= needed:
             raise GridError(
-                f"r_max={self.r_max} too small for t_final={t_final}: "
+                f"grid.r_max={self.r_max} too small for t_final={t_final}: "
                 f"support radius + 2h = {needed:.3f}"
             )
 

@@ -19,7 +19,11 @@ __all__ = [
     "two_bump",
     "dilate",
     "make_profile",
+    "PROFILES",
 ]
+
+# The profile names a config's data section may give (see make_profile).
+PROFILES = ("bump", "gaussian-truncated", "two-bump")
 
 
 def bump(radius: float, amplitude: float = 1.0):
@@ -114,4 +118,4 @@ def make_profile(name: str, M: float, amplitude: float = 1.0):
         return gaussian_truncated(0.22 * R, 0.95 * R, amplitude)
     if name == "two-bump":
         return two_bump(0.95 * R, amplitude)
-    raise ParameterError(f"unknown data profile {name!r}; known: bump, gaussian-truncated, two-bump")
+    raise ParameterError(f"unknown data profile {name!r}; known: {', '.join(PROFILES)}")

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import AccuracyError, InstabilityError, ParameterError
 from .geometry import phi, phi_inverse
@@ -480,6 +479,8 @@ def evolve_mode_many(
         out.append(ModeState(v=v, v_dot=vd, t=float(t), lam=lam))
     rest = t_targets[t_targets > t_series]
     if rest.size:
+        from scipy.integrate import solve_ivp  # imported here: no CLI scenario takes the ODE route
+
         v0, vd0 = _series_start(m, lam, t_series, init)
 
         def rhs(t, y):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tricomi_lab.cli import EXPONENT_HEADER, _snapshot_times, main, run_exponents
-from tricomi_lab.config import RunConfig, emit_config, parse_config
+from tricomi_lab.config import SCHEMA, RunConfig, emit_config, parse_config
 from tricomi_lab.errors import ParameterError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,8 +64,36 @@ class TestConfig:
             parse_config(json.dumps(payload))
 
     def test_model_validation_delegated(self):
-        with pytest.raises(ParameterError, match="n >= 3"):
+        with pytest.raises(ParameterError, match="model.n must be at least 3, got 2"):
             parse_config(json.dumps({"scenario": "exponents", "model": {"m": 1, "n": 2, "p": 2.0}}))
+
+
+def _schema_lines():
+    """README's key list, one bullet per section, written out from the schema table."""
+    kinds = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list of numbers"}
+
+    def text(name, key):
+        if isinstance(key.kind, dict):
+            return f"`{name}` (object, below)" if name == "data" else None
+        kind = " or ".join(f'"{k}"' for k in key.kind) if isinstance(key.kind, tuple) else kinds[key.kind]
+        kind += " or null" if key.nullable else ""
+        limit = f", {key.limit}" if key.limit else ""
+        default = " (required)" if name == "scenario" else f" = `{json.dumps(key.default)}`"
+        return f"`{name}` ({kind}{limit}){default}"
+
+    def bullet(title, keys):
+        return f"* {title}: " + "; ".join(t for t in (text(k, v) for k, v in keys.items()) if t)
+
+    top = {k: v for k, v in SCHEMA.items() if not isinstance(v.kind, dict)}
+    lines = [bullet("top level", top)]
+    lines += [bullet(f"`{name}`", key.kind) for name, key in SCHEMA.items() if isinstance(key.kind, dict)]
+    return lines + [bullet("`data` (in `linear`, `semilinear`, `sweep`)", SCHEMA["linear"].kind["data"].kind)]
+
+
+def test_readme_lists_the_schema():
+    readme = (ROOT / "README.md").read_text()
+    for line in _schema_lines():
+        assert line in readme, line
 
 
 class TestExponentsCommand:
@@ -372,10 +400,11 @@ class TestBadInput:
             cfg["semilinear"] = {"horizon": 1.0, "dt": 0.05}
 
         assert self._run(tmp_path, edit) == 0
-        assert _snapshot_times({}, 1.0, step=0.05)[0] == 0.05
+        defaults = parse_config(json.dumps({"scenario": "solve-semilinear"})).data["semilinear"]
+        assert _snapshot_times(defaults, 1.0, step=0.05)[0] == 0.05
         # where horizon / 100 >= dt the snapshot times stay as they were
-        assert np.array_equal(_snapshot_times({}, 1.0, step=0.01), np.geomspace(0.01, 1.0, 16))
-        assert np.array_equal(_snapshot_times({}, 20.0, step=0.01), np.geomspace(0.2, 20.0, 16))
+        assert np.array_equal(_snapshot_times(defaults, 1.0, step=0.01), np.geomspace(0.01, 1.0, 16))
+        assert np.array_equal(_snapshot_times(defaults, 20.0, step=0.01), np.geomspace(0.2, 20.0, 16))
 
     def test_picard_non_finite_norm_exit_3(self, tmp_path, capsys):
         def edit(cfg):
@@ -420,6 +449,125 @@ class TestBadInput:
 
         assert self._run(tmp_path, edit) == 2
         assert "T0=40.0 leaves fewer than two snapshot times" in capsys.readouterr().err
+
+
+class TestSchemaLimits:
+    """Each key is a finite number of its kind within its limit, else exit 2 naming it."""
+
+    SECTIONS = {
+        "solve-linear": ("linear", {"t_final": 2.0, "snapshots": 2}),
+        "solve-semilinear": ("semilinear", {"horizon": 1.0, "dt": 0.05}),
+        "sweep-p": ("sweep", {"p_grid": [2.0], "horizon": 1.0, "dt": 0.05}),
+        "verify-strichartz": ("strichartz", {"t_max": 10.0}),
+    }
+
+    def _run(self, tmp_path, scenario, edits):
+        section, values = self.SECTIONS[scenario]
+        cfg = {
+            "scenario": scenario,
+            "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+            "grid": {"r_max": 25.0, "N": 256},
+            "output_dir": str(tmp_path / "out"),
+            section: dict(values),
+        }
+        for path, value in edits.items():
+            *outer, key = path.split(".")
+            sec = cfg
+            for name in outer:
+                sec = sec.setdefault(name, {})
+            sec[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return main([scenario, "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize(
+        "scenario,edits,message",
+        [
+            ("solve-linear", {"grid.r_max": float("nan")}, "grid.r_max must be finite, got nan"),
+            ("solve-linear", {"linear.data.amplitude": float("nan")}, "linear.data.amplitude must be finite, got nan"),
+            ("solve-linear", {"linear.t_final": float("inf")}, "linear.t_final must be finite, got inf"),
+            ("solve-semilinear", {"semilinear.dt": float("inf")}, "semilinear.dt must be finite, got inf"),
+            ("sweep-p", {"sweep.p_grid": [float("inf")]}, "sweep.p_grid entry must be finite, got inf"),
+            ("solve-linear", {"grid.N": 64.7}, "grid.N must be an integer, got 64.7"),
+            ("solve-linear", {"model.m": True}, "model.m must be a number, got True"),
+            ("solve-linear", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_finite_number_of_its_kind(self, tmp_path, capsys, scenario, edits, message):
+        assert self._run(tmp_path, scenario, edits) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scenario,edits,message",
+        [
+            ("solve-linear", {"linear.snapshots": 0}, "linear.snapshots must be at least 1, got 0"),
+            ("solve-linear", {"linear.snapshots": -1}, "linear.snapshots must be at least 1, got -1"),
+            ("solve-semilinear", {"semilinear.snapshots": -2}, "semilinear.snapshots must be at least 1, got -2"),
+            ("solve-linear", {"linear.field_r_points": 0}, "linear.field_r_points must be at least 1, got 0"),
+            ("solve-linear", {"linear.field_r_points": -5}, "linear.field_r_points must be at least 1, got -5"),
+            ("solve-semilinear", {"semilinear.write_field": True, "semilinear.field_r_points": 0},
+             "semilinear.field_r_points must be at least 1, got 0"),
+            ("solve-linear", {"linear.t_start": 0}, "linear.t_start must be positive, got 0"),
+            ("verify-strichartz", {"strichartz.t_max": 0}, "strichartz.t_max must be positive, got 0"),
+            ("verify-strichartz", {"strichartz.kind": "inhomogeneous", "strichartz.t_max_inhom": 0},
+             "strichartz.t_max_inhom must be positive, got 0"),
+            ("sweep-p", {"sweep.T0": -1}, "sweep.T0 must be in (0, 1), got -1"),
+        ],
+    )
+    def test_limit(self, tmp_path, capsys, scenario, edits, message):
+        assert self._run(tmp_path, scenario, edits) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["100:-3", "100:0", "nan:8"])
+    def test_symbols_grid(self, capsys, grid):
+        assert main(["symbols", "--m", "1", "--grid", grid]) == 2
+        assert f"bad symbols.grid {grid!r}" in capsys.readouterr().err
+
+    def test_filled_defaults_round_trip(self):
+        cfg = parse_config(json.dumps({"scenario": "verify-strichartz"}))
+        assert cfg.data["strichartz"]["t_max"] == 100.0 and cfg.data["strichartz"]["q"] is None
+        assert cfg.data["grid"] == {"r_max": 64.0, "N": 2048, "transform": "auto"}
+        assert parse_config(emit_config(cfg)) == cfg
+
+    def test_ints_become_floats(self):
+        cfg = parse_config(json.dumps({"scenario": "solve-linear", "linear": {"t_final": 8}}))
+        assert type(cfg.data["linear"]["t_final"]) is float and type(cfg.data["model"]["m"]) is int
+
+
+class TestFileSystemInput:
+    """An unreadable config or an unusable output directory exits 2 naming the path."""
+
+    CFG = {"scenario": "solve-linear", "grid": {"r_max": 25.0, "N": 256}, "linear": {"t_final": 2.0}}
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["solve-linear", "--config", str(tmp_path)]) == 2
+        assert f"cannot read config {str(tmp_path)!r}" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"scenario": "solve-linear", "output_dir": "\xff"}')
+        assert main(["solve-linear", "--config", str(path)]) == 2
+        assert f"cannot read config {str(path)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3, None])
+    def test_output_dir_not_a_string(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output_dir": value}))
+        assert main(["solve-linear", "--config", str(path)]) == 2
+        assert f"output_dir must be a string, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_output_dir_is_a_file(self, tmp_path, capsys, flag):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output_dir": str(tmp_path / "out" if flag else taken)}))
+        extra = ["--output-dir", str(taken)] if flag else []
+        assert main([*extra, "solve-linear", "--config", str(path)]) == 2
+        assert f"cannot make output directory {str(taken)!r}" in capsys.readouterr().err
+        assert taken.read_text() == ""
 
 
 class TestFlagCommandManifests:
