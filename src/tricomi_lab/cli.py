@@ -20,13 +20,14 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config
-from .errors import GridError, ParameterError, SupportError, TricomiLabError
+from .errors import GridError, ParameterError, SupportError, TricomiLabError, WindowError
 from .exponents import (
     ModelParams,
     damped_wave_coeffs,
@@ -57,6 +58,7 @@ from .semilinear import (
     weighted_solution_norm,
 )
 from .strichartz import (
+    delta_bound,
     homogeneous_ratio,
     inhomogeneous_defaults,
     inhomogeneous_ratio,
@@ -202,11 +204,14 @@ def _data_callables(cfg: RunConfig, section: dict):
     return f, g
 
 
-def _snapshot_times(section: dict, t_final: float, step: float = 0.0):
-    """Snapshot times to ``t_final``; the default start is never before ``step``."""
+def _snapshot_times(section: dict, t_final: float, step: float = 0.0, name: str = "linear"):
+    """Snapshot times to ``t_final`` of section ``name``; the default start is never
+    before ``step``, and its 1e-3 floor holds only where that is before ``t_final``."""
     t_start = section["t_start"]
     if t_start is None:
-        t_start = max(t_final / 100.0, 1e-3, step)
+        t_start = max(t_final / 100.0, 1e-3 if 1e-3 < t_final else 0.0, step)
+    elif t_start >= t_final:
+        raise ParameterError(f"{name}.t_start must be before the final time {t_final!r}, got {t_start!r}")
     spaced = np.linspace if section["snapshot_spacing"] == "linear" else np.geomspace
     return spaced(t_start, t_final, section["snapshots"])
 
@@ -221,9 +226,20 @@ def _scenario_exponents(cfg: RunConfig) -> dict[str, str]:
     return {"exponents.csv": run_exponents(md["m"], md["n"], md["p"], cfg.data["exponents"]["sweep"])}
 
 
+@contextmanager
+def _window_keys(section: str, **renamed):
+    """Re-raise a WindowError naming its config key: ``section.<parameter>``, or the key ``renamed`` gives."""
+    try:
+        yield
+    except WindowError as exc:
+        raise ParameterError(f"{section}.{renamed.get(exc.name, exc.name)}: {exc}") from None
+
+
 def _scenario_check_geometry(cfg: RunConfig) -> dict[str, str]:
     sec, md = cfg.data["geometry"], cfg.data["model"]
-    return {"geometry.csv": run_check_geometry(md["m"], md["M"], sec["T0"], sec["nu"], sec["delta"], cfg.data["seed"])}
+    with _window_keys("geometry"):
+        csv = run_check_geometry(md["m"], md["M"], sec["T0"], sec["nu"], sec["delta"], cfg.data["seed"])
+    return {"geometry.csv": csv}
 
 
 def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
@@ -272,7 +288,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
             N_seq=diag.N_seq,
         )
     else:
-        times = _snapshot_times(sec, horizon, step=min(control.dt, horizon))
+        times = _snapshot_times(sec, horizon, step=min(control.dt, horizon), name="semilinear")
         outcome, field = time_march(
             params, spec, f, g, horizon, control, grid, snapshot_times=times
         )
@@ -302,22 +318,22 @@ def _scenario_sweep_p(cfg: RunConfig) -> dict[str, str]:
 
 def _scenario_verify_strichartz(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
+    m, n = params.m, params.n
     grid = cfg.grid()
     sec = cfg.data["strichartz"]
     kind = sec["kind"]
-    q_min, q0 = q_bounds(params.m, params.n)
-    q = 0.5 * (q_min + q0) if sec["q"] is None else sec["q"]
-    gamma = 0.5 * strichartz_gamma_bound(params.m, params.n, q) if sec["gamma"] is None else sec["gamma"]
-    delta_max = params.n / 2.0 + 1.0 / (params.m + 2.0) - gamma - 1.0 / q
-    delta = 0.5 * delta_max if sec["delta"] is None else sec["delta"]
     t_max = sec["t_max"]
     rows = []
     if kind in ("homogeneous", "both"):
-        fam = standard_family(params.M, params.m)
-        for row in homogeneous_ratio(params, fam, q, gamma, delta, grid, t_max=t_max):
-            rows.append([f"hom:{row.member}", row.lhs, row.rhs, row.ratio, row.tail_fraction, row.flags])
+        with _window_keys("strichartz"):
+            q_min, q0 = q_bounds(m, n)
+            q = 0.5 * (q_min + q0) if sec["q"] is None else sec["q"]
+            gamma = 0.5 * strichartz_gamma_bound(m, n, q) if sec["gamma"] is None else sec["gamma"]
+            delta = 0.5 * delta_bound(m, n, q, gamma) if sec["delta"] is None else sec["delta"]
+            fam = standard_family(params.M, m)
+            rows += [("hom", row) for row in homogeneous_ratio(params, fam, q, gamma, delta, grid, t_max=t_max)]
     if kind in ("inhomogeneous", "both"):
-        qi_d, g1_d, g2_d = inhomogeneous_defaults(params.m, params.n)
+        qi_d, g1_d, g2_d = inhomogeneous_defaults(m, n)
         qi = qi_d if sec["q_inhom"] is None else sec["q_inhom"]
         g1 = g1_d if sec["gamma1"] is None else sec["gamma1"]
         g2 = sec["gamma2"]
@@ -335,11 +351,10 @@ def _scenario_verify_strichartz(cfg: RunConfig) -> dict[str, str]:
             return (name, s)
 
         fam2 = [src("pulse-1-2", 1.0, 2.0), src("pulse-1.5-2.5", 1.5, 2.5)]
-        for row in inhomogeneous_ratio(
-            params, fam2, qi, g1, g2, grid,
-            T0=sec["T0"], t_max=min(t_max, sec["t_max_inhom"]), dt=sec["dt"],
-        ):
-            rows.append([f"inh:{row.member}", row.lhs, row.rhs, row.ratio, row.tail_fraction, row.flags])
+        box = {"T0": sec["T0"], "t_max": min(t_max, sec["t_max_inhom"]), "dt": sec["dt"]}
+        with _window_keys("strichartz", q="q_inhom"):
+            rows += [("inh", row) for row in inhomogeneous_ratio(params, fam2, qi, g1, g2, grid, **box)]
+    rows = [[f"{tag}:{r.member}", r.lhs, r.rhs, r.ratio, r.tail_fraction, r.flags] for tag, r in rows]
     return {"ratios.csv": _csv("member_id,lhs,rhs,ratio,tail_fraction,flags", rows)}
 
 

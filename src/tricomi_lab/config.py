@@ -56,7 +56,7 @@ class Key(NamedTuple):
 
 _LIMITS = {
     "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "greater than 1": lambda v: v > 1,
-    "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1)": lambda v: 0 <= v < 1,
+    "greater than 2": lambda v: v > 2, "in (0, 1)": lambda v: 0 < v < 1, "in [0, 1)": lambda v: 0 <= v < 1,
     "at least 1": lambda v: v >= 1, "at least 3": lambda v: v >= 3, "at least 8": lambda v: v >= 8,
 }
 # vel_amplitude defaults to amplitude
@@ -98,10 +98,10 @@ SCHEMA = {
     "strichartz": Key({
         "kind": Key(("homogeneous", "inhomogeneous", "both"), "homogeneous"),
         "q": Key(float, None, "greater than 1"), "gamma": Key(float, None, "positive"),
-        "delta": Key(float, None, "positive"), "t_max": Key(float, 100.0, "positive"),
+        "delta": Key(float, None, "positive"), "t_max": Key(float, 100.0, "greater than 2"),
         "T0": Key(float, 0.5, "positive"), "q_inhom": Key(float, None, "greater than 1"),
         "gamma1": Key(float, None, "positive"), "gamma2": Key(float, None, "positive"),
-        "t_max_inhom": Key(float, 50.0, "positive"), "dt": Key(float, 0.02, "positive"),
+        "t_max_inhom": Key(float, 50.0, "greater than 2"), "dt": Key(float, 0.02, "positive"),
     }),
 }
 

@@ -12,6 +12,14 @@ class ParameterError(TricomiLabError, ValueError):
     """
 
 
+class WindowError(ParameterError):
+    """A parameter lies outside its admissible window; ``name`` is the parameter's name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 class EmptyIntervalError(TricomiLabError):
     """An admissible interval came out empty where theory guarantees it is not."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyIntervalError, ParameterError
+from .errors import EmptyIntervalError, ParameterError, WindowError
 
 __all__ = [
     "ModelParams",
@@ -202,11 +202,11 @@ def q_bounds(m: int, n: int) -> tuple[float, float]:
 def strichartz_gamma_bound(m: int, n: int, q: float) -> float:
     """Upper bound ((m+2)n - 2)/(2(m+2)) - ((m+2)n - m)/((m+2)q) on gamma.
 
-    Positive exactly when q exceeds the q_min of :func:`q_bounds`.
+    Positive exactly when q exceeds the q_min of :func:`q_bounds`, a WindowError otherwise.
     """
     q_min, _ = q_bounds(m, n)
     if q <= q_min:
-        raise ParameterError(f"q too small: need q > q_min={q_min:.6f}, got q={q}")
+        raise WindowError("q", f"q window violated: q too small, need q > q_min={q_min:.6f}, got q={q}")
     k = m + 2.0
     return (k * n - 2.0) / (2.0 * k) - (k * n - m) / (k * q)
 

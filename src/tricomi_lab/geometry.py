@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntervalError, ParameterError
+from .errors import EmptyIntervalError, ParameterError, WindowError
 
 __all__ = [
     "WeightSpec",
@@ -209,7 +209,7 @@ def verify_shifted_cone_bounds(
         raise ParameterError(f"T0 in (0, 1) required, got {T0}")
     nu_max = max_shift(m, M, T0)
     if not (0.0 <= nu <= nu_max):
-        raise ParameterError(f"nu out of range: need 0 <= nu <= {nu_max:.6f}, got {nu}")
+        raise WindowError("nu", f"nu out of range: need 0 <= nu <= {nu_max:.6f}, got {nu}")
     ts, rr = _cone_samples(m, T0, T0 / 2.0, t_hi, n_t, n_r, rng=rng)
     ph = phi(m, ts)[:, None, None]
     rho = rr[:, :, None]

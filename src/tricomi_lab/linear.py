@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InstabilityError, ParameterError
 from .exponents import ModelParams
-from .geometry import WeightSpec, finite_speed_radius, phi
+from .geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
 from .symbols import symbol_matrix
 
@@ -202,7 +202,7 @@ def _characteristic(m: int, spec: WeightSpec):
     return (
         spec.q,
         spec.gamma * spec.q,
-        lambda t, r: (phi(m, t) + spec.M) ** 2 - r * r,
+        lambda t, r: characteristic_weight(m, spec.M, t, r),
         lambda t: finite_speed_radius(m, spec.M, t),
     )
 

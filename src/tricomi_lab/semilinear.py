@@ -91,9 +91,6 @@ class NonlinearitySpec:
             return 1.0
         return float(_smoothstep(np.array((t - self.T0 / 2.0) / (self.T0 / 2.0))))
 
-    def __call__(self, t: float, u):
-        return evaluate_nonlinearity(self, t, u)
-
 
 def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
     """Blended value (1 - chi) F_smooth(u) + chi |u|^p; exactly |u|^p for t >= T0."""
@@ -127,7 +124,6 @@ class RunOutcome:
 
     kind: str  # "global-horizon" | "blowup"
     blowup_time: float | None = None
-    final_weighted_norm: float | None = None
     norm_history: list = dc_field(default_factory=list)  # (t, sup|u|) per step
     tail_nonincreasing: bool | None = None
 

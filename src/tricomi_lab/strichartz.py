@@ -18,6 +18,10 @@ truncated LHS grow with the time box instead of saturating.  Space-time
 norms are truncated at a finite box and every LHS carries a decay-slope
 tail estimate so the truncation is auditable.
 
+The probes share one window check, one reduction of each linear snapshot to
+its weighted integral (``homogeneous_ratio``, ``lhs_box_values``) and one
+400-time sampling of each source (support check, zero test and RHS).
+
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
 """
@@ -28,18 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError
+from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError, WindowError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import (
-    _characteristic,
-    _data_coeffs,
-    _snapshots,
-    _weighted_integral,
-    solve_linear,
-    weighted_field_norm,
-)
+from .linear import _characteristic, _data_coeffs, _snapshots, _weighted_integral, weighted_field_norm
 from .profiles import annular_bump, bump, dilate
 from .semilinear import BLOWUP_THRESHOLD, _march, _steps
 
@@ -51,6 +48,7 @@ __all__ = [
     "sobolev_orders",
     "homogeneous_ratio",
     "lhs_box_values",
+    "delta_bound",
     "paired_gamma2",
     "inhomogeneous_ratio",
     "lp_partition_check",
@@ -180,60 +178,57 @@ class RatioRow:
     flags: str = ""
 
 
-def _check_homogeneous_window(m, n, q, gamma, delta):
-    q_min, _ = q_bounds(m, n)
-    if q <= q_min:
-        raise ParameterError(f"q window violated: need q > q_min={q_min:.6f}, got q={q}")
-    bound = strichartz_gamma_bound(m, n, q)
+def _check_window(m, n, q, gamma, name):
+    """The (q, gamma) window q > q_min, 0 < gamma < gamma_bound(q); ``name`` names gamma."""
+    bound = strichartz_gamma_bound(m, n, q)  # raises the q window's WindowError
     if not (0.0 < gamma < bound):
-        raise ParameterError(
-            f"gamma window violated: need 0 < gamma < {bound:.6f}, got gamma={gamma}"
-        )
-    delta_max = n / 2.0 + 1.0 / (m + 2.0) - gamma - 1.0 / q
-    if not (0.0 < delta < delta_max):
-        raise ParameterError(
-            f"delta window violated: need 0 < delta < {delta_max:.6f}, got delta={delta}"
-        )
+        raise WindowError(name, f"{name} window violated: need 0 < {name} < {bound:.6f}, got {name}={gamma}")
 
 
-def _time_grid(t_max: float, n_pts: int = 72) -> np.ndarray:
-    early = np.linspace(0.0, 2.0, n_pts // 3, endpoint=False)
-    late = np.geomspace(2.0, t_max, n_pts - n_pts // 3)
-    return np.concatenate([early, late])
+def delta_bound(m: int, n: int, q: float, gamma: float) -> float:
+    """Ceiling n/2 + 1/(m+2) - gamma - 1/q of the homogeneous estimate's delta."""
+    return n / 2.0 + 1.0 / (m + 2.0) - gamma - 1.0 / q
 
 
-def _lhs_and_tail(per_t: np.ndarray, times: np.ndarray, q: float, t_split: float):
-    """Box integral of the per-time integrand g(t) of the norm^q, plus a tail estimate.
+def _time_grid(t_max: float) -> np.ndarray:
+    """72 snapshot times: 24 evenly on [0, 2), then 48 log-spaced on [2, t_max]."""
+    if not t_max > 2.0:
+        raise ParameterError(f"t_max > 2 required (log-spaced snapshots start at t=2), got t_max={t_max}")
+    return np.concatenate([np.linspace(0.0, 2.0, 24, endpoint=False), np.geomspace(2.0, t_max, 48)])
 
-    g is fitted as a power law over t >= t_split; the tail int_T^inf is
-    estimated from the fitted slope (or flagged infinite when the slope is
-    not integrable).
-    """
-    total = float(np.trapezoid(per_t, times))
-    sel = (times >= t_split) & (per_t > 0)
-    if sel.sum() >= 4:
-        slope, logc = np.polyfit(np.log(times[sel]), np.log(per_t[sel]), 1)
-        T = float(times.max())
-        gT = np.exp(logc) * T**slope
-        tail = gT * T / (-slope - 1.0) if slope < -1.0 else np.inf
-    else:
-        tail = 0.0
-    # fraction = relative change of the reported norm if the estimated tail
-    # were included: (1 + tail/total)^(1/q) - 1
-    if total <= 0:
-        return total, 0.0
-    if not np.isfinite(tail):
-        return total, 1.0
-    frac = float((1.0 + tail / total) ** (1.0 / q) - 1.0)
-    return total, frac
+
+def _per_time_integrals(params: ModelParams, grid: RadialGrid, times, fh, gh, spec: WeightSpec) -> np.ndarray:
+    """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family."""
+    grid.validate_horizon(params.m, params.M, float(times.max()))
+    r, kernel = grid.r, _characteristic(params.m, spec)
+    snaps = _snapshots(params.m, grid, times, fh, gh)
+    return np.array([_weighted_integral(u, r, float(t), *kernel) for t, u in zip(times, snaps)])
 
 
 def _ratio_row(name: str, per_t: np.ndarray, times: np.ndarray, q: float, t_split: float, rhs: float):
-    """The row of one member: LHS from its per-time integrals, with tail estimate and flags."""
-    lhs_q, tail_frac = _lhs_and_tail(per_t, times, q, t_split)
-    lhs = lhs_q ** (1.0 / q)
-    flags = "tail-dominated" if tail_frac > TAIL_DOMINATED_FRACTION else ""
-    return RatioRow(name, lhs, rhs, lhs / rhs, tail_frac, flags)
+    """The row of one member: the box integral of its per-time integrals g(t), a tail estimate, flags.
+
+    g is fitted as a power law over t >= t_split; the tail int_T^inf is
+    estimated from the fitted slope (infinite when the slope is not
+    integrable).  The tail fraction is the relative change of the reported
+    norm if the tail were included: (1 + tail/total)^(1/q) - 1.
+    """
+    total = float(np.trapezoid(per_t, times))
+    sel = (times >= t_split) & (per_t > 0)
+    tail = 0.0
+    if sel.sum() >= 4:
+        slope, logc = np.polyfit(np.log(times[sel]), np.log(per_t[sel]), 1)
+        T = float(times.max())
+        tail = np.exp(logc) * T**slope * T / (-slope - 1.0) if slope < -1.0 else np.inf
+    if total <= 0:
+        frac = 0.0
+    elif not np.isfinite(tail):
+        frac = 1.0
+    else:
+        frac = float((1.0 + tail / total) ** (1.0 / q) - 1.0)
+    lhs = total ** (1.0 / q)
+    flags = "tail-dominated" if frac > TAIL_DOMINATED_FRACTION else ""
+    return RatioRow(name, lhs, rhs, lhs / rhs, frac, flags)
 
 
 def homogeneous_ratio(
@@ -244,7 +239,6 @@ def homogeneous_ratio(
     delta: float,
     grid: RadialGrid,
     t_max: float = 100.0,
-    sobolev_grid: RadialGrid | None = None,
 ) -> list[RatioRow]:
     """LHS/RHS rows of the homogeneous estimate for each family member.
 
@@ -255,10 +249,12 @@ def homogeneous_ratio(
     evaluates the symbols once for all of them, and each snapshot is reduced
     at once to the members' per-time integrals.
     """
-    _check_homogeneous_window(params.m, params.n, q, gamma, delta)
+    _check_window(params.m, params.n, q, gamma, "gamma")
+    d_max = delta_bound(params.m, params.n, q, gamma)
+    if not (0.0 < delta < d_max):
+        raise WindowError("delta", f"delta window violated: need 0 < delta < {d_max:.6f}, got delta={delta}")
     s_f, s_g = sobolev_orders(params.m, params.n, delta)
-    sgrid = sobolev_grid or default_sobolev_grid(params.M)
-    spec = WeightSpec(gamma=gamma, q=q, M=params.M)
+    sgrid = default_sobolev_grid(params.M)
     times = _time_grid(t_max)
     rows = []
     live = []  # (row index, name, f coeffs, g coeffs, rhs) of the members with data
@@ -271,11 +267,9 @@ def homogeneous_ratio(
         live.append((len(rows), name, fh, gh, rhs))
         rows.append(None)
     if live:
-        grid.validate_horizon(params.m, params.M, float(times.max()))
         idx, names, fh, gh, rhs = zip(*live)
-        r, kernel = grid.r, _characteristic(params.m, spec)
-        snaps = _snapshots(params.m, grid, times, np.array(fh), np.array(gh))
-        per_t = np.array([_weighted_integral(u, r, float(t), *kernel) for t, u in zip(times, snaps)])
+        spec = WeightSpec(gamma=gamma, q=q, M=params.M)
+        per_t = _per_time_integrals(params, grid, times, np.array(fh), np.array(gh), spec)
         for i, name, pt, rh in zip(idx, names, per_t.T, rhs):
             rows[i] = _ratio_row(name, pt, times, q, t_max / 10.0, rh)
     return rows
@@ -290,22 +284,17 @@ def lhs_box_values(
     grid: RadialGrid,
     boxes=(25.0, 50.0, 100.0),
 ) -> list[float]:
-    """Truncated weighted LHS over nested time boxes (one solve, shared snapshots).
+    """Truncated weighted LHS over nested time boxes t <= T, one per box.
 
+    The snapshots to the largest box are each reduced once to their per-time
+    integrals; each box is the trapezoid over the prefix of those inside it.
     No window validation here: this is the instrument for the negative
     control, where gamma is deliberately pushed past its ceiling.
     """
-    spec = WeightSpec(gamma=gamma, q=q, M=params.M)
     times = _time_grid(max(boxes))
-    fld = solve_linear(params, f, g, times, grid)
-    out = []
-    for T in boxes:
-        sel = fld.times <= T
-        sub = SpaceTimeField(
-            times=fld.times[sel], grid=grid, u=fld.u[sel], m=params.m, M=params.M
-        )
-        out.append(weighted_field_norm(sub, spec))
-    return out
+    fh, gh = _data_coeffs(params, grid, f, g)
+    per_t = _per_time_integrals(params, grid, times, fh, gh, WeightSpec(gamma=gamma, q=q, M=params.M))
+    return [float(np.trapezoid(per_t[times <= T], times[times <= T]) ** (1.0 / q)) for T in boxes]
 
 
 def paired_gamma2(q: float, gamma1: float) -> float:
@@ -348,24 +337,19 @@ def inhomogeneous_ratio(
     """LHS/RHS rows of the inhomogeneous estimate for zero-data forced solutions.
 
     ``source_family`` yields (name, source) with source(t, r_array) -> samples,
-    vanishing for r > phi(t) + M - 1 (checked on a sample of times; violation
-    is a named error).  LHS uses weight^gamma1 in L^q over [T0/2, t_max];
+    vanishing for r > phi(t) + M - 1.  Each source is sampled once, on the 400
+    times of :func:`_sample_source`; those samples serve the support check (a
+    leak is a named error), the zero test (an all-zero source is an excluded
+    row) and the RHS.  LHS uses weight^gamma1 in L^q over [T0/2, t_max];
     RHS uses weight^gamma2 in L^(q/(q-1)) over the source; a T0 that leaves
     fewer than two snapshot times in that box is a ParameterError.  The nonzero
     sources march as one batch, so each step evaluates the symbols once for
     all of them.  A march that stops at the blowup threshold would leave a
     truncated box: TruncatedBoxError names each stopped member and its stop time.
     """
-    q_min, _ = q_bounds(params.m, params.n)
-    if q <= q_min:
-        raise ParameterError(f"q window violated: need q > q_min={q_min:.6f}, got q={q}")
-    bound = strichartz_gamma_bound(params.m, params.n, q)
-    if not (0.0 < gamma1 < bound):
-        raise ParameterError(
-            f"gamma1 window violated: need 0 < gamma1 < {bound:.6f}, got {gamma1}"
-        )
+    _check_window(params.m, params.n, q, gamma1, "gamma1")
     if not gamma2 > 1.0 / q:
-        raise ParameterError(f"gamma2 window violated: need gamma2 > 1/q={1.0 / q:.6f}, got {gamma2}")
+        raise WindowError("gamma2", f"gamma2 window violated: need gamma2 > 1/q={1.0 / q:.6f}, got gamma2={gamma2}")
     qp = q / (q - 1.0)
     times = _time_grid(t_max)[1:]
     if np.count_nonzero(times >= T0 / 2.0) < 2:
@@ -375,12 +359,10 @@ def inhomogeneous_ratio(
     rows = []
     live = []  # (row index, name, source, rhs) of the nonzero sources
     for name, source in source_family:
-        _check_source_support(source, params, grid, t_max)
-        src_sup = max(np.abs(source(t, grid.r)).max() for t in np.linspace(0.0, t_max, 40))
-        if src_sup == 0.0:
+        src_field = _sample_source(source, params, grid, t_max)
+        if not src_field.u.any():
             rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
             continue
-        src_field = _sample_source(source, params, grid, t_max)
         rhs = weighted_field_norm(src_field, WeightSpec(gamma=gamma2, q=qp, M=params.M))
         live.append((len(rows), name, source, rhs))
         rows.append(None)
@@ -409,29 +391,23 @@ def inhomogeneous_ratio(
     return rows
 
 
-def _check_source_support(source, params, grid, t_max):
-    for t in np.linspace(0.0, t_max, 17):
-        vals = np.abs(source(float(t), grid.r))
-        peak = vals.max()
-        if peak == 0.0:
-            continue
-        edge = finite_speed_radius(params.m, params.M, float(t))
-        outside = vals[grid.r > edge]
-        if outside.size and outside.max() > 1e-12 * peak:
-            raise SupportError(
-                f"source leaks outside r <= phi(t)+M-1 at t={t:.3f} "
-                f"(max outside {outside.max():.2e} vs peak {peak:.2e})"
-            )
-
-
-def _sample_source(source, params, grid, t_max, n_t: int = 400):
-    ts = np.linspace(1e-6, t_max, n_t)
+def _sample_source(source, params, grid, t_max):
+    """The source on 400 times in (0, t_max], trimmed to its nonzero samples and one
+    more each side (all 400 if none); a SupportError at the first sample whose
+    values outside r <= phi(t) + M - 1 exceed 1e-12 of its peak."""
+    ts = np.linspace(1e-6, t_max, 400)
     vals = np.array([source(float(t), grid.r) for t in ts])
-    keep = np.abs(vals).max(axis=1) > 0
-    if keep.any():
-        lo = max(0, int(np.argmax(keep)) - 1)
-        hi = min(n_t, n_t - int(np.argmax(keep[::-1])) + 1)
-        ts, vals = ts[lo:hi], vals[lo:hi]
+    peak = np.abs(vals).max(axis=1)
+    for t, v, top in zip(ts, vals, peak):
+        leak = np.abs(v[grid.r > finite_speed_radius(params.m, params.M, t)]).max(initial=0.0)
+        if leak > 1e-12 * top:
+            raise SupportError(
+                f"source leaks outside r <= phi(t)+M-1 at t={t:.3f} (max outside {leak:.2e} vs peak {top:.2e})"
+            )
+    nonzero = np.flatnonzero(peak > 0)
+    if nonzero.size:
+        keep = slice(max(0, nonzero[0] - 1), nonzero[-1] + 2)
+        ts, vals = ts[keep], vals[keep]
     return SpaceTimeField(times=ts, grid=grid, u=vals, m=params.m, M=params.M)
 
 

@@ -509,16 +509,60 @@ class TestSchemaLimits:
             ("solve-semilinear", {"semilinear.write_field": True, "semilinear.field_r_points": 0},
              "semilinear.field_r_points must be at least 1, got 0"),
             ("solve-linear", {"linear.t_start": 0}, "linear.t_start must be positive, got 0"),
-            ("verify-strichartz", {"strichartz.t_max": 0}, "strichartz.t_max must be positive, got 0"),
+            ("verify-strichartz", {"strichartz.t_max": 0}, "strichartz.t_max must be greater than 2, got 0"),
             ("verify-strichartz", {"strichartz.kind": "inhomogeneous", "strichartz.t_max_inhom": 0},
-             "strichartz.t_max_inhom must be positive, got 0"),
+             "strichartz.t_max_inhom must be greater than 2, got 0"),
             ("sweep-p", {"sweep.T0": -1}, "sweep.T0 must be in (0, 1), got -1"),
+            # a box of length 2 or less would bend the snapshot grid back on itself
+            ("verify-strichartz", {"strichartz.t_max": 1.0}, "strichartz.t_max must be greater than 2, got 1.0"),
+            ("verify-strichartz", {"strichartz.kind": "inhomogeneous", "strichartz.t_max_inhom": 2.0},
+             "strichartz.t_max_inhom must be greater than 2, got 2.0"),
         ],
     )
     def test_limit(self, tmp_path, capsys, scenario, edits, message):
         assert self._run(tmp_path, scenario, edits) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            ({"strichartz.q": 1.1}, "strichartz.q: q window violated: q too small, need q > q_min="),
+            ({"strichartz.gamma": 5.0}, "strichartz.gamma: gamma window violated: need 0 < gamma <"),
+            ({"strichartz.delta": 5.0}, "strichartz.delta: delta window violated: need 0 < delta <"),
+            ({"strichartz.kind": "inhomogeneous", "strichartz.q_inhom": 2.0},
+             "strichartz.q_inhom: q window violated: q too small"),
+            ({"strichartz.kind": "inhomogeneous", "strichartz.gamma1": 0.9},
+             "strichartz.gamma1: gamma1 window violated"),
+            ({"strichartz.kind": "inhomogeneous", "strichartz.gamma2": 0.1},
+             "strichartz.gamma2: gamma2 window violated"),
+        ],
+    )
+    def test_strichartz_window_names_its_key(self, tmp_path, capsys, edits, message):
+        assert self._run(tmp_path, "verify-strichartz", edits) == 2
+        assert message in capsys.readouterr().err
+
+    def test_geometry_nu_names_its_key(self, capsys):
+        assert main(["check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5", "--nu", "100"]) == 2
+        assert "geometry.nu: nu out of range: need 0 <= nu <=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario,edits,message",
+        [
+            ("solve-linear", {"linear.t_start": 2.0}, "linear.t_start must be before the final time 2.0, got 2.0"),
+            ("solve-semilinear", {"semilinear.t_start": 5.0, "semilinear.horizon": 2.0},
+             "semilinear.t_start must be before the final time 2.0, got 5.0"),
+        ],
+    )
+    def test_snapshot_start_past_the_end(self, tmp_path, capsys, scenario, edits, message):
+        assert self._run(tmp_path, scenario, edits) == 2
+        assert message in capsys.readouterr().err
+
+    def test_default_snapshot_start_below_a_short_end(self, tmp_path):
+        # the 1e-3 floor of the default start would reach t_final; it falls back to t_final / 100
+        assert self._run(tmp_path, "solve-linear", {"linear.t_final": 1e-4}) == 0
+        times = [float(line.split(",")[0]) for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]]
+        assert times == list(np.geomspace(1e-6, 1e-4, 2))
 
     @pytest.mark.parametrize("grid", ["100:-3", "100:0", "nan:8"])
     def test_symbols_grid(self, capsys, grid):

@@ -130,6 +130,25 @@ class TestHomogeneousRatio:
         vals = lhs_box_values(PARAMS, bump(0.5), zero, 3.0, 0.2, grid, boxes=(10.0, 20.0, 30.0))
         assert vals[0] < vals[1] < vals[2]
 
+    @pytest.mark.parametrize("gamma", [0.2, 0.6])  # inside the window, and past its ceiling
+    def test_box_values_equal_field_norms(self, gamma):
+        # oracle: one stored field, then the weighted norm of each box's sub-field
+        grid = RadialGrid(100.0, 1024, transform="fft")
+        f, g, q, boxes = bump(0.5), bump(0.4, 0.3), 3.0, (2.5, 10.0, 20.0)
+        fld = solve_linear(PARAMS, f, g, _time_grid(max(boxes)), grid)
+        want = []
+        for T in boxes:
+            sel = fld.times <= T
+            sub = SpaceTimeField(times=fld.times[sel], grid=grid, u=fld.u[sel], m=1, M=2.0)
+            want.append(weighted_field_norm(sub, WeightSpec(gamma=gamma, q=q, M=2.0)))
+        assert lhs_box_values(PARAMS, f, g, q, gamma, grid, boxes=boxes) == want
+
+    @pytest.mark.parametrize("t_max", [2.0, 1.0])
+    def test_time_grid_needs_a_box_past_two(self, t_max):
+        # below t = 2 the log-spaced part would run backwards
+        with pytest.raises(ParameterError, match="t_max > 2 required"):
+            _time_grid(t_max)
+
 
 class TestInhomogeneousRatio:
     def test_defaults_satisfy_pairing(self):
@@ -163,6 +182,26 @@ class TestInhomogeneousRatio:
 
         with pytest.raises(SupportError, match="source leaks"):
             inhomogeneous_ratio(PARAMS, [("bad", bad)], q, g1, g2, grid, t_max=10.0)
+
+    def test_leak_between_coarse_times_caught(self):
+        # leaks only on 3.2 < t < 3.6, between the times of a 17-point scan of [0, 10]
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        grid = RadialGrid(60.0, 512)
+        pulse = _pulse(1.0, 2.0, bump(0.8))
+
+        def leaky(t, r):
+            far = np.where(np.abs(np.asarray(r) - 30.0) < 1.0, 1e-3, 0.0)
+            return pulse(t, r) + (far if 3.2 < t < 3.6 else 0.0)
+
+        with pytest.raises(SupportError, match=r"source leaks outside r <= phi\(t\)\+M-1 at t=3\.2"):
+            inhomogeneous_ratio(PARAMS, [("leaky", leaky)], q, g1, g2, grid, t_max=10.0)
+
+    def test_short_pulse_is_not_zero(self):
+        # a pulse on (1.05, 1.2) falls between the times of a 40-point scan of [0, 10]
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        grid = RadialGrid(60.0, 512, transform="fft")
+        (row,) = inhomogeneous_ratio(PARAMS, [("short", _pulse(1.05, 1.2, bump(0.8)))], q, g1, g2, grid, t_max=10.0)
+        assert row.flags != "excluded-zero" and np.isfinite(row.ratio) and row.ratio > 0
 
 
 def _field_row(name, field, spec, t_split, rhs):

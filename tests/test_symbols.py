@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestBesselRoute:
     def test_negative_argument_rejected(self):
         with pytest.raises(ParameterError):
             bessel_j(0.5, -1.0)
+
+    @pytest.mark.parametrize("nu,limit", [(-1.0 / 3.0, np.inf), (-0.9, np.inf), (0.0, 1.0), (1.0 / 3.0, 0.0)])
+    def test_zero_argument_is_the_limit_without_warning(self, nu, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_j(nu, [0.0, 1.0])
+        assert got[0] == limit and got[1] == pytest.approx(scipy_jv(nu, 1.0), rel=1e-12)
 
 
 class TestKummer:
