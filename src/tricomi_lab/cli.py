@@ -279,7 +279,8 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
         "dt": control.dt,
     }
     if mode == "picard":
-        diag, field = picard_solve(params, spec, f, g, horizon, control, grid, max_iters=sec["max_iters"])
+        with _window_keys("semilinear"):
+            diag, field = picard_solve(params, spec, f, g, horizon, control, grid, max_iters=sec["max_iters"])
         record.update(
             kind="picard",
             converged=diag.converged,
@@ -296,7 +297,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
         if outcome.kind == "global-horizon":
             record["tail_nonincreasing"] = outcome.tail_nonincreasing
             lo, hi = gamma_window_formula(params.m, params.n, params.p)
-            if lo < hi and field.times.size:
+            if lo < hi and field.times.size >= 2:  # a trapezoid over one time is 0
                 gamma = 0.5 * (lo + hi)
                 record["weighted_norm"] = weighted_solution_norm(field, params, gamma)
                 record["weighted_norm_gamma"] = gamma
@@ -372,13 +373,12 @@ _RUNNERS = {
 def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
     """Run the config's scenario; with an ``outdir``, write its artifacts and manifest there."""
     t0 = time.time()
-    if outdir is not None:
+    artifacts = _RUNNERS[cfg.scenario](cfg)
+    if outdir is not None:  # made only now, so a run that fails leaves no empty directory
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             raise ParameterError(f"cannot make output directory {str(outdir)!r}: {exc.strerror}")
-    artifacts = _RUNNERS[cfg.scenario](cfg)
-    if outdir is not None:
         paths = [outdir / name for name in artifacts]
         for path, text in zip(paths, artifacts.values()):
             _write_text(path, text)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError
+from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError, WindowError
 from .exponents import ModelParams, gamma_interval
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField
@@ -316,7 +316,8 @@ def picard_solve(
 
     Requires p in the critical-conformal window (gamma defaults to the
     midpoint of its admissible interval) and max_iters >= 1.  The weighted
-    norms use q = p + 1 and are taken over midpoint samples with t >= T0/2.
+    norms use q = p + 1 and are taken over midpoint samples with t >= T0/2;
+    fewer than two such midpoints is a WindowError naming the horizon.
     Divergence (N_k increasing three times in a row, an iterate leaving the
     finite range, or a non-finite M_k or N_k) raises PicardDivergenceError
     carrying the diagnostics; plain slow convergence just returns
@@ -340,6 +341,12 @@ def picard_solve(
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
     in_box = t_mid >= spec.T0 / 2.0
+    if np.count_nonzero(in_box) < 2:
+        raise WindowError(
+            "horizon",
+            f"horizon too short: the Picard norms need two step midpoints in [T0/2, horizon], "
+            f"got {np.count_nonzero(in_box)} (T0/2={spec.T0 / 2.0}, horizon={horizon}, dt={dt:.6g})",
+        )
     r = grid.r
 
     def norm(per_t):

@@ -18,9 +18,11 @@ truncated LHS grow with the time box instead of saturating.  Space-time
 norms are truncated at a finite box and every LHS carries a decay-slope
 tail estimate so the truncation is auditable.
 
-The probes share one window check, one reduction of each linear snapshot to
-its weighted integral (``homogeneous_ratio``, ``lhs_box_values``) and one
-400-time sampling of each source (support check, zero test and RHS).
+The probes share one window check and one reduction of each linear snapshot
+to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``).  The
+inhomogeneous probe samples each source once per march step, at the midpoint
+where the march freezes it; those samples drive the march and also serve the
+support check, the zero test and the RHS.
 
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
@@ -35,8 +37,8 @@ import numpy as np
 from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError, WindowError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
-from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import _characteristic, _data_coeffs, _snapshots, _weighted_integral, weighted_field_norm
+from .grids import RadialGrid, SpectralField
+from .linear import _characteristic, _data_coeffs, _snapshots, _weighted_integral
 from .profiles import annular_bump, bump, dilate
 from .semilinear import BLOWUP_THRESHOLD, _march, _steps
 
@@ -337,14 +339,15 @@ def inhomogeneous_ratio(
     """LHS/RHS rows of the inhomogeneous estimate for zero-data forced solutions.
 
     ``source_family`` yields (name, source) with source(t, r_array) -> samples,
-    vanishing for r > phi(t) + M - 1.  Each source is sampled once, on the 400
-    times of :func:`_sample_source`; those samples serve the support check (a
-    leak is a named error), the zero test (an all-zero source is an excluded
-    row) and the RHS.  LHS uses weight^gamma1 in L^q over [T0/2, t_max];
-    RHS uses weight^gamma2 in L^(q/(q-1)) over the source; a T0 that leaves
-    fewer than two snapshot times in that box is a ParameterError.  The nonzero
-    sources march as one batch, so each step evaluates the symbols once for
-    all of them.  A march that stops at the blowup threshold would leave a
+    vanishing for r > phi(t) + M - 1.  The sources march as one batch, so each
+    step evaluates the symbols once for all of them, and each source is sampled
+    once per step, at the midpoint where the march freezes it.  Those samples
+    serve the support check (a leak is a SupportError naming the step's time),
+    the zero test (a source zero at every midpoint is an excluded row) and the
+    RHS, the weight^gamma2 L^(q/(q-1)) norm of the step-frozen source by the
+    midpoint rule over [0, t_max].  LHS uses weight^gamma1 in L^q over
+    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box is
+    a ParameterError.  A march that stops at the blowup threshold would leave a
     truncated box: TruncatedBoxError names each stopped member and its stop time.
     """
     _check_window(params.m, params.n, q, gamma1, "gamma1")
@@ -356,59 +359,49 @@ def inhomogeneous_ratio(
         raise ParameterError(
             f"T0={T0} leaves fewer than two snapshot times in [T0/2, t_max={t_max}]"
         )
-    rows = []
-    live = []  # (row index, name, source, rhs) of the nonzero sources
-    for name, source in source_family:
-        src_field = _sample_source(source, params, grid, t_max)
-        if not src_field.u.any():
-            rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
-            continue
-        rhs = weighted_field_norm(src_field, WeightSpec(gamma=gamma2, q=qp, M=params.M))
-        live.append((len(rows), name, source, rhs))
-        rows.append(None)
-    if live:
-        idx, names, sources, rhs = zip(*live)
-        nsteps, _ = _steps(params, grid, t_max, dt)
-        zero = np.zeros((len(live), grid.N - 1))
-        _, t_stops, kept = _march(
-            params.m, grid, t_max, nsteps, zero, zero,
-            lambda i, tm, um, members: np.array([sources[b](tm, grid.r) for b in members]),
-            BLOWUP_THRESHOLD, times,
+    members = list(source_family)
+    if not members:
+        return []
+    names, sources = zip(*members)
+    nsteps, dt = _steps(params, grid, t_max, dt)
+    r, src_kernel = grid.r, _characteristic(params.m, WeightSpec(gamma=gamma2, q=qp, M=params.M))
+    src_sums = np.zeros(len(sources))  # each source's sum of per-step weighted integrals
+    nonzero = np.zeros(len(sources), dtype=bool)
+
+    def source(i, tm, um, live):
+        vals = np.array([sources[b](tm, r) for b in live])
+        hit = vals.any(axis=1)
+        if hit.any():  # an all-zero step cannot leak and adds exactly 0 to every sum
+            peak = np.abs(vals).max(axis=1)
+            leak = np.abs(vals[:, r > finite_speed_radius(params.m, params.M, tm)]).max(axis=1, initial=0.0)
+            b = int(np.argmax(leak > 1e-12 * peak))
+            if leak[b] > 1e-12 * peak[b]:
+                raise SupportError(
+                    f"source leaks outside r <= phi(t)+M-1 at t={tm:.3f} "
+                    f"(max outside {leak[b]:.2e} vs peak {peak[b]:.2e})"
+                )
+            nonzero[live] |= hit
+            src_sums[live] += _weighted_integral(vals, r, tm, *src_kernel)
+        return vals
+
+    zero = np.zeros((len(sources), grid.N - 1))
+    _, t_stops, kept = _march(params.m, grid, t_max, nsteps, zero, zero, source, BLOWUP_THRESHOLD, times)
+    stopped = [f"{n} stopped at t={t:.6g}" for n, t in zip(names, t_stops) if t is not None]
+    if stopped:
+        raise TruncatedBoxError(
+            f"forced march of {', '.join(stopped)} "
+            f"(sup|u| above {BLOWUP_THRESHOLD:.0e} or not finite), "
+            f"short of the box end t_max={t_max}"
         )
-        stopped = [f"{n} stopped at t={t:.6g}" for n, t in zip(names, t_stops) if t is not None]
-        if stopped:
-            raise TruncatedBoxError(
-                f"forced march of {', '.join(stopped)} "
-                f"(sup|u| above {BLOWUP_THRESHOLD:.0e} or not finite), "
-                f"short of the box end t_max={t_max}"
-            )
-        t_snap = np.array([t for t, _ in kept])
-        r, kernel = grid.r, _characteristic(params.m, WeightSpec(gamma=gamma1, q=q, M=params.M))
-        per_t = np.array([_weighted_integral(u, r, t, *kernel) for t, u in kept])
-        sel = t_snap >= T0 / 2.0
-        for i, name, pt, rh in zip(idx, names, per_t[sel].T, rhs):
-            rows[i] = _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, rh)
-    return rows
-
-
-def _sample_source(source, params, grid, t_max):
-    """The source on 400 times in (0, t_max], trimmed to its nonzero samples and one
-    more each side (all 400 if none); a SupportError at the first sample whose
-    values outside r <= phi(t) + M - 1 exceed 1e-12 of its peak."""
-    ts = np.linspace(1e-6, t_max, 400)
-    vals = np.array([source(float(t), grid.r) for t in ts])
-    peak = np.abs(vals).max(axis=1)
-    for t, v, top in zip(ts, vals, peak):
-        leak = np.abs(v[grid.r > finite_speed_radius(params.m, params.M, t)]).max(initial=0.0)
-        if leak > 1e-12 * top:
-            raise SupportError(
-                f"source leaks outside r <= phi(t)+M-1 at t={t:.3f} (max outside {leak:.2e} vs peak {top:.2e})"
-            )
-    nonzero = np.flatnonzero(peak > 0)
-    if nonzero.size:
-        keep = slice(max(0, nonzero[0] - 1), nonzero[-1] + 2)
-        ts, vals = ts[keep], vals[keep]
-    return SpaceTimeField(times=ts, grid=grid, u=vals, m=params.m, M=params.M)
+    t_snap = np.array([t for t, _ in kept])
+    kernel = _characteristic(params.m, WeightSpec(gamma=gamma1, q=q, M=params.M))
+    per_t = np.array([_weighted_integral(u, r, t, *kernel) for t, u in kept])
+    sel = t_snap >= T0 / 2.0
+    return [
+        _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, float((dt * total) ** (1.0 / qp))) if forced
+        else RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero")
+        for name, pt, forced, total in zip(names, per_t[sel].T, nonzero, src_sums)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -541,6 +541,22 @@ class TestSchemaLimits:
     def test_strichartz_window_names_its_key(self, tmp_path, capsys, edits, message):
         assert self._run(tmp_path, "verify-strichartz", edits) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # the directory is made only after the run succeeds
+
+    def test_picard_empty_norm_box(self, tmp_path, capsys):
+        # no step midpoint of a 0.2 horizon reaches T0/2 = 0.25, so every norm would be an empty trapezoid
+        edits = {"semilinear.mode": "picard", "semilinear.horizon": 0.2, "semilinear.dt": 0.02, "semilinear.T0": 0.5}
+        assert self._run(tmp_path, "solve-semilinear", edits) == 2
+        assert "semilinear.horizon: horizon too short" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_snapshot_march_has_no_weighted_norm(self, tmp_path):
+        # a trapezoid over one snapshot time is 0, not a norm
+        assert self._run(tmp_path, "solve-semilinear", {"semilinear.snapshots": 1}) == 0
+        record = json.loads((tmp_path / "out" / "outcome.json-lines").read_text())
+        assert record["kind"] == "global-horizon" and "weighted_norm" not in record
+        assert self._run(tmp_path, "solve-semilinear", {"semilinear.snapshots": 2}) == 0
+        assert "weighted_norm" in json.loads((tmp_path / "out" / "outcome.json-lines").read_text())
 
     def test_geometry_nu_names_its_key(self, capsys):
         assert main(["check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5", "--nu", "100"]) == 2

@@ -17,7 +17,6 @@ from tricomi_lab.strichartz import (
     TAIL_DOMINATED_FRACTION,
     DyadicCutoff,
     RatioRow,
-    _sample_source,
     _time_grid,
     default_sobolev_grid,
     dyadic_decompose,
@@ -184,37 +183,56 @@ class TestInhomogeneousRatio:
             inhomogeneous_ratio(PARAMS, [("bad", bad)], q, g1, g2, grid, t_max=10.0)
 
     def test_leak_between_coarse_times_caught(self):
-        # leaks only on 3.2 < t < 3.6, between the times of a 17-point scan of [0, 10]
+        # 3.2 < t < 3.6 holds no time of a 17-point scan of [0, 10], and 3.209 < t < 3.215 none of a
+        # 400-point one; each holds the step midpoint 3.21 (dt 0.02), which names the leak
         q, g1, g2 = inhomogeneous_defaults(1, 3)
         grid = RadialGrid(60.0, 512)
         pulse = _pulse(1.0, 2.0, bump(0.8))
+        for t_lo, t_hi in ((3.2, 3.6), (3.209, 3.215)):
 
-        def leaky(t, r):
-            far = np.where(np.abs(np.asarray(r) - 30.0) < 1.0, 1e-3, 0.0)
-            return pulse(t, r) + (far if 3.2 < t < 3.6 else 0.0)
+            def leaky(t, r):
+                far = np.where(np.abs(np.asarray(r) - 30.0) < 1.0, 1e-3, 0.0)
+                return pulse(t, r) + (far if t_lo < t < t_hi else 0.0)
 
-        with pytest.raises(SupportError, match=r"source leaks outside r <= phi\(t\)\+M-1 at t=3\.2"):
-            inhomogeneous_ratio(PARAMS, [("leaky", leaky)], q, g1, g2, grid, t_max=10.0)
+            with pytest.raises(SupportError, match=r"source leaks outside r <= phi\(t\)\+M-1 at t=3\.210 "):
+                inhomogeneous_ratio(PARAMS, [("leaky", leaky)], q, g1, g2, grid, t_max=10.0)
 
     def test_short_pulse_is_not_zero(self):
-        # a pulse on (1.05, 1.2) falls between the times of a 40-point scan of [0, 10]
+        # (1.05, 1.2) holds no time of a 40-point scan of [0, 10], and (1.005, 1.02) none of a
+        # 400-point one; each holds step midpoints of dt 0.02, so each forces the march
         q, g1, g2 = inhomogeneous_defaults(1, 3)
         grid = RadialGrid(60.0, 512, transform="fft")
-        (row,) = inhomogeneous_ratio(PARAMS, [("short", _pulse(1.05, 1.2, bump(0.8)))], q, g1, g2, grid, t_max=10.0)
-        assert row.flags != "excluded-zero" and np.isfinite(row.ratio) and row.ratio > 0
+        for t_lo, t_hi in ((1.05, 1.2), (1.005, 1.02)):
+            (row,) = inhomogeneous_ratio(PARAMS, [("short", _pulse(t_lo, t_hi, bump(0.8)))], q, g1, g2, grid, t_max=10.0)
+            assert row.flags != "excluded-zero" and np.isfinite(row.ratio) and row.ratio > 0
+
+    def test_each_source_sampled_once_per_step(self):
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        grid = RadialGrid(60.0, 512, transform="fft")
+        pulse, times = _pulse(1.0, 2.0, bump(0.8)), []
+
+        def counted(t, r):
+            times.append(t)
+            return pulse(t, r)
+
+        inhomogeneous_ratio(PARAMS, [("counted", counted), ("none", lambda t, r: zero(r))], q, g1, g2, grid,
+                            t_max=10.0, dt=0.05)
+        nsteps, dt = _steps(PARAMS, grid, 10.0, 0.05)
+        assert len(times) == nsteps
+        assert np.allclose(times, (np.arange(nsteps) + 0.5) * dt, rtol=0.0, atol=1e-12)
+
+
+def _per_time(u, r, t, m, spec):
+    """Characteristic-weight integral of one snapshot, the unbatched way: mask, weight, trapezoid."""
+    mask = r <= finite_speed_radius(m, spec.M, t)
+    rr = r[mask]
+    weight = (phi(m, t) + spec.M) ** 2 - rr * rr
+    return 4.0 * np.pi * np.trapezoid(weight ** (spec.gamma * spec.q) * np.abs(u[mask]) ** spec.q * rr * rr, rr)
 
 
 def _field_row(name, field, spec, t_split, rhs):
     """One member's row the unbatched way: per-snapshot loop over a stored field, then the tail fit."""
-    r = field.grid.r
-    per_t = np.empty(field.times.size)
-    for i, t in enumerate(field.times):
-        t = float(t)
-        mask = r <= finite_speed_radius(field.m, spec.M, t)
-        rr = r[mask]
-        weight = (phi(field.m, t) + spec.M) ** 2 - rr * rr
-        integrand = weight ** (spec.gamma * spec.q) * np.abs(field.u[i, mask]) ** spec.q * rr * rr
-        per_t[i] = 4.0 * np.pi * np.trapezoid(integrand, rr)
+    per_t = np.array([_per_time(u, field.grid.r, float(t), field.m, spec) for t, u in zip(field.times, field.u)])
     total = float(np.trapezoid(per_t, field.times))
     sel = (field.times >= t_split) & (per_t > 0)
     if sel.sum() >= 4:
@@ -291,19 +309,23 @@ class TestBatchEngine:
             if name == "none":
                 want.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
                 continue
-            nsteps, _ = _steps(PARAMS, grid, t_max, dt)
+            nsteps, step = _steps(PARAMS, grid, t_max, dt)
             c0 = np.zeros(grid.N - 1)
-            _, _, kept = _march(
-                1, grid, t_max, nsteps, c0, c0, lambda i, tm, um, live, s=source: s(tm, grid.r),
-                keep=_time_grid(t_max)[1:],
-            )
+            src_spec = WeightSpec(gamma=g2, q=q / (q - 1.0), M=2.0)
+            src_total = 0.0  # midpoint rule: the source frozen at each step's midpoint, as the march applies it
+
+            def frozen(i, tm, um, live, s=source):
+                nonlocal src_total
+                vals = s(tm, grid.r)
+                src_total += _per_time(vals, grid.r, tm, 1, src_spec)
+                return vals
+
+            _, _, kept = _march(1, grid, t_max, nsteps, c0, c0, frozen, keep=_time_grid(t_max)[1:])
             times = np.array([t for t, _ in kept])
             sel = times >= T0 / 2.0
             u = np.array([u for _, u in kept])
             sol = SpaceTimeField(times=times[sel], grid=grid, u=u[sel], m=1, M=2.0)
-            rhs = weighted_field_norm(
-                _sample_source(source, PARAMS, grid, t_max), WeightSpec(gamma=g2, q=q / (q - 1.0), M=2.0)
-            )
+            rhs = float((step * src_total) ** (1.0 / src_spec.q))
             want.append(_field_row(name, sol, WeightSpec(gamma=g1, q=q, M=2.0), t_max / 10.0, rhs))
         assert rows == want
 
