@@ -373,6 +373,8 @@ _RUNNERS = {
 def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
     """Run the config's scenario; with an ``outdir``, write its artifacts and manifest there."""
     t0 = time.time()
+    if outdir is not None and outdir.exists() and not outdir.is_dir():  # fail before the run, not after
+        raise ParameterError(f"cannot make output directory {str(outdir)!r}: File exists")
     artifacts = _RUNNERS[cfg.scenario](cfg)
     if outdir is not None:  # made only now, so a run that fails leaves no empty directory
         try:

@@ -370,18 +370,16 @@ def inhomogeneous_ratio(
 
     def source(i, tm, um, live):
         vals = np.array([sources[b](tm, r) for b in live])
-        hit = vals.any(axis=1)
-        if hit.any():  # an all-zero step cannot leak and adds exactly 0 to every sum
-            peak = np.abs(vals).max(axis=1)
-            leak = np.abs(vals[:, r > finite_speed_radius(params.m, params.M, tm)]).max(axis=1, initial=0.0)
-            b = int(np.argmax(leak > 1e-12 * peak))
-            if leak[b] > 1e-12 * peak[b]:
-                raise SupportError(
-                    f"source leaks outside r <= phi(t)+M-1 at t={tm:.3f} "
-                    f"(max outside {leak[b]:.2e} vs peak {peak[b]:.2e})"
-                )
-            nonzero[live] |= hit
-            src_sums[live] += _weighted_integral(vals, r, tm, *src_kernel)
+        peak = np.abs(vals).max(axis=1)
+        leak = np.abs(vals[:, r > finite_speed_radius(params.m, params.M, tm)]).max(axis=1, initial=0.0)
+        b = int(np.argmax(leak > 1e-12 * peak))
+        if leak[b] > 1e-12 * peak[b]:
+            raise SupportError(
+                f"source leaks outside r <= phi(t)+M-1 at t={tm:.3f} "
+                f"(max outside {leak[b]:.2e} vs peak {peak[b]:.2e})"
+            )
+        nonzero[live] |= vals.any(axis=1)
+        src_sums[live] += _weighted_integral(vals, r, tm, *src_kernel)
         return vals
 
     zero = np.zeros((len(sources), grid.N - 1))

@@ -323,29 +323,15 @@ def kummer_M(a: float, b: float, z: complex, rtol: float = 1e-7) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _symbol(m: int, t: float, lam: float, route: str, velocity: bool) -> complex:
-    """V1 (``velocity`` false) or V2 at one (t, lambda) by ``route``.
-
-    V2 is t times the V1 form with the Kummer parameter m raised to m + 4 and
-    the Bessel order nu = 1/(m+2) negated.
-    """
+def _symbol_arg(m: int, t: float, lam: float, route: str) -> float:
+    """The argument w = phi(t) lambda of V1 and V2, after the checks they share."""
     if t < 0 or lam < 0:
         raise ParameterError("t >= 0 and lambda >= 0 required")
     if m < 1:
         raise ParameterError("symbol evaluation requires m >= 1")
-    w = phi(m, t) * lam
-    scale = t if velocity else 1.0
-    if w == 0.0:
-        return complex(scale)
-    if route == "kummer":
-        k, c = m + 2.0, (m + 4.0 if velocity else m)
-        z = 2j * w
-        e = np.exp(-z / 2.0)  # V1 takes no factor 1.0: a complex product by it can flip a zero's sign
-        return (t * e if velocity else e) * kummer_M(c / (2.0 * k), c / k, z)
-    if route == "bessel":
-        nu = (-1.0 if velocity else 1.0) / (m + 2.0)
-        return complex(scale * math.gamma(1.0 - nu) * (0.5 * w) ** nu * bessel_j(-nu, w))
-    raise ParameterError(f"unknown route {route!r}")
+    if route not in ("kummer", "bessel"):
+        raise ParameterError(f"unknown route {route!r}")
+    return phi(m, t) * lam
 
 
 def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
@@ -355,12 +341,26 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     hypergeometric) or "bessel" (real Bessel form).  Both agree to roughly
     1e-7 relative; the ODE route lives in :func:`evolve_mode`.
     """
-    return _symbol(m, t, lam, route, velocity=False)
+    w = _symbol_arg(m, t, lam, route)
+    if w == 0.0:
+        return 1.0 + 0.0j
+    if route == "kummer":
+        z = 2j * w
+        return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), m / (m + 2.0), z)
+    nu = 1.0 / (m + 2.0)
+    return complex(math.gamma(1.0 - nu) * (0.5 * w) ** nu * bessel_j(-nu, w))
 
 
 def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     """V2(t, lambda): the velocity-to-solution symbol, d/dt V2(0, .) = 1."""
-    return _symbol(m, t, lam, route, velocity=True)
+    w = _symbol_arg(m, t, lam, route)
+    if w == 0.0:
+        return complex(t)
+    if route == "kummer":
+        z = 2j * w
+        return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), (m + 4.0) / (m + 2.0), z)
+    nu = 1.0 / (m + 2.0)
+    return complex(t * math.gamma(1.0 + nu) * (0.5 * w) ** (-nu) * bessel_j(nu, w))
 
 
 def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True):

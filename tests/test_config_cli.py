@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tricomi_lab.cli as cli
 from tricomi_lab.cli import EXPONENT_HEADER, _snapshot_times, main, run_exponents
 from tricomi_lab.config import SCHEMA, RunConfig, emit_config, parse_config
 from tricomi_lab.errors import ParameterError
@@ -628,6 +629,17 @@ class TestFileSystemInput:
         assert main([*extra, "solve-linear", "--config", str(path)]) == 2
         assert f"cannot make output directory {str(taken)!r}" in capsys.readouterr().err
         assert taken.read_text() == ""
+
+    def test_output_dir_is_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output_dir": str(taken)}))
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "solve-linear", lambda cfg: ran.append(cfg) or {})
+        assert main(["solve-linear", "--config", str(path)]) == 2
+        assert f"cannot make output directory {str(taken)!r}" in capsys.readouterr().err
+        assert ran == []
 
 
 class TestFlagCommandManifests:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import tricomi_lab.linear
 import tricomi_lab.semilinear
-from tricomi_lab.errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError
+from tricomi_lab.errors import AccuracyError, GridError, ParameterError, SupportError, TruncatedBoxError
 from tricomi_lab.exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
@@ -222,6 +222,23 @@ class TestInhomogeneousRatio:
         assert np.allclose(times, (np.arange(nsteps) + 0.5) * dt, rtol=0.0, atol=1e-12)
 
 
+    def test_all_zero_family_marches(self):
+        # zero sources are rows of the family: an all-zero family still marches (and so still
+        # needs a grid that holds the box) and reads excluded-zero on every row
+        q, g1, g2 = inhomogeneous_defaults(1, 3)
+        grid, calls = RadialGrid(60.0, 512, transform="fft"), []
+
+        def none(t, r):
+            calls.append(t)
+            return zero(r)
+
+        rows = inhomogeneous_ratio(PARAMS, [("a", none), ("b", none)], q, g1, g2, grid, t_max=10.0, dt=0.05)
+        assert rows == [RatioRow(n, 0.0, 0.0, None, 0.0, "excluded-zero") for n in "ab"]
+        assert len(calls) == 2 * _steps(PARAMS, grid, 10.0, 0.05)[0]
+        with pytest.raises(GridError, match="too small"):
+            inhomogeneous_ratio(PARAMS, [("a", none)], q, g1, g2, RadialGrid(10.0, 512), t_max=10.0)
+
+
 def _per_time(u, r, t, m, spec):
     """Characteristic-weight integral of one snapshot, the unbatched way: mask, weight, trapezoid."""
     mask = r <= finite_speed_radius(m, spec.M, t)
@@ -301,7 +318,7 @@ class TestBatchEngine:
         t_max, dt, T0 = 10.0, 0.05, 0.5
         calls = _counting(monkeypatch, tricomi_lab.semilinear)
         rows = inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, T0=T0, t_max=t_max, dt=dt)
-        assert len(calls) == 1 + 2 * 200  # one march for the three sources
+        assert len(calls) == 1 + 2 * 200  # one march for the whole family
         monkeypatch.undo()
 
         want = []
