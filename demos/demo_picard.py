@@ -13,15 +13,15 @@ from tricomi_lab.geometry import WeightSpec
 from tricomi_lab.grids import RadialGrid, SpaceTimeField
 from tricomi_lab.linear import weighted_field_norm
 from tricomi_lab.profiles import bump
-from tricomi_lab.semilinear import NonlinearitySpec, StepControl, picard_solve, time_march
+from tricomi_lab.semilinear import NonlinearitySpec, picard_solve, time_march
 
 params = ModelParams(1, 3, 2.0, eps=1e-3, M=2.0)
 spec = NonlinearitySpec(p=2.0, T0=0.5)
 grid = RadialGrid(64.0, 2048, transform="fft")
-control = StepControl(dt=0.02)
+dt = 0.02
 f = lambda r: 1e-3 * bump(0.8)(r)
 
-diag, fld_pic = picard_solve(params, spec, f, f, 20.0, control, grid, max_iters=12)
+diag, fld_pic = picard_solve(params, spec, f, f, 20.0, dt, grid, max_iters=12)
 print("Picard diagnostics (m=1, p=2, eps=1e-3):")
 print(f"{'k':>3s} {'M_k':>13s} {'N_k':>13s} {'N_k/N_(k-1)':>13s}")
 for k, (Mk, Nk) in enumerate(zip(diag.M_seq, diag.N_seq)):
@@ -29,7 +29,7 @@ for k, (Mk, Nk) in enumerate(zip(diag.M_seq, diag.N_seq)):
     print(f"{k:3d} {Mk:13.5e} {Nk:13.5e} {ratio:>13s}")
 print(f"converged: {diag.converged} after {diag.iterations} iterations")
 
-_, fld_march = time_march(params, spec, f, f, 20.0, control, grid, store_midpoints=True)
+_, fld_march = time_march(params, spec, f, f, 20.0, dt, grid, store_midpoints=True)
 lo, hi = gamma_interval(params)
 wspec = WeightSpec(gamma=0.5 * (lo + hi), q=params.p + 1.0, M=params.M)
 mask = fld_pic.times >= spec.T0 / 2.0

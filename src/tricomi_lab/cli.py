@@ -51,7 +51,6 @@ from .linear import solve_linear
 from .profiles import bump, make_profile
 from .semilinear import (
     NonlinearitySpec,
-    StepControl,
     picard_solve,
     sweep_p,
     time_march,
@@ -145,50 +144,6 @@ def run_exponents(m, n, p=None, sweep: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# check-geometry
-# ---------------------------------------------------------------------------
-
-
-def run_check_geometry(m, M, T0, nu, delta, seed) -> str:
-    d_max = bisect_max_delta(m, M, T0)
-    un = verify_unshifted_cone_inequality(m, M, T0, delta)
-    nu_val = max_shift(m, M, T0) if nu is None else nu
-    rng = np.random.default_rng(seed)
-    sh = verify_shifted_cone_bounds(m, M, T0, nu_val, rng=rng)
-    rows = [
-        ["unshifted-cone", un.holds, un.worst_margin, d_max],
-        ["shifted-cone-lower", sh.c_lower > 0, sh.c_lower, None],
-        ["shifted-cone-upper", np.isfinite(sh.C_upper), sh.C_upper, None],
-    ]
-    return _csv("inequality,holds,margin,delta_max", rows)
-
-
-# ---------------------------------------------------------------------------
-# symbols
-# ---------------------------------------------------------------------------
-
-
-def run_symbols(m: int, grid_spec: str) -> str:
-    try:
-        w_max_s, n_s = grid_spec.split(":")
-        w_max, n_pts = float(w_max_s), int(n_s)
-    except ValueError:
-        w_max = n_pts = 0
-    if not (0.0 < w_max < np.inf and n_pts >= 1):
-        raise ParameterError(f"bad symbols.grid {grid_spec!r}; expected 'WMAX:NPOINTS', finite WMAX > 0, NPOINTS >= 1")
-    lam = 1.0
-    ws = np.geomspace(max(w_max, 1.0) * 1e-4, w_max, n_pts)
-    rows = []
-    for w in ws:
-        t = phi_inverse(m, w / lam)
-        v1 = v1_symbol(m, t, lam)
-        v2 = v2_symbol(m, t, lam)
-        rows.append([t, lam, v1.real, v1.imag, v2.real, v2.imag,
-                     float(amplitude_envelope_bound(m, t, lam))])
-    return _csv("t,lambda,re_v1,im_v1,re_v2,im_v2,envelope_bound", rows)
-
-
-# ---------------------------------------------------------------------------
 # config-driven scenarios
 # ---------------------------------------------------------------------------
 
@@ -204,14 +159,25 @@ def _data_callables(cfg: RunConfig, section: dict):
     return f, g
 
 
-def _snapshot_times(section: dict, t_final: float, step: float = 0.0, name: str = "linear"):
-    """Snapshot times to ``t_final`` of section ``name``; the default start is never
-    before ``step``, and its 1e-3 floor holds only where that is before ``t_final``."""
+def _snapshot_times(section: dict, t_final: float, name: str = "linear", dt: float | None = None):
+    """Snapshot times to ``t_final`` of section ``name``, for a march of step ``dt`` if given.
+
+    The default start is never before ``min(dt, t_final)``, and its 1e-3 floor holds only
+    where that is before ``t_final``.  A given start must be before ``t_final`` and must not
+    round to step 0 of the march, whose steps are t_final / ceil(t_final / dt) long.
+    """
     t_start = section["t_start"]
     if t_start is None:
+        step = 0.0 if dt is None else min(dt, t_final)
         t_start = max(t_final / 100.0, 1e-3 if 1e-3 < t_final else 0.0, step)
     elif t_start >= t_final:
         raise ParameterError(f"{name}.t_start must be before the final time {t_final!r}, got {t_start!r}")
+    elif dt is not None:
+        step = t_final / np.ceil(t_final / dt)  # semilinear._march snaps a time t to step round(t / step)
+        if round(t_start / step) == 0:
+            raise ParameterError(
+                f"{name}.t_start must not round to step 0 of the march (step {step:.6g}), got {t_start!r}"
+            )
     spaced = np.linspace if section["snapshot_spacing"] == "linear" else np.geomspace
     return spaced(t_start, t_final, section["snapshots"])
 
@@ -236,14 +202,40 @@ def _window_keys(section: str, **renamed):
 
 
 def _scenario_check_geometry(cfg: RunConfig) -> dict[str, str]:
-    sec, md = cfg.data["geometry"], cfg.data["model"]
+    sec, m, M = cfg.data["geometry"], cfg.data["model"]["m"], cfg.data["model"]["M"]
+    T0 = sec["T0"]
     with _window_keys("geometry"):
-        csv = run_check_geometry(md["m"], md["M"], sec["T0"], sec["nu"], sec["delta"], cfg.data["seed"])
-    return {"geometry.csv": csv}
+        d_max = bisect_max_delta(m, M, T0)
+        un = verify_unshifted_cone_inequality(m, M, T0, sec["delta"])
+        nu = max_shift(m, M, T0) if sec["nu"] is None else sec["nu"]
+        sh = verify_shifted_cone_bounds(m, M, T0, nu, rng=np.random.default_rng(cfg.data["seed"]))
+    rows = [
+        ["unshifted-cone", un.holds, un.worst_margin, d_max],
+        ["shifted-cone-lower", sh.c_lower > 0, sh.c_lower, None],
+        ["shifted-cone-upper", np.isfinite(sh.C_upper), sh.C_upper, None],
+    ]
+    return {"geometry.csv": _csv("inequality,holds,margin,delta_max", rows)}
 
 
 def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
-    return {"symbols.csv": run_symbols(cfg.data["model"]["m"], cfg.data["symbols"]["grid"])}
+    m, grid_spec = cfg.data["model"]["m"], cfg.data["symbols"]["grid"]
+    try:
+        w_max_s, n_s = grid_spec.split(":")
+        w_max, n_pts = float(w_max_s), int(n_s)
+    except ValueError:
+        w_max = n_pts = 0
+    if not (0.0 < w_max < np.inf and n_pts >= 1):
+        raise ParameterError(f"bad symbols.grid {grid_spec!r}; expected 'WMAX:NPOINTS', finite WMAX > 0, NPOINTS >= 1")
+    lam = 1.0
+    ws = np.geomspace(max(w_max, 1.0) * 1e-4, w_max, n_pts)
+    rows = []
+    for w in ws:
+        t = phi_inverse(m, w / lam)
+        v1 = v1_symbol(m, t, lam)
+        v2 = v2_symbol(m, t, lam)
+        rows.append([t, lam, v1.real, v1.imag, v2.real, v2.imag,
+                     float(amplitude_envelope_bound(m, t, lam))])
+    return {"symbols.csv": _csv("t,lambda,re_v1,im_v1,re_v2,im_v2,envelope_bound", rows)}
 
 
 def _scenario_solve_linear(cfg: RunConfig) -> dict[str, str]:
@@ -267,8 +259,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
     params = cfg.model_params()
     grid = cfg.grid()
     sec = cfg.data["semilinear"]
-    horizon = sec["horizon"]
-    control = StepControl(dt=sec["dt"])
+    horizon, dt = sec["horizon"], sec["dt"]
     spec = NonlinearitySpec(p=params.p, T0=sec["T0"])
     f, g = _data_callables(cfg, sec)
     mode = sec["mode"]
@@ -276,11 +267,11 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
         "params": {"m": params.m, "n": params.n, "p": params.p, "eps": params.eps, "M": params.M},
         "mode": mode,
         "horizon": horizon,
-        "dt": control.dt,
+        "dt": dt,
     }
     if mode == "picard":
         with _window_keys("semilinear"):
-            diag, field = picard_solve(params, spec, f, g, horizon, control, grid, max_iters=sec["max_iters"])
+            diag, field = picard_solve(params, spec, f, g, horizon, dt, grid, max_iters=sec["max_iters"])
         record.update(
             kind="picard",
             converged=diag.converged,
@@ -289,9 +280,9 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
             N_seq=diag.N_seq,
         )
     else:
-        times = _snapshot_times(sec, horizon, step=min(control.dt, horizon), name="semilinear")
+        times = _snapshot_times(sec, horizon, name="semilinear", dt=dt)
         outcome, field = time_march(
-            params, spec, f, g, horizon, control, grid, snapshot_times=times
+            params, spec, f, g, horizon, dt, grid, snapshot_times=times
         )
         record.update(kind=outcome.kind, blowup_time=outcome.blowup_time)
         if outcome.kind == "global-horizon":
@@ -311,7 +302,7 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
 def _scenario_sweep_p(cfg: RunConfig) -> dict[str, str]:
     sec = cfg.data["sweep"]
     f, g = _data_callables(cfg, sec)
-    rows = sweep_p(cfg.model_params(), sec["p_grid"], f, g, sec["horizon"], StepControl(dt=sec["dt"]),
+    rows = sweep_p(cfg.model_params(), sec["p_grid"], f, g, sec["horizon"], sec["dt"],
                    cfg.grid(), T0=sec["T0"])
     lines = [json.dumps(row, sort_keys=True) for row in rows]
     return {"outcome.json-lines": "\n".join(lines) + "\n"}

@@ -81,7 +81,7 @@ SCHEMA = {
     "exponents": Key({"sweep": Key(str)}),  # cli.run_exponents parses the sweep
     "geometry": Key({"T0": Key(float, 0.5, "in (0, 1)"), "nu": Key(float, None, "non-negative"),
                      "delta": Key(float, 1e-4, "in [0, 1)")}),
-    "symbols": Key({"grid": Key(str, "100:64")}),  # cli.run_symbols parses the grid
+    "symbols": Key({"grid": Key(str, "100:64")}),  # cli._scenario_symbols parses the grid
     "linear": Key({"t_final": Key(float, 10.0, "positive"), "data": Key(_DATA, {}), **_SNAPSHOTS,
                    "field_r_points": Key(int, 512, "at least 1")}),
     "semilinear": Key({

@@ -10,9 +10,11 @@ the scalar mode ODE handled by :mod:`tricomi_lab.symbols`.
 
 Both directions of the sine transform are one fast DST-I
 (``scipy.fft.dst(type=1)``), deterministic on a fixed install.  The
-transforms, ``SpectralField.to_radial`` and ``origin_value`` act on the last
-axis, so a family of B fields stacked as (B, N-1) coefficients goes through
-them in one call, each row bit-identical to its own 1-D call.
+transforms, ``RadialGrid.u_from_w`` (w = r u back to u, the one conversion
+of the spectral solvers and the FD oracle), ``SpectralField.to_radial`` and
+``origin_value`` act on the last axis, so a family of B fields stacked as
+(B, N-1) coefficients goes through them in one call, each row bit-identical
+to its own 1-D call.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ class RadialGrid:
         """Interior samples w_j from sine coefficients, along the last axis."""
         return _dst(coeffs, type=1) / 2.0
 
+    def u_from_w(self, w_interior: np.ndarray) -> np.ndarray:
+        """Radial samples of u = w/r on all nodes from interior w, origin by one-sided limit."""
+        u = np.empty(w_interior.shape[:-1] + (self.N + 1,))
+        u[..., 1 : self.N] = w_interior / self.r[1 : self.N]
+        u[..., 0] = origin_value(w_interior, self.h)
+        u[..., self.N] = 0.0
+        return u
+
     def validate_horizon(self, m: int, M: float, t_final: float) -> None:
         """Outer wall must stay causally invisible: r_max > phi(t)+M-1+2h."""
         needed = finite_speed_radius(m, M, t_final) + 2.0 * self.h
@@ -98,12 +108,7 @@ class SpectralField:
 
     def to_radial(self) -> np.ndarray:
         """Radial samples of u = w/r on all nodes, origin by one-sided limit."""
-        w = self.grid.inverse(self.coeffs)
-        u = np.empty(w.shape[:-1] + (self.grid.N + 1,))
-        u[..., 1 : self.grid.N] = w / self.grid.r[1 : self.grid.N]
-        u[..., 0] = origin_value(w, self.grid.h)
-        u[..., self.grid.N] = 0.0
-        return u
+        return self.grid.u_from_w(self.grid.inverse(self.coeffs))
 
     def grid_l2(self) -> float:
         """L2 of w from grid samples (trapezoid; w vanishes at both ends)."""

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InstabilityError, ParameterError
 from .exponents import ModelParams
 from .geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
-from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support, origin_value
+from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support
 from .symbols import symbol_matrix
 
 __all__ = [
@@ -58,13 +58,19 @@ def solve_linear(
     return SpaceTimeField(times=times, grid=grid, u=snaps, m=params.m, M=params.M)
 
 
-def _data_coeffs(params, grid, f, g, enforce_support=True):
-    """Sine coefficients of the data w = r f and r g, after checking their support."""
+def _data_samples(params, grid, f, g, enforce_support=True):
+    """The data f and g sampled on the grid nodes, after checking their support in r <= M - 1."""
     r = grid.r
     f_s, g_s = f(r), g(r)
     if enforce_support:
         check_support(f_s, r, params.M - 1.0)
         check_support(g_s, r, params.M - 1.0)
+    return f_s, g_s
+
+
+def _data_coeffs(params, grid, f, g, enforce_support=True):
+    """Sine coefficients of the data w = r f and r g, after checking their support."""
+    f_s, g_s = _data_samples(params, grid, f, g, enforce_support)
     return (
         SpectralField.from_radial(grid, f_s).coeffs,
         SpectralField.from_radial(grid, g_s).coeffs,
@@ -106,10 +112,7 @@ def fd_oracle(
     m = params.m
     h = grid.h
     r = grid.r
-    f_s, g_s = f(r), g(r)
-    if enforce_support:
-        check_support(f_s, r, params.M - 1.0)
-        check_support(g_s, r, params.M - 1.0)
+    f_s, g_s = _data_samples(params, grid, f, g, enforce_support)
     dt = cfl * h / max(t_final, 1.0) ** (m / 2.0)
     nsteps = int(np.ceil(t_final / dt))
     dt = t_final / nsteps
@@ -133,12 +136,8 @@ def fd_oracle(
     last = snap_steps[-1]
     while step <= last:
         if step in snap_steps:
-            u = np.empty(grid.N + 1)
-            u[1:-1] = w_cur[1:-1] / r[1:-1]
-            u[0] = origin_value(w_cur[1:5], h)
-            u[-1] = 0.0
             out_times.append(step * dt)
-            out_snaps.append(u)
+            out_snaps.append(grid.u_from_w(w_cur[1:-1]))
         t = step * dt
         lap[1:-1] = (w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]) / (h * h)
         w_next = 2.0 * w_cur - w_prev + dt * dt * t**m * lap

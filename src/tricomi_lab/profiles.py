@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
+    "smooth_ramp",
     "bump",
     "annular_bump",
     "gaussian_truncated",
@@ -26,22 +27,26 @@ __all__ = [
 PROFILES = ("bump", "gaussian-truncated", "two-bump")
 
 
+def smooth_ramp(x):
+    """C-inf 0->1 transition on [0, 1] built from exp(-1/x): 0 for x <= 0, 1 for x >= 1.
+
+    Every smooth cutoff of the package is this one ramp: the switch chi of
+    the nonlinearity, the plateau of ``gaussian_truncated`` and the dyadic
+    plateau theta of the Littlewood-Paley partition.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+    b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+    return a / (a + b)
+
+
 def bump(radius: float, amplitude: float = 1.0):
     """C-inf bump A exp(1 - 1/(1 - (r/R)^2)) on r < R, zero outside; peak A at r=0."""
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        inside = np.abs(r) < radius
-        s2 = (r[inside] / radius) ** 2
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2))
-        return out
-
-    return f
+    return annular_bump(0.0, radius, amplitude)
 
 
 def annular_bump(center: float, width: float, amplitude: float = 1.0):
-    """C-inf bump of the same shape centered at r = center with half-width ``width``."""
+    """C-inf bump A exp(1 - 1/(1 - ((r - center)/width)^2)) on |r - center| < width, zero outside."""
 
     def f(r):
         r = np.asarray(r, dtype=float)
@@ -60,11 +65,11 @@ def gaussian_truncated(sigma: float, radius: float, amplitude: float = 1.0):
     The cutoff equals 1 on r <= radius/2, so with sigma <~ radius/4 the
     profile is a Gaussian to rounding and still genuinely supported.
     """
-    cut = _smooth_plateau(radius / 2.0, radius)
 
     def f(r):
         r = np.asarray(r, dtype=float)
-        return amplitude * np.exp(-(r * r) / (2.0 * sigma * sigma)) * cut(r)
+        cut = smooth_ramp((radius - r) / (radius / 2.0))
+        return amplitude * np.exp(-(r * r) / (2.0 * sigma * sigma)) * cut
 
     return f
 
@@ -86,25 +91,6 @@ def dilate(profile, sigma: float, m: int):
 
     def f(r):
         return profile(np.asarray(r, dtype=float) * s)
-
-    return f
-
-
-def _smooth_plateau(r1: float, r2: float):
-    """C-inf function equal to 1 on r <= r1 and 0 on r >= r2."""
-
-    def h(x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.exp(-1.0 / x[pos])
-        return out
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        x = (r2 - r) / (r2 - r1)
-        a = h(np.clip(x, 0.0, 1.0))
-        b = h(np.clip(1.0 - x, 0.0, 1.0))
-        return a / (a + b + 1e-300)
 
     return f
 

@@ -41,16 +41,16 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError, WindowError
-from .exponents import ModelParams, gamma_interval
+from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField
 from .linear import _characteristic, _data_coeffs, _weighted_integral, _weighted_integrals
+from .profiles import smooth_ramp
 from .symbols import symbol_matrix
 
 __all__ = [
     "BLOWUP_THRESHOLD",
     "NonlinearitySpec",
-    "StepControl",
     "RunOutcome",
     "PicardDiagnostics",
     "evaluate_nonlinearity",
@@ -59,14 +59,6 @@ __all__ = [
     "weighted_solution_norm",
     "sweep_p",
 ]
-
-
-def _smoothstep(x):
-    """C-inf 0->1 transition on [0, 1] built from exp(-1/x)."""
-    x = np.asarray(x, dtype=float)
-    a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-    b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return a / (a + b)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class NonlinearitySpec:
             return 0.0
         if t >= self.T0:
             return 1.0
-        return float(_smoothstep(np.array((t - self.T0 / 2.0) / (self.T0 / 2.0))))
+        return float(smooth_ramp((t - self.T0 / 2.0) / (self.T0 / 2.0)))
 
 
 def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
@@ -105,17 +97,6 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
 
 BLOWUP_THRESHOLD = 1e6  # sup|u| past which a march reports blowup
 _PICARD_BLOCK = 3  # Picard iterates marched together; chosen by measurement (CHANGES.md)
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Fixed-step control for the Duhamel march."""
-
-    dt: float
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError("dt > 0 required")
 
 
 @dataclass
@@ -257,21 +238,22 @@ def time_march(
     f,
     g,
     horizon: float,
-    control: StepControl,
+    dt: float,
     grid: RadialGrid,
     snapshot_times=None,
     store_midpoints: bool = False,
 ):
     """March the semilinear problem (the linear one with ``spec=None``) to the horizon.
 
-    The march stops with kind "blowup" at the first step midpoint where
+    The march takes ceil(horizon / dt) equal steps; ``dt`` is a number > 0,
+    as for ``picard_solve`` and ``sweep_p``.  The march stops with kind "blowup" at the first step midpoint where
     sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  Snapshot times are
     snapped to step boundaries.  Returns (RunOutcome, SpaceTimeField); when
     ``store_midpoints`` is set the field holds the midpoints of the accepted
     steps instead of the requested snapshots.  After a blowup these are
     len(norm_history) - 1 finite midpoints: the crossing step's is not kept.
     """
-    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     mids = []
 
@@ -306,7 +288,7 @@ def picard_solve(
     f,
     g,
     horizon: float,
-    control: StepControl,
+    dt: float,
     grid: RadialGrid,
     max_iters: int = 25,
     gamma: float | None = None,
@@ -337,7 +319,7 @@ def picard_solve(
         gamma = 0.5 * (lo + hi)
     q = params.p + 1.0
     kernel = _characteristic(params.m, WeightSpec(gamma=gamma, q=q, M=params.M))
-    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
     in_box = t_mid >= spec.T0 / 2.0
@@ -426,8 +408,6 @@ def weighted_solution_norm(field: SpaceTimeField, params: ModelParams, gamma: fl
     conformal power, where the window is a diagnostic rather than a
     theorem hypothesis).
     """
-    from .exponents import gamma_window_formula
-
     lo, hi = gamma_window_formula(params.m, params.n, params.p)
     if not (lo <= gamma <= hi):
         raise ParameterError(
@@ -446,7 +426,7 @@ def sweep_p(
     f,
     g,
     horizon: float,
-    control: StepControl,
+    dt: float,
     grid: RadialGrid,
     T0: float = 0.5,
 ):
@@ -458,8 +438,6 @@ def sweep_p(
     kind, blowup_time, final_sup, is_supercritical (p > p_crit),
     is_superconformal (p > p_conf), error.
     """
-    from .exponents import p_conf, p_crit
-
     pc = p_crit(params_base.m, params_base.n)
     pf = p_conf(params_base.m, params_base.n)
     rows, marching, specs = [], [], []  # marching: the rows of the valid powers
@@ -487,7 +465,7 @@ def sweep_p(
         return np.array([evaluate_nonlinearity(specs[b], tm, u) for b, u in zip(live, um)])
 
     try:
-        nsteps, _ = _steps(params_base, grid, horizon, control.dt)
+        nsteps, _ = _steps(params_base, grid, horizon, dt)
         fh, gh = _data_coeffs(params_base, grid, f, g)
         family = (len(specs), fh.size)
         hists, t_stops, _ = _march(

@@ -39,7 +39,7 @@ from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import RadialGrid, SpectralField
 from .linear import _characteristic, _data_coeffs, _snapshots, _weighted_integral
-from .profiles import annular_bump, bump, dilate
+from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _steps
 
 __all__ = [
@@ -417,11 +417,7 @@ class DyadicCutoff:
 
     @staticmethod
     def _theta(tau):
-        tau = np.asarray(tau, dtype=float)
-        x = np.clip(tau - 1.0, 0.0, 1.0)
-        a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-        return b / (a + b)
+        return smooth_ramp(2.0 - np.asarray(tau, dtype=float))
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)

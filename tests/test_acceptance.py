@@ -31,7 +31,6 @@ from tricomi_lab.linear import decay_slope, fd_oracle, solve_linear, weighted_fi
 from tricomi_lab.profiles import bump
 from tricomi_lab.semilinear import (
     NonlinearitySpec,
-    StepControl,
     picard_solve,
     time_march,
     weighted_solution_norm,
@@ -190,7 +189,7 @@ def test_criterion_06_semilinear_dichotomy():
     times_b = {}
     for dt in (2e-3, 1e-3):
         out, _ = time_march(
-            params_b, spec_b, f_b, f_b, 12.0, StepControl(dt=dt), grid_b,
+            params_b, spec_b, f_b, f_b, 12.0, dt, grid_b,
             snapshot_times=[12.0],
         )
         assert out.kind == "blowup", f"dt={dt}: expected blowup, got {out.kind}"
@@ -209,7 +208,7 @@ def test_criterion_06_semilinear_dichotomy():
     for N in (8192, 16384):
         grid_g = RadialGrid(680.0, N, transform="fft")
         out_g, fld_g = time_march(
-            params_g, spec_g, f_g, f_g, 100.0, StepControl(dt=0.02), grid_g,
+            params_g, spec_g, f_g, f_g, 100.0, 0.02, grid_g,
             snapshot_times=snap,
         )
         assert out_g.kind == "global-horizon"
@@ -233,14 +232,14 @@ def test_criterion_07_picard_contraction():
     spec = NonlinearitySpec(p=2.0, T0=0.5)
     grid = RadialGrid(64.0, 2048, transform="fft")
     f = lambda r: 1e-3 * bump(0.8)(r)
-    control = StepControl(dt=0.02)
-    diag, fld_pic = picard_solve(params, spec, f, f, 20.0, control, grid, max_iters=12)
+    dt = 0.02
+    diag, fld_pic = picard_solve(params, spec, f, f, 20.0, dt, grid, max_iters=12)
     assert diag.converged
     ratios = [b / a for a, b in zip(diag.N_seq, diag.N_seq[1:])]
     assert all(r < 0.9 for r in ratios), ratios
 
     _, fld_march = time_march(
-        params, spec, f, f, 20.0, control, grid, store_midpoints=True
+        params, spec, f, f, 20.0, dt, grid, store_midpoints=True
     )
     from tricomi_lab.geometry import WeightSpec
 

@@ -402,10 +402,10 @@ class TestBadInput:
 
         assert self._run(tmp_path, edit) == 0
         defaults = parse_config(json.dumps({"scenario": "solve-semilinear"})).data["semilinear"]
-        assert _snapshot_times(defaults, 1.0, step=0.05)[0] == 0.05
+        assert _snapshot_times(defaults, 1.0, dt=0.05)[0] == 0.05
         # where horizon / 100 >= dt the snapshot times stay as they were
-        assert np.array_equal(_snapshot_times(defaults, 1.0, step=0.01), np.geomspace(0.01, 1.0, 16))
-        assert np.array_equal(_snapshot_times(defaults, 20.0, step=0.01), np.geomspace(0.2, 20.0, 16))
+        assert np.array_equal(_snapshot_times(defaults, 1.0, dt=0.01), np.geomspace(0.01, 1.0, 16))
+        assert np.array_equal(_snapshot_times(defaults, 20.0, dt=0.01), np.geomspace(0.2, 20.0, 16))
 
     def test_picard_non_finite_norm_exit_3(self, tmp_path, capsys):
         def edit(cfg):
@@ -569,6 +569,11 @@ class TestSchemaLimits:
             ("solve-linear", {"linear.t_start": 2.0}, "linear.t_start must be before the final time 2.0, got 2.0"),
             ("solve-semilinear", {"semilinear.t_start": 5.0, "semilinear.horizon": 2.0},
              "semilinear.t_start must be before the final time 2.0, got 5.0"),
+            # a start that snaps to step 0 of the march's step horizon / ceil(horizon / dt) = 0.05
+            ("solve-semilinear", {"semilinear.t_start": 0.01},
+             "semilinear.t_start must not round to step 0 of the march (step 0.05), got 0.01"),
+            ("solve-semilinear", {"semilinear.t_start": 0.12, "semilinear.dt": 0.3},
+             "semilinear.t_start must not round to step 0 of the march (step 0.25), got 0.12"),
         ],
     )
     def test_snapshot_start_past_the_end(self, tmp_path, capsys, scenario, edits, message):

@@ -1,5 +1,7 @@
 """Semilinear machinery: nonlinearity blend, Duhamel march, Picard, sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from tricomi_lab.semilinear import (
     BLOWUP_THRESHOLD,
     NonlinearitySpec,
     PicardDiagnostics,
-    StepControl,
     _march,
     _steps,
     evaluate_nonlinearity,
@@ -29,12 +30,12 @@ def zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
-def sequential_picard(params, spec, f, g, horizon, control, grid, max_iters=25, tol=1e-6):
+def sequential_picard(params, spec, f, g, horizon, dt, grid, max_iters=25, tol=1e-6):
     """Oracle: one whole march per Picard iterate, with the divergence rules of picard_solve."""
     lo, hi = gamma_interval(params)
     q = params.p + 1.0
     wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
-    nsteps, dt = _steps(params, grid, horizon, control.dt)
+    nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
     mask = t_mid >= spec.T0 / 2.0
@@ -116,6 +117,16 @@ class TestNonlinearity:
         vals = np.abs(evaluate_nonlinearity(spec, 0.1, u))
         assert np.all(vals <= 1.001 * (1.0 + np.abs(u)) ** (spec.p - 1.0) * np.abs(u) + 1e-12)
 
+    @pytest.mark.parametrize("T0", [0.2, 0.5, 0.9])
+    def test_chi_switches_on_between_T0_half_and_T0(self, T0):
+        spec = NonlinearitySpec(p=2.0, T0=T0)
+        assert [spec.chi(t) for t in (0.0, T0 / 4.0, T0 / 2.0)] == [0.0, 0.0, 0.0]
+        assert [spec.chi(t) for t in (T0, 1.0, 7.0)] == [1.0, 1.0, 1.0]
+        # closer to T0/2 or T0 than this the ramp rounds to exactly 0 or 1
+        t = T0 / 2.0 * (1.0 + np.linspace(0.01, 0.95, 500))
+        vals = np.array([spec.chi(float(s)) for s in t])
+        assert 0.0 < vals[0] and vals[-1] < 1.0 and np.all(np.diff(vals) > 0.0)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             NonlinearitySpec(p=0.9)
@@ -129,7 +140,7 @@ class TestTimeMarch:
         grid = RadialGrid(20.0, 256)
         out, fld = time_march(
             params, NonlinearitySpec(p=2.0), zero, zero, 5.0,
-            StepControl(dt=0.05), grid, snapshot_times=[5.0],
+            0.05, grid, snapshot_times=[5.0],
         )
         assert out.kind == "global-horizon"
         assert np.all(fld.u == 0.0)
@@ -139,7 +150,7 @@ class TestTimeMarch:
         grid = RadialGrid(25.0, 1024)
         f = bump(0.8)
         out, fld = time_march(
-            params, None, f, zero, 10.0, StepControl(dt=0.05), grid,
+            params, None, f, zero, 10.0, 0.05, grid,
             snapshot_times=[5.0, 10.0],
         )
         ref = solve_linear(params, f, zero, fld.times, grid)
@@ -153,7 +164,7 @@ class TestTimeMarch:
         f = lambda r: 0.5 * 256.0 * bump(0.8)(r)
         out, _ = time_march(
             params, NonlinearitySpec(p=1.3), f, f, 6.5,
-            StepControl(dt=2e-3), grid, snapshot_times=[6.5],
+            2e-3, grid, snapshot_times=[6.5],
         )
         assert out.kind == "blowup"
         assert out.blowup_time is not None and 0.0 < out.blowup_time < 6.5
@@ -164,7 +175,7 @@ class TestTimeMarch:
         f = lambda r: 0.5 * 256.0 * bump(0.8)(r)
         out, fld = time_march(
             params, NonlinearitySpec(p=3.5), f, f, 1.0,
-            StepControl(dt=5e-3), grid, store_midpoints=True,
+            5e-3, grid, store_midpoints=True,
         )
         assert out.kind == "blowup"
         assert fld.u.shape == (len(out.norm_history) - 1, grid.N + 1)
@@ -179,7 +190,7 @@ class TestTimeMarch:
 
         with pytest.raises(GridError):
             time_march(
-                params, None, zero, zero, 2.0, StepControl(dt=0.05), grid,
+                params, None, zero, zero, 2.0, 0.05, grid,
                 snapshot_times=[3.0],
             )
 
@@ -222,7 +233,7 @@ class TestPicard:
         grid = RadialGrid(20.0, 256)
         diag, fld = picard_solve(
             params, NonlinearitySpec(p=2.0), zero, zero, 3.0,
-            StepControl(dt=0.05), grid,
+            0.05, grid,
         )
         assert diag.converged and diag.iterations == 1
         assert np.all(fld.u == 0.0)
@@ -233,7 +244,7 @@ class TestPicard:
         f = lambda r: 1e-3 * bump(0.8)(r)
         diag, _ = picard_solve(
             params, NonlinearitySpec(p=2.0), f, f, 10.0,
-            StepControl(dt=0.02), grid, max_iters=10,
+            0.02, grid, max_iters=10,
         )
         assert diag.converged
         ratios = [b / a for a, b in zip(diag.N_seq, diag.N_seq[1:])]
@@ -245,7 +256,7 @@ class TestPicard:
         with pytest.raises(ParameterError, match="exponent out of range"):
             picard_solve(
                 params, NonlinearitySpec(p=5.0), zero, zero, 2.0,
-                StepControl(dt=0.05), grid,
+                0.05, grid,
             )
 
     def test_divergence_reported_with_diagnostics(self):
@@ -256,7 +267,7 @@ class TestPicard:
         with pytest.raises(PicardDivergenceError) as exc_info:
             picard_solve(
                 params, NonlinearitySpec(p=2.0), f, f, 8.0,
-                StepControl(dt=0.02), grid, max_iters=12,
+                0.02, grid, max_iters=12,
             )
         diag = exc_info.value.diagnostics
         assert diag is not None and len(diag.N_seq) >= 1
@@ -282,7 +293,7 @@ class TestPicard:
     def test_pipelined_equals_sequential(self, case, monkeypatch):
         params, f, (r_max, N), horizon, max_iters, expect, marches = self.PIPELINE_CASES[case]
         grid = RadialGrid(r_max, N, transform="fft")
-        args = (params, NonlinearitySpec(p=2.0), f, f, horizon, StepControl(dt=0.02), grid)
+        args = (params, NonlinearitySpec(p=2.0), f, f, horizon, 0.02, grid)
 
         def outcome(solve):
             try:
@@ -317,7 +328,7 @@ class TestPicard:
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
         with pytest.raises(ParameterError, match="max_iters >= 1"):
             picard_solve(
-                params, NonlinearitySpec(p=2.0), zero, zero, 1.0, StepControl(dt=0.05),
+                params, NonlinearitySpec(p=2.0), zero, zero, 1.0, 0.05,
                 RadialGrid(20.0, 256), max_iters=max_iters,
             )
 
@@ -345,11 +356,30 @@ class TestWeightedSolutionNorm:
             weighted_solution_norm(fld, params, 0.5)
 
 
+class TestStepCheck:
+    """``dt`` is a plain number, checked once where the march takes its steps."""
+
+    PARAMS, GRID = ModelParams(1, 3, 2.0, eps=1.0, M=2.0), RadialGrid(20.0, 256)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("solve", [time_march, picard_solve], ids=["march", "picard"])
+    def test_solver_names_the_bad_step(self, solve, dt):
+        with pytest.raises(ParameterError, match=re.escape(f"dt > 0 required, got {dt}")):
+            solve(self.PARAMS, NonlinearitySpec(p=2.0), zero, zero, 1.0, dt, self.GRID)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_sweep_records_it_in_every_valid_row(self, dt):
+        rows = sweep_p(self.PARAMS, [2.0, 0.9, 3.0], zero, zero, 1.0, dt, self.GRID)
+        assert [row["error"] for row in rows[::2]] == [f"ParameterError: dt > 0 required, got {dt}"] * 2
+        assert rows[1]["error"].startswith("ParameterError") and "dt" not in rows[1]["error"]
+        assert all(row["kind"] is None for row in rows)
+
+
 class TestSweep:
     def test_empty_grid(self):
         params = ModelParams(1, 3, 2.0, eps=0.5, M=2.0)
         grid = RadialGrid(12.0, 256)
-        rows = sweep_p(params, [], zero, zero, 2.0, StepControl(dt=0.05), grid)
+        rows = sweep_p(params, [], zero, zero, 2.0, 0.05, grid)
         assert rows == []
 
     def test_markers_and_rows(self):
@@ -357,7 +387,7 @@ class TestSweep:
         grid = RadialGrid(14.0, 512, transform="fft")
         f = lambda r: 0.5 * 4.0 * bump(0.8)(r)
         rows = sweep_p(
-            params, [1.3, 2.5], f, f, 5.0, StepControl(dt=5e-3), grid
+            params, [1.3, 2.5], f, f, 5.0, 5e-3, grid
         )
         assert not rows[0]["is_supercritical"] and rows[1]["is_superconformal"]
         assert all(row["kind"] in ("blowup", "global-horizon") for row in rows)
@@ -373,7 +403,7 @@ class TestSweep:
         for eps in (0.3, 0.15):
             params = ModelParams(1, 3, 2.0, eps=eps, M=2.0)
             f = lambda r: eps * 32.0 * bump(0.8)(r)
-            rows = sweep_p(params, p_grid, f, f, 10.0, StepControl(dt=5e-3), grid)
+            rows = sweep_p(params, p_grid, f, f, 10.0, 5e-3, grid)
             blowup_sets.append({row["p"] for row in rows if row["kind"] == "blowup"})
         assert blowup_sets[1] <= blowup_sets[0]
         assert len(blowup_sets[1]) < len(blowup_sets[0])
@@ -383,12 +413,12 @@ class TestSweep:
         params = ModelParams(1, 3, 2.0, eps=0.3, M=2.0)
         grid = RadialGrid(20.0, 512, transform="fft")
         f = bump(0.95, 0.3 * 32.0)
-        p_grid, control = [0.9, 1.5, 2.0, 3.0], StepControl(dt=5e-3)
+        p_grid, dt = [0.9, 1.5, 2.0, 3.0], 5e-3
         marches = []
         monkeypatch.setattr(
             semilinear, "_march", lambda *a, _f=semilinear._march: marches.append(a) or _f(*a)
         )
-        rows = sweep_p(params, p_grid, f, f, 3.0, control, grid)
+        rows = sweep_p(params, p_grid, f, f, 3.0, dt, grid)
         monkeypatch.undo()
         assert len(marches) == 1
         want = []
@@ -397,7 +427,7 @@ class TestSweep:
                    "is_supercritical": p > p_crit(1, 3), "is_superconformal": p > p_conf(1, 3), "error": ""}
             try:
                 params_p = ModelParams(1, 3, p, 0.3, 2.0)
-                out, _ = time_march(params_p, NonlinearitySpec(p=p), f, f, 3.0, control, grid)
+                out, _ = time_march(params_p, NonlinearitySpec(p=p), f, f, 3.0, dt, grid)
                 row.update(kind=out.kind, blowup_time=out.blowup_time, final_sup=out.norm_history[-1][1])
             except ParameterError as exc:
                 row["error"] = f"ParameterError: {exc}"
@@ -408,7 +438,7 @@ class TestSweep:
     def test_errors_recorded_per_row(self):
         params = ModelParams(1, 3, 2.0, eps=0.5, M=2.0)
         grid = RadialGrid(5.0, 256)  # too small for the horizon: per-row error
-        rows = sweep_p(params, [2.0], zero, zero, 5.0, StepControl(dt=0.05), grid)
+        rows = sweep_p(params, [2.0], zero, zero, 5.0, 0.05, grid)
         assert rows[0]["error"] != ""
 
     def test_programming_errors_propagate(self):
@@ -419,4 +449,4 @@ class TestSweep:
         params = ModelParams(1, 3, 2.0, eps=0.5, M=2.0)
         grid = RadialGrid(12.0, 256)
         with pytest.raises(RuntimeError, match="broken data callable"):
-            sweep_p(params, [2.0], broken, zero, 2.0, StepControl(dt=0.05), grid)
+            sweep_p(params, [2.0], broken, zero, 2.0, 0.05, grid)
