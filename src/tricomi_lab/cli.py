@@ -51,6 +51,7 @@ from .linear import solve_linear
 from .profiles import bump, make_profile
 from .semilinear import (
     NonlinearitySpec,
+    _step_count,
     picard_solve,
     sweep_p,
     time_march,
@@ -164,7 +165,7 @@ def _snapshot_times(section: dict, t_final: float, name: str = "linear", dt: flo
 
     The default start is never before ``min(dt, t_final)``, and its 1e-3 floor holds only
     where that is before ``t_final``.  A given start must be before ``t_final`` and must not
-    round to step 0 of the march, whose steps are t_final / ceil(t_final / dt) long.
+    round to step 0 of the march, whose steps are t_final / _step_count(t_final, dt) long.
     """
     t_start = section["t_start"]
     if t_start is None:
@@ -173,7 +174,7 @@ def _snapshot_times(section: dict, t_final: float, name: str = "linear", dt: flo
     elif t_start >= t_final:
         raise ParameterError(f"{name}.t_start must be before the final time {t_final!r}, got {t_start!r}")
     elif dt is not None:
-        step = t_final / np.ceil(t_final / dt)  # semilinear._march snaps a time t to step round(t / step)
+        step = t_final / _step_count(t_final, dt)  # semilinear._march snaps a time t to step round(t / step)
         if round(t_start / step) == 0:
             raise ParameterError(
                 f"{name}.t_start must not round to step 0 of the march (step {step:.6g}), got {t_start!r}"

@@ -5,12 +5,14 @@ multiplier symbols (V1 for the data, V2 for the velocity); there is no time
 stepping and no stability constraint, so snapshots at arbitrary times cost
 one transform each.  The same snapshots for a stacked family of data come
 from one symbol evaluation per time shared by all members (the Strichartz
-probes run their families that way).
+probes run their families that way), taken from one ``symbol_stream`` that
+evaluates several times per kernel call.
 
 ``fd_oracle`` is the independent verification path: a method-of-lines
 leapfrog on w_tt = t^m w_rr with the degeneracy-aware Taylor start and a
-time step bounded by the final wave speed t_final^(m/2).  It is second
-order by construction; acceptance comparisons run it on a refined grid.
+time step bounded by the final wave speed t_final^(m/2), stepped in place
+in three rotating buffers.  It is second order by construction; acceptance
+comparisons run it on a refined grid.
 
 ``decay_slope`` fits the sup-norm decay exponent against log phi(t) (the
 proved rate is -(n-1)/2 - m/(2(m+2))), and ``weighted_field_norm``
@@ -26,7 +28,7 @@ from .errors import InstabilityError, ParameterError
 from .exponents import ModelParams
 from .geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support
-from .symbols import symbol_matrix
+from .symbols import symbol_stream
 
 __all__ = [
     "solve_linear",
@@ -80,11 +82,10 @@ def _data_coeffs(params, grid, f, g, enforce_support=True):
 def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
     """Yield the radial solution at each time, for coefficients (N-1,) or a (B, N-1) family.
 
-    The symbols are evaluated once per time and shared by every member;
-    each yielded array has shape (N+1,) or (B, N+1).
+    The symbols come from one :func:`symbol_stream`, once per time, shared
+    by every member; each yielded array has shape (N+1,) or (B, N+1).
     """
-    for t in times:
-        v1, v2 = symbol_matrix(m, float(t), grid.lam, derivatives=False)
+    for v1, v2 in symbol_stream(m, times, grid.lam, derivatives=False):
         yield SpectralField(grid, v1 * fh + v2 * gh).to_radial()
 
 
@@ -134,15 +135,24 @@ def fd_oracle(
     out_times, out_snaps = [], []
     step = 1
     last = snap_steps[-1]
+    inner, w_next = lap[1:-1], np.empty_like(w_cur)
     while step <= last:
         if step in snap_steps:
             out_times.append(step * dt)
             out_snaps.append(grid.u_from_w(w_cur[1:-1]))
         t = step * dt
-        lap[1:-1] = (w_cur[2:] - 2.0 * w_cur[1:-1] + w_cur[:-2]) / (h * h)
-        w_next = 2.0 * w_cur - w_prev + dt * dt * t**m * lap
+        # in place, in the order of lap = (w[2:] - 2 w + w[:-2]) / h^2 and
+        # w_next = 2 w - w_prev + (dt^2 t^m) lap, so every value keeps its bits
+        np.multiply(w_cur[1:-1], 2.0, out=inner)
+        np.subtract(w_cur[2:], inner, out=inner)
+        inner += w_cur[:-2]
+        inner /= h * h
+        np.multiply(w_cur, 2.0, out=w_next)
+        w_next -= w_prev
+        lap *= dt * dt * t**m
+        w_next += lap
         w_next[0] = w_next[-1] = 0.0
-        w_prev, w_cur = w_cur, w_next
+        w_prev, w_cur, w_next = w_cur, w_next, w_prev
         step += 1
         if step % 256 == 0:
             cur = float(np.sqrt(np.sum(w_cur**2)))

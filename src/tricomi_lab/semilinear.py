@@ -14,11 +14,15 @@ coefficient advances by the exact 2x2 propagator of v'' + t^m lambda^2 v = 0
 second-order scheme whose linear part is exact at any dt.  The midpoint
 enters only through its values V1 and V2 (the field u_mid and the source's
 Duhamel weights), so the symbols there are evaluated without derivatives,
-from two Bessel orders instead of four.  One function,
-``_march``, runs this scheme for ``time_march``, ``picard_solve``,
-``sweep_p`` and the inhomogeneous Strichartz probe, on one field or a family
-of them that shares every symbol evaluation.  A family member whose sup|u|
-crosses the threshold stops alone; the others march on with unchanged bits.
+from two Bessel orders instead of four.  The step times are known before
+the march starts, so the symbols come from two ``symbols.symbol_stream``
+generators, one over the step ends and one over the midpoints, each
+evaluating several steps per kernel call with the bits of one-step calls.
+One function, ``_march``, runs this scheme for ``time_march``,
+``picard_solve``, ``sweep_p`` and the inhomogeneous Strichartz probe, on one
+field or a family of them that shares every symbol evaluation.  A family
+member whose sup|u| crosses the threshold stops alone; the others march on
+with unchanged bits.
 Blowup is a result, not an error: ``time_march`` reports kind "blowup" with
 the first midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or
 goes non-finite, and "global-horizon" otherwise.  ``sweep_p`` marches all
@@ -36,6 +40,7 @@ marching them one after another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -46,7 +51,7 @@ from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField
 from .linear import _characteristic, _data_coeffs, _weighted_integral, _weighted_integrals
 from .profiles import smooth_ramp
-from .symbols import symbol_matrix
+from .symbols import symbol_stream
 
 __all__ = [
     "BLOWUP_THRESHOLD",
@@ -119,12 +124,22 @@ class PicardDiagnostics:
     iterations: int
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Steps of the march to ``horizon``: ceil(horizon / dt), or round(horizon / dt) when that
+    many steps of ``dt`` reach the horizon to a few ulps (0.9 / 0.03 = 30.000000000000004
+    gives 30 steps, not 31)."""
+    n = round(horizon / dt)
+    if abs(n * dt - horizon) <= 4.0 * math.ulp(horizon):
+        return n
+    return math.ceil(horizon / dt)
+
+
 def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
     """(nsteps, dt) of the fixed-step march to ``horizon``, after the wall check."""
     if not dt > 0:
         raise ParameterError(f"dt > 0 required, got {dt}")
     grid.validate_horizon(params.m, params.M, horizon)
-    nsteps = int(np.ceil(horizon / dt))
+    nsteps = _step_count(horizon, dt)
     return nsteps, horizon / nsteps
 
 
@@ -132,9 +147,11 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
     """Midpoint-frozen Duhamel march of the sine coefficients (cv, cd) to ``horizon``.
 
     The coefficients are (N-1,) for one field, member 0, or (B, N-1) for a
-    family of B members that shares every symbol evaluation.  A member stops
-    at the first midpoint where its sup|u| exceeds ``threshold`` or is not
-    finite; the others march on, each with the bits it would have alone.
+    family of B members that shares every symbol evaluation.  The symbols of
+    the step ends 0, dt, ..., horizon and of the midpoints come from one
+    :func:`symbol_stream` each.  A member stops at the first midpoint where
+    its sup|u| exceeds ``threshold`` or is not finite; the others march on,
+    each with the bits it would have alone.
     ``source(i, t_mid, u_mid, live)`` gets step i's midpoint field of the
     members still marching, whose indices are the list ``live``, and returns
     their radial source samples frozen over the step (None for source-free).
@@ -158,14 +175,14 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
     live = list(range(len(cv) if cv.ndim == 2 else 1))
     hists, t_stops = [[] for _ in live], [None for _ in live]
     limit = min(threshold, np.finfo(float).max)  # sup <= limit also fails for inf and NaN
-    sym_prev = symbol_matrix(m, 0.0, lam)
+    t_end = [min(k * dt, horizon) for k in range(nsteps + 1)]
+    t_mid = [0.5 * (t1 + t2) for t1, t2 in zip(t_end, t_end[1:])]
+    ends = symbol_stream(m, t_end, lam)
+    mids = symbol_stream(m, t_mid, lam, derivatives=False)
+    sym_prev = next(ends)
     kept = []
-    for i in range(nsteps):
-        t1 = i * dt
-        t2 = min((i + 1) * dt, horizon)
-        tm = 0.5 * (t1 + t2)
-        sym_mid = symbol_matrix(m, tm, lam, derivatives=False)
-        sym_next = symbol_matrix(m, t2, lam)
+    for i, (sym_mid, sym_next) in enumerate(zip(mids, ends)):
+        t1, t2, tm = t_end[i], t_end[i + 1], t_mid[i]
         A1, B1 = _trans_row(sym_prev, sym_mid)
         um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
         sup = np.atleast_1d(np.abs(um).max(axis=-1))
@@ -245,8 +262,9 @@ def time_march(
 ):
     """March the semilinear problem (the linear one with ``spec=None``) to the horizon.
 
-    The march takes ceil(horizon / dt) equal steps; ``dt`` is a number > 0,
-    as for ``picard_solve`` and ``sweep_p``.  The march stops with kind "blowup" at the first step midpoint where
+    The march takes ceil(horizon / dt) equal steps, or horizon / dt when ``dt``
+    divides the horizon to a few ulps; ``dt`` is a number > 0, as for
+    ``picard_solve`` and ``sweep_p``.  The march stops with kind "blowup" at the first step midpoint where
     sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  Snapshot times are
     snapped to step boundaries.  Returns (RunOutcome, SpaceTimeField); when
     ``store_midpoints`` is set the field holds the midpoints of the accepted

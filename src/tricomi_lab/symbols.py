@@ -29,22 +29,27 @@ expansion beyond, both with fixed truncations and good to about 1e-12).
 Pochhammer ratios are always accumulated incrementally, never via Gamma
 quotients.
 
-The solver-facing entry point is :func:`symbol_matrix`, which evaluates
-(V1, V2, V1', V2') vectorized over a frequency array via the Bessel route,
-all its Bessel orders in one pass of one kernel.  The values V1 and V2 need
-only J_(-nu) and J_(+nu), which share one Hankel P/Q pair; the derivatives
-add J_(1-nu) and J_(1+nu).  Callers that read the values only (snapshots,
-step midpoints) pass ``derivatives=False`` and get (V1, V2) from the two
-orders.  The kernel's per-order constants (series coefficients, reciprocal
-gammas, Hankel a_k, cos/sin(nu pi/2)) are computed once per order tuple and
-cached.  The Wronskian V1 V2' - V1' V2 is identically 1 (no first-order term
-in the mode ODE), which the stepper relies on, and is met to about 1e-11 in
-floating point.
+The solver-facing entry point is :func:`symbol_stream`, which yields
+(V1, V2, V1', V2') at each of a sequence of times, vectorized over a
+frequency array via the Bessel route, all its Bessel orders in one pass of
+one kernel.  The kernel call has a fixed cost that dwarfs a small grid's
+work, so the stream evaluates the next K = _SYMBOL_BLOCK_ELEMENTS // n times
+of an n-frequency grid in one call, and each row keeps the bits of a
+one-time evaluation; :func:`symbol_matrix` is the one-time case.  The
+values V1 and V2 need only J_(-nu) and J_(+nu), which share one Hankel P/Q
+pair; the derivatives add J_(1-nu) and J_(1+nu).  Callers that read the
+values only (snapshots, step midpoints) pass ``derivatives=False`` and get
+(V1, V2) from the two orders.  The kernel's per-order constants (series
+coefficients, reciprocal gammas, Hankel a_k, cos/sin(nu pi/2)) are computed
+once per order tuple and cached.  The Wronskian V1 V2' - V1' V2 is
+identically 1 (no first-order term in the mode ODE), which the stepper
+relies on, and is met to about 1e-11 in floating point.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +68,7 @@ __all__ = [
     "v1_symbol",
     "v2_symbol",
     "symbol_matrix",
+    "symbol_stream",
     "evolve_mode",
     "evolve_mode_many",
     "amplitude_envelope_bound",
@@ -81,6 +87,9 @@ W_SWITCH = 12.25
 # rounding up to w = 20; the Hankel expansion keeps a_0 .. a_23.
 _SERIES_TERMS = 40
 _HANKEL_TERMS = 12
+# Elements per kernel call of symbol_stream: K = this // lam.size times at once.
+# Chosen by measurement against peak RSS (CHANGES.md); 16384 cost 7% more.
+_SYMBOL_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -363,20 +372,40 @@ def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     return complex(t * math.gamma(1.0 + nu) * (0.5 * w) ** (-nu) * bessel_j(nu, w))
 
 
-def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True):
-    """(V1, V2, V1', V2') at time t for an array of frequencies, Bessel route.
+def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
+    """Yield (V1, V2, V1', V2') at each of ``times`` in order, for an array of frequencies.
 
-    This is the solver's hot path: four real arrays whose 2x2 mode
-    propagator has unit Wronskian.  The values V1 and V2 need the orders
-    -nu and nu only; the derivatives add 1-nu and 1+nu through
+    This is the solvers' hot path: four real arrays per time whose 2x2 mode
+    propagator has unit Wronskian, Bessel route.  The values V1 and V2 need
+    the orders -nu and nu only; the derivatives add 1-nu and 1+nu through
     d/dw [w^nu J_(-nu)] = -w^nu J_(1-nu) and d/dw [w^-nu J_nu] = -w^-nu J_(nu+1)
     with dw/dt = t^(m/2) lambda.  With ``derivatives=False`` only (V1, V2)
-    are returned, from those two orders, bit-identical to the first two
-    arrays of the full call.
+    are yielded, from those two orders, bit-identical to the first two
+    arrays of the full evaluation.
+
+    The kernel's cost per call is mostly fixed, so the next
+    K = _SYMBOL_BLOCK_ELEMENTS // lam.size times go through one kernel call
+    on a (K, lam.size) array.  Every element depends on its own w only, and
+    the per-time scalars (phi(t), t c2, t^(m/2), the w = 0 limits) are formed
+    per time as Python floats, so each yielded row has the bits of a
+    one-time call.  ``times`` may be any iterable; it is read K at a time.
     """
     lam = np.asarray(lam, dtype=float)
+    block = max(1, _SYMBOL_BLOCK_ELEMENTS // max(lam.size, 1))
+    times = iter(times)
+    while ts := [float(t) for t in itertools.islice(times, block)]:
+        yield from zip(*_symbol_block(m, ts, lam, derivatives))
+
+
+def _symbol_block(m: int, ts: list, lam: np.ndarray, derivatives: bool) -> tuple:
+    """The symbols of :func:`symbol_stream` at the times ``ts``, one row per time, in one kernel call.
+
+    A function of its own, so that the stream holds none of its temporaries
+    while the caller works on the rows.
+    """
     nu = 1.0 / (m + 2.0)
-    w = phi(m, t) * lam
+    w = np.stack([phi(m, t) * lam for t in ts])
+    col = (len(ts),) + (1,) * lam.ndim  # one per-time scalar for each row
     zero = w == 0.0
     if zero.any():  # (w/2)^(-nu) is infinite there; the w -> 0 limits are set below
         w = np.where(zero, 1.0, w)
@@ -386,13 +415,20 @@ def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True
     c2 = math.gamma(1.0 + nu)
     half_pow = (0.5 * w) ** nu
     inv_half_pow = (0.5 * w) ** (-nu)
-    out = (c1 * half_pow * j[0], t * c2 * inv_half_pow * j[1])
+    t_c2 = np.array([t * c2 for t in ts]).reshape(col)
+    out = (c1 * half_pow * j[0], t_c2 * inv_half_pow * j[1])
     if derivatives:
-        dw = t ** (m / 2.0) * lam
+        dw = np.array([t ** (m / 2.0) for t in ts]).reshape(col) * lam
         out += (-c1 * half_pow * j[2] * dw, c2 * inv_half_pow * (j[1] - w / (2.0 * nu) * j[3]))
     if zero.any():
-        return tuple(np.where(zero, limit, v) for limit, v in zip((1.0, t, 0.0, 1.0), out))
+        limits = (1.0, np.array(ts).reshape(col), 0.0, 1.0)
+        out = tuple(np.where(zero, limit, v) for limit, v in zip(limits, out))
     return out
+
+
+def symbol_matrix(m: int, t: float, lam: np.ndarray, *, derivatives: bool = True):
+    """(V1, V2, V1', V2') at one time t: the one-row case of :func:`symbol_stream`."""
+    return next(symbol_stream(m, (t,), lam, derivatives=derivatives))
 
 
 def amplitude_envelope_bound(m: int, t, lam):

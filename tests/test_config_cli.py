@@ -569,11 +569,14 @@ class TestSchemaLimits:
             ("solve-linear", {"linear.t_start": 2.0}, "linear.t_start must be before the final time 2.0, got 2.0"),
             ("solve-semilinear", {"semilinear.t_start": 5.0, "semilinear.horizon": 2.0},
              "semilinear.t_start must be before the final time 2.0, got 5.0"),
-            # a start that snaps to step 0 of the march's step horizon / ceil(horizon / dt) = 0.05
+            # a start that snaps to step 0 of the march's step horizon / _step_count(horizon, dt) = 0.05
             ("solve-semilinear", {"semilinear.t_start": 0.01},
              "semilinear.t_start must not round to step 0 of the march (step 0.05), got 0.01"),
             ("solve-semilinear", {"semilinear.t_start": 0.12, "semilinear.dt": 0.3},
              "semilinear.t_start must not round to step 0 of the march (step 0.25), got 0.12"),
+            # dt divides the horizon: 30 steps of 0.03, although 0.9 / 0.03 > 30 in floating point
+            ("solve-semilinear", {"semilinear.t_start": 0.0148, "semilinear.horizon": 0.9, "semilinear.dt": 0.03},
+             "semilinear.t_start must not round to step 0 of the march (step 0.03), got 0.0148"),
         ],
     )
     def test_snapshot_start_past_the_end(self, tmp_path, capsys, scenario, edits, message):

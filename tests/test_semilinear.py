@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tricomi_lab.semilinear as semilinear
+import tricomi_lab.symbols as symbols
 from tricomi_lab.errors import ParameterError, PicardDivergenceError
 from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
 from tricomi_lab.geometry import WeightSpec
@@ -17,6 +18,7 @@ from tricomi_lab.semilinear import (
     NonlinearitySpec,
     PicardDiagnostics,
     _march,
+    _step_count,
     _steps,
     evaluate_nonlinearity,
     picard_solve,
@@ -227,6 +229,49 @@ class TestMarchFamily:
                 assert all(np.array_equal(u[row], v) for (_, u), (_, v) in zip(kept, alone))
 
 
+class TestSymbolBlocks:
+    """The march takes K = 8192 // (N-1) step times per symbol kernel call (K = 32 at N = 256);
+    one time per call (K = 1) must give the same bits."""
+
+    PARAMS, GRID, K = ModelParams(1, 3, 2.5, eps=1.0, M=2.0), RadialGrid(40.0, 256), 32
+
+    def march(self, amps, horizon, dt, keep=()):
+        spec = NonlinearitySpec(p=2.5)
+        nsteps, step = _steps(self.PARAMS, self.GRID, horizon, dt)
+        coeffs = [_data_coeffs(self.PARAMS, self.GRID, bump(1.0, a), bump(1.0, a)) for a in amps]
+        fh, gh = (np.array(c) for c in zip(*coeffs))
+        hists, t_stops, kept = _march(
+            1, self.GRID, horizon, nsteps, fh, gh,
+            lambda i, tm, um, live: evaluate_nonlinearity(spec, tm, um), BLOWUP_THRESHOLD,
+            [k * step for k in keep],
+        )
+        bits = [np.array(h).tobytes() for h in hists], t_stops, [(t, u.tobytes()) for t, u in kept]
+        return bits, nsteps, hists
+
+    # (amplitudes, horizon, dt, keep steps)
+    CASES = {
+        "ragged-last-block": ((1.0, 0.5), 1.0, 0.0222, ()),
+        "blowup-mid-block": ((1.0, 10.0), 1.0, 0.01, ()),
+        "all-stop-mid-block": ((10.0,), 1.0, 0.01, ()),
+        "keep-on-block-edges": ((1.0, 0.5), 1.0, 0.01, (31, 32, 33, 63, 64, 65)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocked_march_equals_one_time_per_call(self, case, monkeypatch):
+        amps, horizon, dt, keep = self.CASES[case]
+        assert symbols._SYMBOL_BLOCK_ELEMENTS // (self.GRID.N - 1) == self.K
+        blocked, nsteps, hists = self.march(amps, horizon, dt, keep)
+        monkeypatch.setattr(symbols, "_SYMBOL_BLOCK_ELEMENTS", 1)
+        assert self.march(amps, horizon, dt, keep)[0] == blocked
+        if case == "ragged-last-block":
+            assert nsteps == 46 and nsteps % self.K
+        elif "mid-block" in case:
+            stopped = [len(h) for h, t in zip(hists, blocked[1]) if t is not None]
+            assert stopped == [40] and 1 < stopped[0] % self.K < self.K - 1  # step index 39
+        else:
+            assert [t for t, _ in blocked[2]] == [k * dt for k in keep]
+
+
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
@@ -290,7 +335,7 @@ class TestPicard:
     }
 
     @pytest.mark.parametrize("case", PIPELINE_CASES)
-    def test_pipelined_equals_sequential(self, case, monkeypatch):
+    def test_pipelined_equals_sequential(self, case, monkeypatch, symbol_rows):
         params, f, (r_max, N), horizon, max_iters, expect, marches = self.PIPELINE_CASES[case]
         grid = RadialGrid(r_max, N, transform="fft")
         args = (params, NonlinearitySpec(p=2.0), f, f, horizon, 0.02, grid)
@@ -303,18 +348,14 @@ class TestPicard:
                 assert str(exc).startswith(expect)
             return diag.M_seq, diag.N_seq, diag.iterations, diag.converged, fld
 
-        calls = []
-        monkeypatch.setattr(
-            semilinear, "symbol_matrix",
-            lambda *a, _f=semilinear.symbol_matrix, **kw: calls.append(kw) or _f(*a, **kw),
-        )
+        calls = symbol_rows(semilinear)
         with np.errstate(over="ignore", invalid="ignore"):
             got = outcome(picard_solve)
             monkeypatch.undo()
             want = outcome(sequential_picard)
         nsteps, _ = _steps(params, grid, horizon, 0.02)
-        assert len(calls) == marches * (1 + 2 * nsteps)  # one symbol evaluation per step per block
-        assert calls.count({"derivatives": False}) == marches * nsteps  # the midpoints need values only
+        assert len(calls) == marches * (1 + 2 * nsteps)  # one symbol row per step end and midpoint per block
+        assert [d for _, d in calls].count(False) == marches * nsteps  # the midpoints need values only
         assert got[:4] == want[:4]
         assert np.isfinite(got[0] + got[1]).all()  # a non-finite norm raises, it is never recorded
         if isinstance(expect, int):
@@ -373,6 +414,20 @@ class TestStepCheck:
         assert [row["error"] for row in rows[::2]] == [f"ParameterError: dt > 0 required, got {dt}"] * 2
         assert rows[1]["error"].startswith("ParameterError") and "dt" not in rows[1]["error"]
         assert all(row["kind"] is None for row in rows)
+
+    @pytest.mark.parametrize(
+        "horizon, dt, n",
+        [(0.9, 0.03, 30), (0.3, 0.1, 3), (2.1, 0.3, 7), (1.8, 0.06, 30), (1.0, 0.01, 100),
+         (1.5, 0.02, 75), (20.0, 0.01, 2000), (1.0, 0.3, 4), (1.0, 0.4, 3), (0.5, 2.0, 1)],
+    )
+    def test_step_count(self, horizon, dt, n):
+        # ceil(0.9 / 0.03) is 31 in floating point; a dt that divides the horizon gives its quotient
+        assert _step_count(horizon, dt) == n
+
+    def test_dividing_step_is_one_march_step(self):
+        assert 0.9 / 0.03 > 30
+        out, fld = time_march(self.PARAMS, None, zero, zero, 0.9, 0.03, self.GRID, snapshot_times=[0.03, 0.9])
+        assert len(out.norm_history) == 30 and fld.times.tolist() == [0.9 / 30, 0.9]
 
 
 class TestSweep:

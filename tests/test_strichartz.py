@@ -269,18 +269,6 @@ def _field_row(name, field, spec, t_split, rhs):
     return RatioRow(name, lhs, rhs, lhs / rhs, frac, flags)
 
 
-def _counting(monkeypatch, module):
-    calls = []
-    inner = module.symbol_matrix
-
-    def counted(m, t, lam, **kw):
-        calls.append(t)
-        return inner(m, t, lam, **kw)
-
-    monkeypatch.setattr(module, "symbol_matrix", counted)
-    return calls
-
-
 class TestBatchEngine:
     """The ratio probes solve their members as one batch; each row must equal its unbatched solve."""
 
@@ -306,7 +294,7 @@ class TestBatchEngine:
             want.append(_field_row(name, fld, spec, t_max / 10.0, rhs))
         assert rows == want
 
-    def test_inhomogeneous_rows_equal_unbatched(self, monkeypatch):
+    def test_inhomogeneous_rows_equal_unbatched(self, monkeypatch, symbol_rows):
         grid = RadialGrid(60.0, 1024, transform="fft")
         q, g1, g2 = inhomogeneous_defaults(1, 3)
         fam = [
@@ -316,9 +304,10 @@ class TestBatchEngine:
             ("p3", _pulse(1.0, 3.0, bump(0.9))),
         ]
         t_max, dt, T0 = 10.0, 0.05, 0.5
-        calls = _counting(monkeypatch, tricomi_lab.semilinear)
+        calls = symbol_rows(tricomi_lab.semilinear)
         rows = inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, T0=T0, t_max=t_max, dt=dt)
         assert len(calls) == 1 + 2 * 200  # one march for the whole family
+        assert [d for _, d in calls].count(False) == 200  # the midpoints need values only
         monkeypatch.undo()
 
         want = []
@@ -346,16 +335,16 @@ class TestBatchEngine:
             want.append(_field_row(name, sol, WeightSpec(gamma=g1, q=q, M=2.0), t_max / 10.0, rhs))
         assert rows == want
 
-    def test_family_evaluates_symbols_once_per_time(self, monkeypatch):
+    def test_family_evaluates_symbols_once_per_time(self, symbol_rows):
         grid = RadialGrid(60.0, 1024, transform="fft")
         q_min, q0 = q_bounds(1, 3)
         q = 0.5 * (q_min + q0)
         gamma = 0.5 * strichartz_gamma_bound(1, 3, q)
         delta = 0.5 * (1.5 + 1.0 / 3.0 - gamma - 1.0 / q)
-        calls = _counting(monkeypatch, tricomi_lab.linear)
+        calls = symbol_rows(tricomi_lab.linear)
         rows = homogeneous_ratio(PARAMS, standard_family(2.0, 1), q, gamma, delta, grid, t_max=10.0)
         assert len(rows) == 8 and all(r.ratio is not None for r in rows)
-        assert calls == list(_time_grid(10.0))
+        assert calls == [(t, False) for t in _time_grid(10.0)]
 
     def test_stopped_march_raises_not_truncates(self):
         grid = RadialGrid(60.0, 512, transform="fft")

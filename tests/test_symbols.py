@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import jv as scipy_jv
 
+import tricomi_lab.symbols as symbols
+
 from tricomi_lab.errors import AccuracyError, ParameterError
 from tricomi_lab.geometry import phi, phi_inverse
 from tricomi_lab.symbols import (
@@ -21,6 +23,7 @@ from tricomi_lab.symbols import (
     fit_upper_envelope_slope,
     kummer_M,
     symbol_matrix,
+    symbol_stream,
     v1_symbol,
     v2_symbol,
 )
@@ -314,3 +317,67 @@ class TestSymbolMatrix:
         v1, v2, v1p, v2p = symbol_matrix(1, t, lam)
         assert np.abs((vb[0] - va[0]) / (2 * h) - v1p).max() < 1e-6
         assert np.abs((vb[1] - va[1]) / (2 * h) - v2p).max() < 1e-6
+
+
+class TestSymbolStream:
+    """symbol_stream evaluates K times per kernel call; each row keeps the one-time bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_rows_equal_one_time_calls(self, m, derivatives):
+        # lam = 0 and both sides of W_SWITCH, sorted and shuffled; t = 0 first, inside and last
+        lam = np.pi * np.arange(0, 1500) / 24.0  # K = 5
+        shuffled = lam[np.random.default_rng(11).permutation(lam.size)]
+        times = [0.0, 0.05, 0.3, 1.0, 0.0, 2.5, 4.0, 7.0, 10.0, 13.0, 0.0]
+        for grid in (lam, lam[1:], shuffled):
+            assert symbols._SYMBOL_BLOCK_ELEMENTS // grid.size < len(times)  # several blocks
+            w = phi(m, 1.0) * grid[1:]
+            assert (w <= W_SWITCH).any() and (w > W_SWITCH).any()
+            rows = list(symbol_stream(m, times, grid, derivatives=derivatives))
+            assert len(rows) == len(times)
+            for t, row in zip(times, rows):
+                one = symbol_matrix(m, t, grid, derivatives=derivatives)
+                assert len(row) == len(one) == (4 if derivatives else 2)
+                for a, b in zip(row, one):
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_rows_equal_the_one_time_formula(self, m):
+        # written out per time with Python-float scalars and one bessel_j call per order;
+        # an array power over the times, (t_k)^(m/2), moves V1' in the last bit at m = 3
+        nu = 1.0 / (m + 2.0)
+        c1, c2 = math.gamma(1.0 - nu), math.gamma(1.0 + nu)
+        lam = np.pi * np.arange(1, 1500) / 24.0
+        times = [0.05, 0.3, 0.77, 1.0, 2.5, 3.3, 7.0, 13.0]
+        for t, row in zip(times, symbol_stream(m, times, lam)):
+            w = phi(m, t) * lam
+            half_pow, inv_half_pow = (0.5 * w) ** nu, (0.5 * w) ** (-nu)
+            j = [bessel_j(order, w) for order in (-nu, nu, 1.0 - nu, 1.0 + nu)]
+            want = (
+                c1 * half_pow * j[0],
+                t * c2 * inv_half_pow * j[1],
+                -c1 * half_pow * j[2] * (t ** (m / 2.0) * lam),
+                c2 * inv_half_pow * (j[1] - w / (2.0 * nu) * j[3]),
+            )
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(row, want))
+
+    @pytest.mark.parametrize("n, calls", [(2047, 3), (4095, 5), (8191, 10), (64, 1)])
+    def test_one_kernel_call_per_block(self, monkeypatch, n, calls):
+        # K = 8192 // n times share a call: 4 at N = 2048, 2 at N = 4096, 1 from 8192 on
+        kernel, shapes = symbols._bessel_kernel, []
+        monkeypatch.setattr(symbols, "_bessel_kernel", lambda nus, w: shapes.append(w.shape) or kernel(nus, w))
+        lam = np.linspace(0.01, 30.0, n)
+        rows = list(symbol_stream(1, (0.1 * k for k in range(10)), lam))  # any iterable of times
+        assert len(rows) == 10 and len(shapes) == calls
+        assert sum(s[0] for s in shapes) == 10 and all(s[1:] == (n,) for s in shapes)
+
+    def test_block_size_one(self, monkeypatch):
+        lam = np.pi * np.arange(0, 300) / 24.0
+        times = [0.0, 0.5, 3.0, 9.0]
+        blocked = list(symbol_stream(2, times, lam))
+        monkeypatch.setattr(symbols, "_SYMBOL_BLOCK_ELEMENTS", 1)
+        for row, one in zip(blocked, symbol_stream(2, times, lam)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(row, one))
+
+    def test_empty_times(self):
+        assert list(symbol_stream(1, [], np.linspace(0.1, 1.0, 5))) == []
