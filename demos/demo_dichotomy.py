@@ -25,7 +25,7 @@ params = ModelParams(1, 3, 1.3, eps=0.5, M=2.0)
 f = lambda r: 0.5 * 32.0 * bump(0.8)(r)
 out, _ = time_march(
     params, NonlinearitySpec(p=1.3), f, f, 12.0,
-    2e-3, RadialGrid(30.0, 2048, transform="fft"),
+    2e-3, RadialGrid(30.0, 2048),
     snapshot_times=[12.0],
 )
 print(f"  outcome: {out.kind} at t = {out.blowup_time:.3f}")
@@ -39,7 +39,7 @@ f = lambda r: 1e-3 * 32.0 * bump(0.8)(r)
 snap = np.geomspace(0.5, 40.0, 24)
 out, fld = time_march(
     params, NonlinearitySpec(p=2.5), f, f, 40.0,
-    0.02, RadialGrid(280.0, 8192, transform="fft"),
+    0.02, RadialGrid(280.0, 8192),
     snapshot_times=snap,
 )
 print(f"  outcome: {out.kind}; tail non-increasing: {out.tail_nonincreasing}")

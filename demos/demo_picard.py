@@ -17,7 +17,7 @@ from tricomi_lab.semilinear import NonlinearitySpec, picard_solve, time_march
 
 params = ModelParams(1, 3, 2.0, eps=1e-3, M=2.0)
 spec = NonlinearitySpec(p=2.0, T0=0.5)
-grid = RadialGrid(64.0, 2048, transform="fft")
+grid = RadialGrid(64.0, 2048)
 dt = 0.02
 f = lambda r: 1e-3 * bump(0.8)(r)
 

@@ -23,7 +23,7 @@ gamma = 0.5 * strichartz_gamma_bound(1, 3, q)
 delta = 0.5 * (1.5 + 1.0 / 3.0 - gamma - 1.0 / q)
 print(f"window midpoints: q = {q:.4f}, gamma = {gamma:.4f}, delta = {delta:.4f}")
 
-grid = RadialGrid(680.0, 16384, transform="fft")
+grid = RadialGrid(680.0, 16384)
 rows = homogeneous_ratio(params, standard_family(2.0, 1), q, gamma, delta, grid, t_max=100.0)
 print(f"\n{'member':20s} {'LHS':>11s} {'RHS':>11s} {'ratio':>11s} {'tail':>7s}")
 for r in rows:

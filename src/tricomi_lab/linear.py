@@ -17,7 +17,8 @@ comparisons run it on a refined grid.
 ``decay_slope`` fits the sup-norm decay exponent against log phi(t) (the
 proved rate is -(n-1)/2 - m/(2(m+2))), and ``weighted_field_norm``
 evaluates the characteristic-weight space-time norm used throughout the
-estimate probes.
+estimate probes; its per-snapshot kernel forms that weight itself from a
+``WeightSpec`` (``semilinear.weighted_solution_norm`` integrates its own).
 """
 
 from __future__ import annotations
@@ -199,40 +200,20 @@ def weighted_field_norm(field: SpaceTimeField, spec: WeightSpec) -> float:
     is positive by construction; trapezoid in both variables, fixed
     summation order.
     """
-    if spec.q < 1.0:
-        raise ParameterError("q >= 1 required")
-    total = np.trapezoid(_weighted_integrals(field, *_characteristic(field.m, spec)), field.times)
-    return float(total ** (1.0 / spec.q))
-
-
-def _characteristic(m: int, spec: WeightSpec):
-    """(q, power, weight, radius) for :func:`_weighted_integral`: the characteristic
-    weight (phi+M)^2 - r^2 to the power gamma q, on r <= phi+M-1."""
-    return (
-        spec.q,
-        spec.gamma * spec.q,
-        lambda t, r: characteristic_weight(m, spec.M, t, r),
-        lambda t: finite_speed_radius(m, spec.M, t),
-    )
-
-
-def _weighted_integrals(field: SpaceTimeField, q: float, power: float, weight, radius) -> np.ndarray:
-    """:func:`_weighted_integral` of each snapshot of a stored field, in time order."""
     r = field.grid.r
-    return np.array(
-        [_weighted_integral(u, r, float(t), q, power, weight, radius) for t, u in zip(field.times, field.u)]
-    )
+    per_t = [_weighted_integral(u, r, float(t), field.m, spec) for t, u in zip(field.times, field.u)]
+    return float(np.trapezoid(per_t, field.times) ** (1.0 / spec.q))
 
 
-def _weighted_integral(u: np.ndarray, r: np.ndarray, t: float, q: float, power: float, weight, radius):
-    """4 pi int_{r <= radius(t)} weight(t, r)^power |u(r)|^q r^2 dr at one time, trapezoid in r.
+def _weighted_integral(u: np.ndarray, r: np.ndarray, t: float, m: int, spec: WeightSpec):
+    """4 pi int_{r <= phi(t)+M-1} ((phi(t)+M)^2 - r^2)^(gamma q) |u(r)|^q r^2 dr at one time, trapezoid in r.
 
     ``u`` is one snapshot (N+1,) or a family (B, N+1); a family gives one
     value per member, each equal to its own 1-D call.  The nodes ``r``
-    ascend, so r <= radius(t) is a prefix, taken as a slice: the rows stay
+    ascend, so r <= phi(t)+M-1 is a prefix, taken as a slice: the rows stay
     C-ordered and each is summed in the same order as a single snapshot.
     """
-    k = int(np.searchsorted(r, radius(t), side="right"))
+    k = int(np.searchsorted(r, finite_speed_radius(m, spec.M, t), side="right"))
     rr = r[:k]
-    integrand = weight(t, rr) ** power * np.abs(u[..., :k]) ** q * rr * rr
-    return 4.0 * np.pi * np.trapezoid(integrand, rr)
+    weight = characteristic_weight(m, spec.M, t, rr) ** (spec.gamma * spec.q)
+    return 4.0 * np.pi * np.trapezoid(weight * np.abs(u[..., :k]) ** spec.q * rr * rr, rr)

@@ -49,7 +49,7 @@ from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLab
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import _characteristic, _data_coeffs, _weighted_integral, _weighted_integrals
+from .linear import _data_coeffs, _weighted_integral
 from .profiles import smooth_ramp
 from .symbols import symbol_stream
 
@@ -336,7 +336,7 @@ def picard_solve(
     if gamma is None:
         gamma = 0.5 * (lo + hi)
     q = params.p + 1.0
-    kernel = _characteristic(params.m, WeightSpec(gamma=gamma, q=q, M=params.M))
+    wspec = WeightSpec(gamma=gamma, q=q, M=params.M)
     nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
@@ -372,8 +372,8 @@ def picard_solve(
                 t = float(t_mid[i])
                 # an overflow here gives a non-finite norm, which raises PicardDivergenceError below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    M_int.append(_weighted_integral(um, r, t, *kernel))
-                    N_int.append(_weighted_integral(um - pred, r, t, *kernel))
+                    M_int.append(_weighted_integral(um, r, t, params.m, wspec))
+                    N_int.append(_weighted_integral(um - pred, r, t, params.m, wspec))
             return evaluate_nonlinearity(spec, tm, pred)
 
         block = (rows, fh.size)
@@ -421,10 +421,10 @@ def weighted_solution_norm(field: SpaceTimeField, params: ModelParams, gamma: fl
 
     This is the theorem-statement weight (no M shift, absolute value), a
     companion to the (phi+M)-weight used inside the estimates; both are
-    provided deliberately.  ``gamma`` must sit in the window formula at the
-    field's p, which is nonempty for every p > p_crit (also above the
-    conformal power, where the window is a diagnostic rather than a
-    theorem hypothesis).
+    provided deliberately, and this one is integrated here over every node.
+    ``gamma`` must sit in the window formula at the field's p, which is
+    nonempty for every p > p_crit (also above the conformal power, where the
+    window is a diagnostic rather than a theorem hypothesis).
     """
     lo, hi = gamma_window_formula(params.m, params.n, params.p)
     if not (lo <= gamma <= hi):
@@ -432,9 +432,10 @@ def weighted_solution_norm(field: SpaceTimeField, params: ModelParams, gamma: fl
             f"gamma={gamma} outside the admissible interval ({lo:.6f}, {hi:.6f})"
         )
     q = params.p + 1.0
-    per_t = _weighted_integrals(
-        field, q, gamma * q, lambda t, r: 1.0 + np.abs(phi(field.m, t) ** 2 - r * r), lambda t: np.inf
-    )
+    r, per_t = field.grid.r, []
+    for t, u in zip(field.times, field.u):
+        weight = (1.0 + np.abs(phi(field.m, float(t)) ** 2 - r * r)) ** (gamma * q)
+        per_t.append(4.0 * np.pi * np.trapezoid(weight * np.abs(u) ** q * r * r, r))
     return float(np.trapezoid(per_t, field.times) ** (1.0 / q))
 
 

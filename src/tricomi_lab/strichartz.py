@@ -38,7 +38,7 @@ from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxErr
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import RadialGrid, SpectralField
-from .linear import _characteristic, _data_coeffs, _snapshots, _weighted_integral
+from .linear import _data_coeffs, _snapshots, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _steps
 
@@ -131,7 +131,7 @@ def default_sobolev_grid(M: float) -> RadialGrid:
     quantifies what is left).
     """
     r_max = max(20.0, 10.0 * (M - 1.0))
-    return RadialGrid(r_max, 16384, transform="fft")
+    return RadialGrid(r_max, 16384)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +202,8 @@ def _time_grid(t_max: float) -> np.ndarray:
 def _per_time_integrals(params: ModelParams, grid: RadialGrid, times, fh, gh, spec: WeightSpec) -> np.ndarray:
     """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family."""
     grid.validate_horizon(params.m, params.M, float(times.max()))
-    r, kernel = grid.r, _characteristic(params.m, spec)
-    snaps = _snapshots(params.m, grid, times, fh, gh)
-    return np.array([_weighted_integral(u, r, float(t), *kernel) for t, u in zip(times, snaps)])
+    r, snaps = grid.r, _snapshots(params.m, grid, times, fh, gh)
+    return np.array([_weighted_integral(u, r, float(t), params.m, spec) for t, u in zip(times, snaps)])
 
 
 def _ratio_row(name: str, per_t: np.ndarray, times: np.ndarray, q: float, t_split: float, rhs: float):
@@ -346,9 +345,10 @@ def inhomogeneous_ratio(
     the zero test (a source zero at every midpoint is an excluded row) and the
     RHS, the weight^gamma2 L^(q/(q-1)) norm of the step-frozen source by the
     midpoint rule over [0, t_max].  LHS uses weight^gamma1 in L^q over
-    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box is
-    a ParameterError.  A march that stops at the blowup threshold would leave a
-    truncated box: TruncatedBoxError names each stopped member and its stop time.
+    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box, or
+    a dt that puts the first one on step 0, is a WindowError naming that key.
+    A march that stops at the blowup threshold would leave a truncated box:
+    TruncatedBoxError names each stopped member and its stop time.
     """
     _check_window(params.m, params.n, q, gamma1, "gamma1")
     if not gamma2 > 1.0 / q:
@@ -356,7 +356,8 @@ def inhomogeneous_ratio(
     qp = q / (q - 1.0)
     times = _time_grid(t_max)[1:]
     if np.count_nonzero(times >= T0 / 2.0) < 2:
-        raise ParameterError(
+        raise WindowError(
+            "T0",
             f"T0={T0} leaves fewer than two snapshot times in [T0/2, t_max={t_max}]"
         )
     members = list(source_family)
@@ -364,7 +365,9 @@ def inhomogeneous_ratio(
         return []
     names, sources = zip(*members)
     nsteps, dt = _steps(params, grid, t_max, dt)
-    r, src_kernel = grid.r, _characteristic(params.m, WeightSpec(gamma=gamma2, q=qp, M=params.M))
+    if round(times[0] / dt) == 0:
+        raise WindowError("dt", f"dt={dt:.6g} puts the first snapshot time {times[0]:.6g} on step 0 of the march")
+    r, src_spec = grid.r, WeightSpec(gamma=gamma2, q=qp, M=params.M)
     src_sums = np.zeros(len(sources))  # each source's sum of per-step weighted integrals
     nonzero = np.zeros(len(sources), dtype=bool)
 
@@ -379,7 +382,7 @@ def inhomogeneous_ratio(
                 f"(max outside {leak[b]:.2e} vs peak {peak[b]:.2e})"
             )
         nonzero[live] |= vals.any(axis=1)
-        src_sums[live] += _weighted_integral(vals, r, tm, *src_kernel)
+        src_sums[live] += _weighted_integral(vals, r, tm, params.m, src_spec)
         return vals
 
     zero = np.zeros((len(sources), grid.N - 1))
@@ -392,8 +395,8 @@ def inhomogeneous_ratio(
             f"short of the box end t_max={t_max}"
         )
     t_snap = np.array([t for t, _ in kept])
-    kernel = _characteristic(params.m, WeightSpec(gamma=gamma1, q=q, M=params.M))
-    per_t = np.array([_weighted_integral(u, r, t, *kernel) for t, u in kept])
+    spec = WeightSpec(gamma=gamma1, q=q, M=params.M)
+    per_t = np.array([_weighted_integral(u, r, t, params.m, spec) for t, u in kept])
     sel = t_snap >= T0 / 2.0
     return [
         _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, float((dt * total) ** (1.0 / qp))) if forced

@@ -537,6 +537,12 @@ class TestSchemaLimits:
              "strichartz.gamma1: gamma1 window violated"),
             ({"strichartz.kind": "inhomogeneous", "strichartz.gamma2": 0.1},
              "strichartz.gamma2: gamma2 window violated"),
+            # no snapshot time of the box [0, 10] reaches T0/2 = 100
+            ({"grid.r_max": 64.0, "strichartz.kind": "inhomogeneous", "strichartz.T0": 200.0},
+             "strichartz.T0: T0=200.0 leaves fewer than two snapshot times"),
+            # the first snapshot time 2/24 rounds to step 0 of a 0.2 step
+            ({"grid.r_max": 64.0, "strichartz.kind": "inhomogeneous", "strichartz.dt": 0.2},
+             "strichartz.dt: dt=0.2 puts the first snapshot time 0.0833333 on step 0"),
         ],
     )
     def test_strichartz_window_names_its_key(self, tmp_path, capsys, edits, message):

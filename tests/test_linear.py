@@ -5,10 +5,9 @@ import pytest
 
 from tricomi_lab.errors import GridError, ParameterError, SupportError
 from tricomi_lab.exponents import ModelParams
-from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
+from tricomi_lab.geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField, origin_value
 from tricomi_lab.linear import (
-    _characteristic,
     _weighted_integral,
     decay_slope,
     fd_oracle,
@@ -173,6 +172,25 @@ class TestWeightedFieldNorm:
         want = np.trapezoid(per_t, times) ** (1.0 / q)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_characteristic_weight_written_out(self):
+        grid = RadialGrid(25.0, 512)
+        times = np.linspace(0.5, 8.0, 24)
+        fld = solve_linear(PARAMS, bump(0.8), zero, times, grid)
+        gamma, q = 0.2, 3.0
+        got = weighted_field_norm(fld, WeightSpec(gamma, q, 2.0))
+        # the weight ((phi+M)^2 - r^2)^(gamma q) on r <= phi+M-1, node by node
+        per_t = []
+        for i, t in enumerate(times):
+            rr = grid.r[grid.r <= finite_speed_radius(1, 2.0, float(t))]
+            vals = [
+                characteristic_weight(1, 2.0, float(t), x) ** (gamma * q) * abs(fld.u[i, j]) ** q * x**2
+                for j, x in enumerate(rr)
+            ]
+            per_t.append(4.0 * np.pi * np.trapezoid(vals, rr))
+        want = np.trapezoid(per_t, times) ** (1.0 / q)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_grid_doubling_stable(self):
         times = np.linspace(0.5, 8.0, 24)
         vals = []
@@ -209,15 +227,15 @@ class TestGridInvariants:
         grid = RadialGrid(100.0, 2048)
         coeffs = np.random.default_rng(3).standard_normal((8, grid.N - 1))
         family = SpectralField(grid, coeffs).to_radial()
-        kernel = _characteristic(1, WeightSpec(gamma=0.2, q=3.0, M=2.0))
+        spec = WeightSpec(gamma=0.2, q=3.0, M=2.0)
         assert np.array_equal(grid.forward(family[:, 1:-1]), np.array([grid.forward(u[1:-1]) for u in family]))
         assert np.array_equal(origin_value(family[:, 1:5], grid.h), [origin_value(u[1:5], grid.h) for u in family])
         for t in (0.0, 0.5, 3.0):
-            per_member = _weighted_integral(family, grid.r, t, *kernel)
+            per_member = _weighted_integral(family, grid.r, t, 1, spec)
             for c, u_b, i_b in zip(coeffs, family, per_member):
                 u = SpectralField(grid, c).to_radial()
                 assert np.array_equal(u, u_b)
-                assert _weighted_integral(u, grid.r, t, *kernel) == i_b
+                assert _weighted_integral(u, grid.r, t, 1, spec) == i_b
 
     def test_snapshot_times_must_increase(self):
         grid = RadialGrid(12.0, 128)

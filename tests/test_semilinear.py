@@ -9,7 +9,7 @@ import tricomi_lab.semilinear as semilinear
 import tricomi_lab.symbols as symbols
 from tricomi_lab.errors import ParameterError, PicardDivergenceError
 from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
-from tricomi_lab.geometry import WeightSpec
+from tricomi_lab.geometry import WeightSpec, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField
 from tricomi_lab.linear import _data_coeffs, solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump
@@ -395,6 +395,25 @@ class TestWeightedSolutionNorm:
         )
         with pytest.raises(ParameterError, match="admissible interval"):
             weighted_solution_norm(fld, params, 0.5)
+
+    def test_theorem_weight_written_out(self):
+        params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
+        grid = RadialGrid(25.0, 512)
+        times = np.linspace(0.5, 8.0, 24)
+        fld = solve_linear(params, bump(0.8), zero, times, grid)
+        gamma, q = 0.2, params.p + 1.0
+        got = weighted_solution_norm(fld, params, gamma)
+        # the weight (1 + |phi(t)^2 - r^2|)^(gamma q) at every node, no M shift, no support cut
+        per_t = []
+        for i, t in enumerate(times):
+            vals = [
+                (1.0 + abs(phi(1, float(t)) ** 2 - x * x)) ** (gamma * q) * abs(fld.u[i, j]) ** q * x**2
+                for j, x in enumerate(grid.r)
+            ]
+            per_t.append(4.0 * np.pi * np.trapezoid(vals, grid.r))
+        want = np.trapezoid(per_t, times) ** (1.0 / q)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestStepCheck:
