@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import re
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -362,17 +363,35 @@ _RUNNERS = {
 }
 
 
+def _outdir_error(outdir: Path, reason) -> ParameterError:
+    return ParameterError(f"cannot make output directory {str(outdir)!r}: {reason}")
+
+
+def _check_outdir(outdir: Path) -> None:
+    """Reject, before the run, an output path that is a file or that the OS cannot take."""
+    try:
+        is_dir = stat.S_ISDIR(outdir.stat().st_mode)
+    except FileNotFoundError:  # made after the run
+        return
+    except OSError as exc:  # a name too long, a file as a parent, ...
+        raise _outdir_error(outdir, exc.strerror) from None
+    except ValueError as exc:  # an embedded null byte
+        raise _outdir_error(outdir, exc) from None
+    if not is_dir:
+        raise _outdir_error(outdir, "File exists")
+
+
 def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
     """Run the config's scenario; with an ``outdir``, write its artifacts and manifest there."""
     t0 = time.time()
-    if outdir is not None and outdir.exists() and not outdir.is_dir():  # fail before the run, not after
-        raise ParameterError(f"cannot make output directory {str(outdir)!r}: File exists")
+    if outdir is not None:  # fail before the run, not after
+        _check_outdir(outdir)
     artifacts = _RUNNERS[cfg.scenario](cfg)
     if outdir is not None:  # made only now, so a run that fails leaves no empty directory
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise ParameterError(f"cannot make output directory {str(outdir)!r}: {exc.strerror}")
+        except OSError as exc:
+            raise _outdir_error(outdir, exc.strerror) from None
         paths = [outdir / name for name in artifacts]
         for path, text in zip(paths, artifacts.values()):
             _write_text(path, text)

@@ -9,7 +9,8 @@ diagonalize the spatial operator exactly, so each coefficient evolves under
 the scalar mode ODE handled by :mod:`tricomi_lab.symbols`.
 
 Both directions of the sine transform are one fast DST-I
-(``scipy.fft.dst(type=1)``), deterministic on a fixed install.  The
+(``scipy.fft.dst(type=1)``), deterministic on a fixed install.  ``scipy.fft``
+is imported at the first transform, not with the package.  The
 transforms, ``RadialGrid.u_from_w`` (w = r u back to u, the one conversion
 of the spectral solvers and the FD oracle), ``SpectralField.to_radial`` and
 ``origin_value`` act on the last axis, so a family of B fields stacked as
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst as _dst
 
 from .errors import GridError, ParameterError, SupportError
 from .geometry import finite_speed_radius
@@ -61,11 +61,15 @@ class RadialGrid:
 
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
         """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis."""
-        return _dst(w_interior, type=1) / self.N
+        from scipy.fft import dst  # imported here: the flag subcommands make no transform
+
+        return dst(w_interior, type=1) / self.N
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Interior samples w_j from sine coefficients, along the last axis."""
-        return _dst(coeffs, type=1) / 2.0
+        from scipy.fft import dst  # imported here: the flag subcommands make no transform
+
+        return dst(coeffs, type=1) / 2.0
 
     def u_from_w(self, w_interior: np.ndarray) -> np.ndarray:
         """Radial samples of u = w/r on all nodes from interior w, origin by one-sided limit."""

@@ -220,14 +220,15 @@ def bessel_j(nu: float, w):
     Only the order families needed by the symbols are exercised in anger
     (nu in (-1/2, 0) and (0, 3/2)); this is not a general-purpose Bessel.
     At w = 0 it returns the limit, without a warning: inf for -1 < nu < 0,
-    1 at nu = 0, and 0 for nu > 0.
+    1 at nu = 0, and 0 for nu > 0.  A float for a scalar w, else an array of w's shape.
     """
+    scalar = np.ndim(w) == 0
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w < 0):
         raise ParameterError("w >= 0 required")
     with np.errstate(divide="ignore"):
         out = _bessel_kernel((nu,), w)[0]
-    return out if out.size > 1 else float(out[0])
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

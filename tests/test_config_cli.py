@@ -1,7 +1,11 @@
 """Config round-trips, validation delegation, CLI artifacts, determinism."""
 
+import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -655,6 +659,26 @@ class TestFileSystemInput:
         assert f"cannot make output directory {str(taken)!r}" in capsys.readouterr().err
         assert ran == []
 
+    def test_output_dir_name_too_long(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "exponents", lambda cfg: ran.append(cfg) or {})
+        name = "x" * 300
+        assert main(["--output-dir", name, "exponents", "--m", "1", "--n", "3"]) == 2
+        reason = os.strerror(errno.ENAMETOOLONG)
+        assert f"cannot make output directory {name!r}: {reason}" in capsys.readouterr().err
+        assert ran == [] and list(tmp_path.iterdir()) == []
+
+    def test_output_dir_with_null_byte(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output_dir": "a\x00b"}))
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "solve-linear", lambda cfg: ran.append(cfg) or {})
+        assert main(["solve-linear", "--config", str(path)]) == 2
+        assert "cannot make output directory 'a\\x00b': embedded null byte" in capsys.readouterr().err
+        assert ran == [] and list(tmp_path.iterdir()) == [path]
+
 
 class TestFlagCommandManifests:
     CASES = [
@@ -683,3 +707,29 @@ class TestFlagCommandManifests:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
         assert list(tmp_path.iterdir()) == []
+
+
+COLD_START = """
+import contextlib, io, json, sys, tempfile
+import numpy as np
+import tricomi_lab.cli as cli
+from tricomi_lab.config import SCENARIOS, parse_config
+from tricomi_lab.grids import RadialGrid
+
+for scenario in SCENARIOS:
+    parse_config(json.dumps({"scenario": scenario, "sweep": {"p_grid": [2.0]}}))
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["exponents", "--m", "1", "--n", "3", "--p", "2.0"]) == 0
+    assert cli.main(["--output-dir", tmp, "check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5"]) == 0
+    assert cli.main(["symbols", "--m", "1", "--grid", "100:8"]) == 0
+print("scipy.fft" in sys.modules)
+RadialGrid(r_max=1.0, N=8).forward(np.ones(7))
+print("scipy.fft" in sys.modules)
+"""
+
+
+def test_cold_start_leaves_scipy_fft_to_the_first_transform():
+    # a fresh interpreter: this process has long since imported scipy.fft
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

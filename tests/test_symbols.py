@@ -68,6 +68,17 @@ class TestBesselRoute:
         with pytest.raises(ParameterError):
             bessel_j(0.5, -1.0)
 
+    @pytest.mark.parametrize("w", [[2.0], np.array([2.0])])
+    def test_one_element_input_gives_an_array(self, w):
+        got = bessel_j(0.5, w)
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+        assert got[0] == bessel_j(0.5, [2.0, 3.0])[0]
+
+    @pytest.mark.parametrize("w", [2.0, np.float64(2.0), np.array(2.0)])
+    def test_scalar_input_gives_a_float(self, w):
+        got = bessel_j(0.5, w)
+        assert type(got) is float and got == bessel_j(0.5, [2.0, 3.0])[0]
+
     @pytest.mark.parametrize("nu,limit", [(-1.0 / 3.0, np.inf), (-0.9, np.inf), (0.0, 1.0), (1.0 / 3.0, 0.0)])
     def test_zero_argument_is_the_limit_without_warning(self, nu, limit):
         with warnings.catch_warnings():
