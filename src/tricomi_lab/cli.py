@@ -22,6 +22,7 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,11 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import GridError, ParameterError, SupportError, TricomiLabError, WindowError
-from .exponents import (
+# p_crit, p_conf, strauss_exponent and damped_wave_coeffs go unused here; perfbench/layers.py traces them by name
+from .exponents import (  # noqa: F401
     ModelParams,
     damped_wave_coeffs,
+    exponent_report,
     gamma_interval,
     gamma_window_formula,
     p_conf,
@@ -118,13 +121,12 @@ def _manifest(outdir: Path, cfg_payload: dict, outputs: list[Path], t0: float) -
 
 
 def _exponent_row(m: int, n: int, p: float | None):
-    pc, pf = p_crit(m, n), p_conf(m, n)
-    q_min, q0 = q_bounds(m, n)
-    mu, al = damped_wave_coeffs(m)
+    """One ``EXPONENT_HEADER`` row: the thresholds of ``exponent_report``, then the gamma window at p."""
+    rep = exponent_report(m, n)
     glo = ghi = None
-    if p is not None and m >= 1 and pc < p < pf:
+    if p is not None and m >= 1 and rep.p_crit < p < rep.p_conf:
         glo, ghi = gamma_interval(ModelParams(m, n, p))
-    return [m, n, p, pc, pf, strauss_exponent(n), q_min, q0, mu, al, glo, ghi]
+    return [m, n, p, *astuple(rep), glo, ghi]
 
 
 _SWEEP_RE = re.compile(r"^m=(\d+)\.\.(\d+)\s+n=(\d+)\.\.(\d+)$")
@@ -368,10 +370,12 @@ def _outdir_error(outdir: Path, reason) -> ParameterError:
 
 
 def _check_outdir(outdir: Path) -> None:
-    """Reject, before the run, an output path that is a file or that the OS cannot take."""
+    """Reject, before the run, an output path that is a file, a dangling symlink or a name the OS cannot take."""
     try:
         is_dir = stat.S_ISDIR(outdir.stat().st_mode)
-    except FileNotFoundError:  # made after the run
+    except FileNotFoundError:  # made after the run, unless a dangling symlink holds the name
+        if outdir.is_symlink():
+            raise _outdir_error(outdir, "a dangling symlink") from None
         return
     except OSError as exc:  # a name too long, a file as a parent, ...
         raise _outdir_error(outdir, exc.strerror) from None

@@ -47,7 +47,7 @@ __all__ = [
     "verify_shifted_cone_bounds",
 ]
 
-T_HI_DEFAULT = 1.0e3
+T_HI = 1.0e3  # upper end of every cone's log-spaced t samples
 UNSHIFTED_N_T, UNSHIFTED_N_R = 200, 50
 
 
@@ -108,9 +108,9 @@ def max_shift(m: int, M: float, T0: float) -> float:
     return M - 1.0 + phi(m, 3.0 * T0 / 8.0)
 
 
-def _cone_samples(m, T0, t_lo, t_hi, n_t, n_r, rng=None):
-    """Log-spaced t samples and per-t radial fractions on {r <= phi(t) - phi(T0/4)}."""
-    ts = np.geomspace(max(t_lo, 1e-12), t_hi, n_t)
+def _cone_samples(m, T0, t_lo, n_t, n_r, rng=None):
+    """Log-spaced t samples on [t_lo, T_HI] and per-t radial fractions on {r <= phi(t) - phi(T0/4)}."""
+    ts = np.geomspace(max(t_lo, 1e-12), T_HI, n_t)
     r_top = np.maximum(phi(m, ts) - phi(m, T0 / 4.0), 0.0)
     if rng is None:
         frac = np.linspace(0.0, 1.0, n_r)
@@ -120,13 +120,13 @@ def _cone_samples(m, T0, t_lo, t_hi, n_t, n_r, rng=None):
     return ts, rr
 
 
-def _unshifted_cone(m, M, T0, t_hi, n_t, n_r):
+def _unshifted_cone(m, M, T0, n_t, n_r):
     """phi(t) (as a column) and r samples on the unshifted cone, after checking T0 and M."""
     if not (0.0 < T0 < 1.0):
         raise ParameterError(f"T0 in (0, 1) required, got {T0}")
     if not M > 1.0:
         raise ParameterError(f"M > 1 required, got {M}")
-    ts, rr = _cone_samples(m, T0, T0 / 4.0, t_hi, n_t, n_r)
+    ts, rr = _cone_samples(m, T0, T0 / 4.0, n_t, n_r)
     return phi(m, ts)[:, None], rr
 
 
@@ -141,13 +141,12 @@ def verify_unshifted_cone_inequality(
     M: float,
     T0: float,
     delta: float,
-    t_hi: float = T_HI_DEFAULT,
     n_t: int = UNSHIFTED_N_T,
     n_r: int = UNSHIFTED_N_R,
 ) -> ConeCheck:
     """Sample phi(t)^2 - (1-delta)r^2 - delta(phi(t)+M)^2 >= 0 over the cone.
 
-    Samples t log-spaced on [T0/4, t_hi] and r on [0, phi(t) - phi(T0/4)].
+    Samples t log-spaced on [T0/4, T_HI] and r on [0, phi(t) - phi(T0/4)].
     Returns whether the inequality held everywhere and the minimum slack.
     ``holds`` is decided in the affine form delta <= min (phi^2 - r^2) /
     ((phi+M)^2 - r^2), the expression :func:`bisect_max_delta` returns, so it
@@ -155,12 +154,12 @@ def verify_unshifted_cone_inequality(
     """
     if not (0.0 <= delta < 1.0):
         raise ParameterError(f"delta in [0, 1) required, got {delta}")
-    ph, rr = _unshifted_cone(m, M, T0, t_hi, n_t, n_r)
+    ph, rr = _unshifted_cone(m, M, T0, n_t, n_r)
     slack = ph**2 - (1.0 - delta) * rr**2 - delta * (ph + M) ** 2
     return ConeCheck(holds=delta <= _max_delta(ph, rr, M), worst_margin=float(slack.min()))
 
 
-def bisect_max_delta(m: int, M: float, T0: float, t_hi: float = T_HI_DEFAULT) -> float:
+def bisect_max_delta(m: int, M: float, T0: float) -> float:
     """Largest delta for which the sampled unshifted cone inequality holds.
 
     The inequality is affine in delta: phi^2 - r^2 >= delta ((phi+M)^2 - r^2),
@@ -170,7 +169,7 @@ def bisect_max_delta(m: int, M: float, T0: float, t_hi: float = T_HI_DEFAULT) ->
     this delta that check holds, while its slack is zero up to rounding
     (about 1e-16 of (phi+M)^2), so its margin may read like -1e-19.
     """
-    ph, rr = _unshifted_cone(m, M, T0, t_hi, UNSHIFTED_N_T, UNSHIFTED_N_R)
+    ph, rr = _unshifted_cone(m, M, T0, UNSHIFTED_N_T, UNSHIFTED_N_R)
     return _max_delta(ph, rr, M)
 
 
@@ -192,7 +191,6 @@ def verify_shifted_cone_bounds(
     M: float,
     T0: float,
     nu: float,
-    t_hi: float = T_HI_DEFAULT,
     n_t: int = 120,
     n_r: int = 40,
     n_angle: int = 12,
@@ -210,7 +208,7 @@ def verify_shifted_cone_bounds(
     nu_max = max_shift(m, M, T0)
     if not (0.0 <= nu <= nu_max):
         raise WindowError("nu", f"nu out of range: need 0 <= nu <= {nu_max:.6f}, got {nu}")
-    ts, rr = _cone_samples(m, T0, T0 / 2.0, t_hi, n_t, n_r, rng=rng)
+    ts, rr = _cone_samples(m, T0, T0 / 2.0, n_t, n_r, rng=rng)
     ph = phi(m, ts)[:, None, None]
     rho = rr[:, :, None]
     # worst-case axis alignment is included as theta = 0, pi

@@ -29,6 +29,10 @@ from .geometry import finite_speed_radius
 
 __all__ = ["RadialGrid", "SpectralField", "SpaceTimeField", "origin_value"]
 
+SUPPORT_REL_TOL = 1e-12  # largest sample past a support radius, relative to the peak
+TAIL_TOP_FRACTION = 0.1  # share of the highest modes whose energy counts as the spectral tail
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial grid on [0, r_max] with N intervals (nodes 0..N); n_dim = 3."""
@@ -123,23 +127,23 @@ class SpectralField:
         """L2 of w from coefficients (Parseval for the sine basis)."""
         return float(np.sqrt(self.grid.r_max / 2.0 * np.sum(self.coeffs**2)))
 
-    def tail_energy_fraction(self, top_fraction: float = 0.1) -> float:
-        """Energy fraction carried by the highest ``top_fraction`` of modes."""
+    def tail_energy_fraction(self) -> float:
+        """Energy fraction carried by the highest ``TAIL_TOP_FRACTION`` of modes."""
         e = self.coeffs**2
         total = e.sum()
         if total == 0.0:
             return 0.0
-        k0 = int((1.0 - top_fraction) * e.size)
+        k0 = int((1.0 - TAIL_TOP_FRACTION) * e.size)
         return float(e[k0:].sum() / total)
 
 
-def check_support(u: np.ndarray, r: np.ndarray, radius: float, rel_tol: float = 1e-12) -> None:
-    """Require samples beyond ``radius`` to be below rel_tol of the peak."""
+def check_support(u: np.ndarray, r: np.ndarray, radius: float) -> None:
+    """Require samples beyond ``radius`` to be below ``SUPPORT_REL_TOL`` of the peak."""
     peak = np.abs(u).max()
     if peak == 0.0:
         return
     outside = np.abs(u[r > radius])
-    if outside.size and outside.max() > rel_tol * peak:
+    if outside.size and outside.max() > SUPPORT_REL_TOL * peak:
         raise SupportError(
             f"data leaks outside r <= {radius:.4f}: "
             f"max outside = {outside.max():.3e} vs peak {peak:.3e}"

@@ -38,6 +38,8 @@ __all__ = [
     "weighted_field_norm",
 ]
 
+FD_CFL = 0.4  # fd_oracle's time step in units of h / t_final^(m/2)
+
 
 def solve_linear(
     params: ModelParams,
@@ -96,12 +98,11 @@ def fd_oracle(
     g,
     times,
     grid: RadialGrid,
-    cfl: float = 0.4,
     enforce_support: bool = True,
 ) -> SpaceTimeField:
     """Leapfrog finite-difference solution, snapshots snapped to step times.
 
-    dt = cfl * h / t_final^(m/2) (the wave speed t^(m/2) peaks at the end of
+    dt = FD_CFL * h / t_final^(m/2) (the wave speed t^(m/2) peaks at the end of
     the run).  The first step is a Taylor start consistent with the
     degenerate coefficient: w_tt(0) = 0, and the first nonzero correction is
     the t^(m+2)/((m+1)(m+2)) * lambda^2-type term, supplied for m = 1, 2.
@@ -115,7 +116,7 @@ def fd_oracle(
     h = grid.h
     r = grid.r
     f_s, g_s = _data_samples(params, grid, f, g, enforce_support)
-    dt = cfl * h / max(t_final, 1.0) ** (m / 2.0)
+    dt = FD_CFL * h / max(t_final, 1.0) ** (m / 2.0)
     nsteps = int(np.ceil(t_final / dt))
     dt = t_final / nsteps
     snap_steps = sorted(set(int(round(t / dt)) for t in times))

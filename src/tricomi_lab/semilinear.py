@@ -5,7 +5,7 @@ The nonlinearity is the blended form
     F_p(t, u) = (1 - chi(t)) F_smooth(u) + chi(t) |u|^p,
 
 where chi is a C-infinity switch that is 0 up to T0/2 and exactly 1 from T0
-on, and the smooth branch F_smooth(u) = (eps0^2 + u^2)^((p-1)/2) u satisfies
+on, and the smooth branch F_smooth(u) = (EPS0^2 + u^2)^((p-1)/2) u satisfies
 F_smooth(0) = 0 and |F_smooth(u)| <= C (1 + |u|)^(p-1) |u|.
 
 Time marching is per-step per-mode Duhamel: over [t1, t2] each sine
@@ -68,11 +68,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Regularized nonlinearity: power p, switch time T0, smooth-branch scale eps0."""
+    """Regularized nonlinearity: power p and switch time T0 (the smooth branch's scale is EPS0)."""
 
     p: float
     T0: float = 0.5
-    eps0: float = 1e-6
 
     def __post_init__(self):
         if not self.p > 1:
@@ -96,12 +95,14 @@ def evaluate_nonlinearity(spec: NonlinearitySpec, t: float, u):
     power = np.abs(u) ** spec.p
     if c >= 1.0:
         return power
-    smooth = (spec.eps0**2 + u * u) ** ((spec.p - 1.0) / 2.0) * u
+    smooth = (EPS0**2 + u * u) ** ((spec.p - 1.0) / 2.0) * u
     return (1.0 - c) * smooth + c * power
 
 
 BLOWUP_THRESHOLD = 1e6  # sup|u| past which a march reports blowup
+EPS0 = 1e-6  # scale of the smooth branch F_smooth
 _PICARD_BLOCK = 3  # Picard iterates marched together; chosen by measurement (CHANGES.md)
+PICARD_TOL = 1e-6  # Picard converges once N_k < PICARD_TOL * M_0
 
 
 @dataclass
@@ -271,21 +272,19 @@ def time_march(
     steps instead of the requested snapshots.  After a blowup these are
     len(norm_history) - 1 finite midpoints: the crossing step's is not kept.
     """
-    nsteps, dt = _steps(params, grid, horizon, dt)
+    nsteps, _ = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
-    mids = []
+    mids = []  # (t_mid, u_mid) at the march's own midpoint times, as norm_history records them
 
     def source(i, tm, um, live):
         if store_midpoints:
-            mids.append(um)
+            mids.append((tm, um))
         return evaluate_nonlinearity(spec, tm, um) if spec is not None else None
 
     keep = () if store_midpoints or snapshot_times is None else snapshot_times
     (hist,), (t_stop,), kept = _march(params.m, grid, horizon, nsteps, fh, gh, source, BLOWUP_THRESHOLD, keep)
-    if store_midpoints:
-        times, u = (np.arange(len(mids)) + 0.5) * dt, np.array(mids)
-    else:
-        times, u = np.array([t for t, _ in kept]), np.array([u for _, u in kept])
+    stored = mids if store_midpoints else kept
+    times, u = np.array([t for t, _ in stored]), np.array([u for _, u in stored])
     fld = SpaceTimeField(
         times=times, grid=grid, u=u.reshape(len(times), grid.N + 1), m=params.m, M=params.M
     )
@@ -309,19 +308,17 @@ def picard_solve(
     dt: float,
     grid: RadialGrid,
     max_iters: int = 25,
-    gamma: float | None = None,
-    tol: float = 1e-6,
 ):
     """Picard iteration u_k <- linear solve with source F_p(t, u_{k-1}).
 
-    Requires p in the critical-conformal window (gamma defaults to the
-    midpoint of its admissible interval) and max_iters >= 1.  The weighted
-    norms use q = p + 1 and are taken over midpoint samples with t >= T0/2;
+    Requires p in the critical-conformal window and max_iters >= 1.  The
+    weighted norms use q = p + 1, the weight power gamma at the midpoint of
+    its admissible interval, and midpoint samples with t >= T0/2;
     fewer than two such midpoints is a WindowError naming the horizon.
     Divergence (N_k increasing three times in a row, an iterate leaving the
     finite range, or a non-finite M_k or N_k) raises PicardDivergenceError
-    carrying the diagnostics; plain slow convergence just returns
-    converged=False.
+    carrying the diagnostics; converged means N_k < PICARD_TOL * M_0, and
+    plain slow convergence just returns converged=False.
 
     Iterates march _PICARD_BLOCK at a time as the rows of one family: row 0
     takes its source from the previous block's last iterate (zero in the
@@ -333,10 +330,8 @@ def picard_solve(
     if max_iters < 1:
         raise ParameterError(f"max_iters >= 1 required, got {max_iters}")
     lo, hi = gamma_interval(params)  # validates p range
-    if gamma is None:
-        gamma = 0.5 * (lo + hi)
     q = params.p + 1.0
-    wspec = WeightSpec(gamma=gamma, q=q, M=params.M)
+    wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
     nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = (np.arange(nsteps) + 0.5) * dt
@@ -404,7 +399,7 @@ def picard_solve(
                     )
             else:
                 rising = 0
-            if N_seq[-1] < tol * max(M_seq[0], 1e-300):
+            if N_seq[-1] < PICARD_TOL * max(M_seq[0], 1e-300):
                 converged = True
                 break
         k0 += rows

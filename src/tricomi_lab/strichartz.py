@@ -37,7 +37,7 @@ import numpy as np
 from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError, WindowError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
-from .grids import RadialGrid, SpectralField
+from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField
 from .linear import _data_coeffs, _snapshots, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _steps
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 TAIL_DOMINATED_FRACTION = 0.10
+SOBOLEV_TAIL_TOL = 1e-8  # largest spectral tail sobolev_w_s1_norm accepts after its multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,6 @@ def sobolev_w_s1_norm(
     f,
     s: float,
     grid: RadialGrid,
-    tail_tol: float = 1e-8,
     with_error: bool = False,
 ):
     """L1 norm of (I - Lap)^(s/2) f for radial f, via the sine-mode multiplier.
@@ -83,17 +83,17 @@ def sobolev_w_s1_norm(
     N/2 compared with value at N).
 
     Raises AccuracyError when the post-multiplier spectral tail carries more
-    than ``tail_tol`` of the energy (an under-resolved order s).
+    than ``SOBOLEV_TAIL_TOL`` of the energy (an under-resolved order s).
     """
     if s < 0:
         raise ParameterError("s >= 0 required")
     if s > 6:
         raise ParameterError("s <= 6 is the documented accuracy envelope")
-    val = _sobolev_value(f, s, grid, tail_tol)
+    val = _sobolev_value(f, s, grid, SOBOLEV_TAIL_TOL)
     if not with_error:
         return val
     coarse = RadialGrid(grid.r_max, grid.N // 2)
-    val_c = _sobolev_value(f, s, coarse, tail_tol=np.inf)
+    val_c = _sobolev_value(f, s, coarse, np.inf)
     return val, abs(val - val_c)
 
 
@@ -107,7 +107,7 @@ def _sobolev_value(f, s, grid, tail_tol):
     coeffs[np.abs(coeffs) < floor] = 0.0
     mult = (1.0 + grid.lam**2) ** (s / 2.0)
     out = SpectralField(grid, coeffs * mult)
-    tail = out.tail_energy_fraction(0.1)
+    tail = out.tail_energy_fraction()
     if tail > tail_tol:
         raise AccuracyError(
             f"spectral tail {tail:.2e} > {tail_tol:.0e} after order-{s} multiplier; "
@@ -375,8 +375,8 @@ def inhomogeneous_ratio(
         vals = np.array([sources[b](tm, r) for b in live])
         peak = np.abs(vals).max(axis=1)
         leak = np.abs(vals[:, r > finite_speed_radius(params.m, params.M, tm)]).max(axis=1, initial=0.0)
-        b = int(np.argmax(leak > 1e-12 * peak))
-        if leak[b] > 1e-12 * peak[b]:
+        b = int(np.argmax(leak > SUPPORT_REL_TOL * peak))
+        if leak[b] > SUPPORT_REL_TOL * peak[b]:
             raise SupportError(
                 f"source leaks outside r <= phi(t)+M-1 at t={tm:.3f} "
                 f"(max outside {leak[b]:.2e} vs peak {peak[b]:.2e})"
@@ -413,23 +413,20 @@ def inhomogeneous_ratio(
 class DyadicCutoff:
     """Smooth beta supported in (1/2, 2) with sum_j beta(tau / 2^j) = 1 for tau > 0.
 
-    Built as beta(tau) = theta(tau) - theta(2 tau) from a C-inf decreasing
-    plateau theta (1 below tau = 1, 0 above tau = 2), so the dyadic sum
-    telescopes exactly.
+    Built as beta(tau) = theta(tau) - theta(2 tau) from the C-inf decreasing
+    plateau theta(tau) = smooth_ramp(2 - tau) (1 below tau = 1, 0 above
+    tau = 2), so the dyadic sum telescopes exactly.
     """
-
-    @staticmethod
-    def _theta(tau):
-        return smooth_ramp(2.0 - np.asarray(tau, dtype=float))
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
-        return self._theta(tau) - self._theta(2.0 * tau)
+        return smooth_ramp(2.0 - tau) - smooth_ramp(2.0 - 2.0 * tau)
 
 
-def lp_partition_check(
-    cutoff: DyadicCutoff, tau_grid, half_window: int = 2
-) -> float:
+_BETA = DyadicCutoff()  # the cutoff of every dyadic partition below
+
+
+def lp_partition_check(tau_grid, half_window: int = 2) -> float:
     """Max over the grid of |sum_j beta(tau/2^j) - 1| with j in floor(log2 tau) +- window."""
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau <= 0):
@@ -437,37 +434,36 @@ def lp_partition_check(
     j0 = np.floor(np.log2(tau)).astype(int)
     total = np.zeros_like(tau)
     for dj in range(-half_window, half_window + 1):
-        total += cutoff(tau / 2.0 ** (j0 + dj))
+        total += _BETA(tau / 2.0 ** (j0 + dj))
     return float(np.abs(total - 1.0).max())
 
 
-def dyadic_decompose(snapshot: SpectralField, cutoff: DyadicCutoff | None = None):
+def dyadic_decompose(snapshot: SpectralField):
     """Band-limited pieces of a spectral snapshot: coefficients times beta(lambda/2^j).
 
     Returns a list of (j, SpectralField) over the j-window covering the
     grid's frequency range; summing the pieces reconstructs the original
     coefficients exactly up to rounding.
     """
-    cutoff = cutoff or DyadicCutoff()
     lam = snapshot.grid.lam
     j_lo = int(np.floor(np.log2(lam.min()))) - 1
     j_hi = int(np.ceil(np.log2(lam.max()))) + 1
     out = []
     for j in range(j_lo, j_hi + 1):
-        band = snapshot.coeffs * cutoff(lam / 2.0**j)
+        band = snapshot.coeffs * _BETA(lam / 2.0**j)
         if np.any(band != 0.0):
             out.append((j, SpectralField(snapshot.grid, band)))
     return out
 
 
-def square_function_ratio(snapshot: SpectralField, cutoff: DyadicCutoff | None = None) -> float:
+def square_function_ratio(snapshot: SpectralField) -> float:
     """(sum_j ||G_j||_2^2) / ||G||_2^2 in the w-coefficient L2; lies in [1/2, 1].
 
     At q = 2 Parseval makes the square-function comparison computable: with
     at most two adjacent bands overlapping and sum beta_j = 1 pointwise,
     sum beta_j^2 is pinched between 1/2 and 1.
     """
-    bands = dyadic_decompose(snapshot, cutoff)
+    bands = dyadic_decompose(snapshot)
     total = SpectralField(snapshot.grid, snapshot.coeffs).coeff_l2() ** 2
     if total == 0.0:
         raise ParameterError("zero snapshot")

@@ -90,6 +90,8 @@ _HANKEL_TERMS = 12
 # Elements per kernel call of symbol_stream: K = this // lam.size times at once.
 # Chosen by measurement against peak RSS (CHANGES.md); 16384 cost 7% more.
 _SYMBOL_BLOCK_ELEMENTS = 8192
+_START_SERIES_TERMS = 80  # power-series terms of the ODE route's start at small t
+_ENVELOPE_BINS = 24  # log bins of fit_upper_envelope_slope
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,8 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     """V1(t, lambda): the data-to-solution symbol, V1(0, .) = 1.
 
     ``route`` selects the evaluation path: "kummer" (complex confluent
-    hypergeometric) or "bessel" (real Bessel form).  Both agree to roughly
-    1e-7 relative; the ODE route lives in :func:`evolve_mode`.
+    hypergeometric) or "bessel" (one row of the solvers' :func:`symbol_matrix`).
+    Both agree to roughly 1e-7 relative; the ODE route is :func:`evolve_mode`.
     """
     w = _symbol_arg(m, t, lam, route)
     if w == 0.0:
@@ -357,8 +359,8 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     if route == "kummer":
         z = 2j * w
         return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), m / (m + 2.0), z)
-    nu = 1.0 / (m + 2.0)
-    return complex(math.gamma(1.0 - nu) * (0.5 * w) ** nu * bessel_j(-nu, w))
+    v1, _ = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
+    return complex(v1[0])
 
 
 def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
@@ -369,8 +371,8 @@ def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     if route == "kummer":
         z = 2j * w
         return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), (m + 4.0) / (m + 2.0), z)
-    nu = 1.0 / (m + 2.0)
-    return complex(t * math.gamma(1.0 + nu) * (0.5 * w) ** (-nu) * bessel_j(nu, w))
+    _, v2 = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
+    return complex(v2[0])
 
 
 def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
@@ -443,18 +445,18 @@ def amplitude_envelope_bound(m: int, t, lam):
 # ---------------------------------------------------------------------------
 
 
-def _series_start(m: int, lam: float, t0: float, init, n_terms: int = 80):
+def _series_start(m: int, lam: float, t0: float, init):
     """Exact power-series state at small t0: a_{k+2} = -lam^2 a_{k-m} / ((k+2)(k+1))."""
-    a = np.zeros(n_terms)
+    a = np.zeros(_START_SERIES_TERMS)
     a[0], a[1] = init
     lam2 = lam * lam
-    for k in range(n_terms - 2):
+    for k in range(_START_SERIES_TERMS - 2):
         j = k - m
         if j >= 0:
             a[k + 2] = -lam2 * a[j] / ((k + 2.0) * (k + 1.0))
-    powers = t0 ** np.arange(n_terms)
+    powers = t0 ** np.arange(_START_SERIES_TERMS)
     v = float(np.sum(a * powers))
-    v_dot = float(np.sum(np.arange(1, n_terms) * a[1:] * powers[: n_terms - 1]))
+    v_dot = float(np.sum(np.arange(1, _START_SERIES_TERMS) * a[1:] * powers[: _START_SERIES_TERMS - 1]))
     return v, v_dot
 
 
@@ -538,9 +540,7 @@ def evolve_mode_many(
 # ---------------------------------------------------------------------------
 
 
-def fit_upper_envelope_slope(
-    x: np.ndarray, y: np.ndarray, n_bins: int = 24
-) -> float:
+def fit_upper_envelope_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Log-log slope of the upper envelope of y against x (x > 0, y > 0).
 
     Bins x logarithmically, takes the max of y per bin, and least-squares
@@ -552,11 +552,11 @@ def fit_upper_envelope_slope(
     y = np.asarray(y, dtype=float)
     keep = (x > 0) & (y > 0)
     x, y = x[keep], y[keep]
-    edges = np.geomspace(x.min(), x.max() * (1 + 1e-12), n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
-    log_c = np.full(n_bins, np.nan)
-    log_m = np.full(n_bins, np.nan)
-    for b in range(n_bins):
+    edges = np.geomspace(x.min(), x.max() * (1 + 1e-12), _ENVELOPE_BINS + 1)
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, _ENVELOPE_BINS - 1)
+    log_c = np.full(_ENVELOPE_BINS, np.nan)
+    log_m = np.full(_ENVELOPE_BINS, np.nan)
+    for b in range(_ENVELOPE_BINS):
         sel = idx == b
         if np.any(sel):
             log_c[b] = 0.5 * (np.log(edges[b]) + np.log(edges[b + 1]))

@@ -36,7 +36,6 @@ from tricomi_lab.semilinear import (
     weighted_solution_norm,
 )
 from tricomi_lab.strichartz import (
-    DyadicCutoff,
     dyadic_decompose,
     homogeneous_ratio,
     inhomogeneous_defaults,
@@ -324,13 +323,12 @@ def test_criterion_08_strichartz_probes():
 
 
 def test_criterion_09_littlewood_paley():
-    beta = DyadicCutoff()
     tau = np.geomspace(1e-3, 1e3, 10_000)
-    dev = lp_partition_check(beta, tau)
+    dev = lp_partition_check(tau)
     assert dev < 1e-12
     grid = RadialGrid(20.0, 2048)
     snap = SpectralField.from_radial(grid, bump(0.7)(grid.r))
-    bands = dyadic_decompose(snap, beta)
+    bands = dyadic_decompose(snap)
     rec = np.sum([b.coeffs for _, b in bands], axis=0)
     rec_err = np.abs(rec - snap.coeffs).max() / np.abs(snap.coeffs).max()
     assert rec_err < 1e-10

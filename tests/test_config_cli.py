@@ -679,6 +679,16 @@ class TestFileSystemInput:
         assert "cannot make output directory 'a\\x00b': embedded null byte" in capsys.readouterr().err
         assert ran == [] and list(tmp_path.iterdir()) == [path]
 
+    def test_output_dir_dangling_symlink_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("nowhere", "dangling")
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "exponents", lambda cfg: ran.append(cfg) or {})
+        code = main(["--output-dir", "dangling", "exponents", "--m", "1", "--n", "3"])
+        assert ran == [] and list(tmp_path.iterdir()) == [tmp_path / "dangling"]
+        assert code == 2
+        assert "cannot make output directory 'dangling': a dangling symlink" in capsys.readouterr().err
+
 
 class TestFlagCommandManifests:
     CASES = [

@@ -1,5 +1,7 @@
 """Phase, characteristic weight, and cone-inequality sampling checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from tricomi_lab.errors import ParameterError
 from tricomi_lab.geometry import (
+    UNSHIFTED_N_R,
+    UNSHIFTED_N_T,
     WeightSpec,
     bisect_max_delta,
     characteristic_weight,
@@ -157,6 +161,17 @@ class TestShiftedCone:
     def test_nu_out_of_range(self):
         with pytest.raises(ParameterError, match="nu out of range"):
             verify_shifted_cone_bounds(1, 2.0, 0.5, max_shift(1, 2.0, 0.5) + 0.5)
+
+
+class TestSamplerSignatures:
+    @pytest.mark.parametrize("fn, counts", [
+        (verify_unshifted_cone_inequality, {"n_t": UNSHIFTED_N_T, "n_r": UNSHIFTED_N_R}),
+        (verify_shifted_cone_bounds, {"n_t": 120, "n_r": 40, "n_angle": 12}),
+    ])
+    def test_sample_counts_stay_parameters(self, fn, counts):
+        # perfbench/layers.py binds a call's arguments and reads these names with their defaults
+        params = inspect.signature(fn).parameters
+        assert {name: params[name].default for name in counts if name in params} == counts
 
 
 class TestFiniteSpeed:

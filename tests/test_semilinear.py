@@ -183,7 +183,14 @@ class TestTimeMarch:
         assert fld.u.shape == (len(out.norm_history) - 1, grid.N + 1)
         assert np.isfinite(fld.u).all() and np.abs(fld.u).max() <= BLOWUP_THRESHOLD
         accepted = [t for t, _ in out.norm_history[:-1]]
-        assert np.allclose(fld.times, accepted, rtol=0.0, atol=1e-12)
+        assert fld.times.tolist() == accepted  # the midpoint times the march evaluated, bit for bit
+
+    def test_stored_midpoint_times_are_the_marched_ones(self):
+        # horizon 20 and dt 0.02, as in criterion 7: (i + 0.5) dt differs from the
+        # march's 0.5 (t_i + t_(i+1)) in the last bit at about a quarter of the steps
+        params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
+        out, fld = time_march(params, None, bump(0.8), zero, 20.0, 0.02, RadialGrid(64.0, 64), store_midpoints=True)
+        assert fld.times.tolist() == [t for t, _ in out.norm_history]
 
     def test_snapshot_out_of_range(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)

@@ -363,18 +363,15 @@ class TestLittlewoodPaley:
         assert beta(np.array([1.0]))[0] == pytest.approx(1.0)
 
     def test_partition_of_unity(self):
-        beta = DyadicCutoff()
         tau = np.geomspace(1e-3, 1e3, 10_000)
-        assert lp_partition_check(beta, tau) < 1e-12
+        assert lp_partition_check(tau) < 1e-12
 
     def test_tau_one_exact(self):
-        beta = DyadicCutoff()
-        assert lp_partition_check(beta, np.array([1.0])) < 1e-15
+        assert lp_partition_check(np.array([1.0])) < 1e-15
 
     def test_narrow_window_negative_control(self):
-        beta = DyadicCutoff()
         tau = np.geomspace(1e-2, 1e2, 200)
-        assert lp_partition_check(beta, tau, half_window=0) > 0.1
+        assert lp_partition_check(tau, half_window=0) > 0.1
 
     def test_reconstruction(self):
         grid = RadialGrid(20.0, 1024)

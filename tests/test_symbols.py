@@ -163,6 +163,19 @@ class TestSymbols:
                 y = v1_symbol(m, t, 1.0, other)
                 assert abs(x - y) < 1e-7 * max(abs(y), 1.0) + 1e-9
 
+    def test_bessel_route_is_symbol_matrix(self):
+        # the scalar Bessel route is the solvers' one-row symbol_matrix, bit for bit,
+        # so the three-route checks validate the symbols the solvers use
+        ws = np.concatenate([[0.0], np.geomspace(1e-3, 2000.0, 300)])
+        got, want = [], []
+        for m in (1, 2, 3, 4):
+            for lam in (0.37, 1.0, 5.0):
+                for t in phi_inverse(m, ws / lam).tolist():
+                    v1, v2 = symbol_matrix(m, t, np.array([lam]), derivatives=False)
+                    want += [complex(v1[0]), complex(v2[0])]
+                    got += [v1_symbol(m, t, lam, "bessel"), v2_symbol(m, t, lam, "bessel")]
+        assert got == want
+
     def test_kummer_route_real_after_assembly(self):
         for m in (1, 2):
             for w in (0.3, 3.0, 12.0, 45.0):
