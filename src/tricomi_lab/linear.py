@@ -82,14 +82,25 @@ def _data_coeffs(params, grid, f, g, enforce_support=True):
     )
 
 
+def _frame_field(grid: RadialGrid, values, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The radial field with sine coefficients V1 a + V2 b, from the symbol values (V1, V2) at one time.
+
+    (a, b) are the frame coordinates of the field: the data coefficients of
+    a homogeneous solution, or the march's (alpha, beta).  One field (N-1,)
+    gives (N+1,) samples, a (B, N-1) family (B, N+1).
+    """
+    v1, v2 = values
+    return SpectralField(grid, v1 * a + v2 * b).to_radial()
+
+
 def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
     """Yield the radial solution at each time, for coefficients (N-1,) or a (B, N-1) family.
 
     The symbols come from one :func:`symbol_stream`, once per time, shared
     by every member; each yielded array has shape (N+1,) or (B, N+1).
     """
-    for v1, v2 in symbol_stream(m, times, grid.lam, derivatives=False):
-        yield SpectralField(grid, v1 * fh + v2 * gh).to_radial()
+    for values in symbol_stream(m, times, grid.lam, derivatives=False):
+        yield _frame_field(grid, values, fh, gh)
 
 
 def fd_oracle(

@@ -8,21 +8,22 @@ where chi is a C-infinity switch that is 0 up to T0/2 and exactly 1 from T0
 on, and the smooth branch F_smooth(u) = (EPS0^2 + u^2)^((p-1)/2) u satisfies
 F_smooth(0) = 0 and |F_smooth(u)| <= C (1 + |u|)^(p-1) |u|.
 
-Time marching is per-step per-mode Duhamel: over [t1, t2] each sine
-coefficient advances by the exact 2x2 propagator of v'' + t^m lambda^2 v = 0
-(unit Wronskian), and the source is frozen at the step midpoint -- a
-second-order scheme whose linear part is exact at any dt.  The midpoint
-enters only through its values V1 and V2 (the field u_mid and the source's
-Duhamel weights), so the symbols there are evaluated without derivatives,
-from two Bessel orders instead of four.  The step times are known before
-the march starts, so the symbols come from two ``symbols.symbol_stream``
-generators, one over the step ends and one over the midpoints, each
-evaluating several steps per kernel call with the bits of one-step calls.
-One function, ``_march``, runs this scheme for ``time_march``,
-``picard_solve``, ``sweep_p`` and the inhomogeneous Strichartz probe, on one
-field or a family of them that shares every symbol evaluation.  A family
-member whose sup|u| crosses the threshold stops alone; the others march on
-with unchanged bits.
+Time marching is per-mode Duhamel with the source frozen at each step
+midpoint -- a second-order scheme whose linear part is exact at any dt.
+Each sine coefficient is carried in the fixed frame of the fundamental pair
+V1, V2 of v'' + t^m lambda^2 v = 0 (unit Wronskian): its coordinates
+(alpha, beta), with v = V1 alpha + V2 beta, stay constant under the
+homogeneous flow, and a step's frozen source s moves them by
+(-dt V2 s, dt V1 s) at the midpoint.  So the march reads symbol values only,
+two Bessel orders per time: V1 and V2 at every midpoint (for the field
+u_mid and the source's weights) and at the kept step ends, each from a
+``symbols.symbol_stream`` that evaluates several times per kernel call with
+the bits of one-time calls; a source-free march gives ``solve_linear``'s
+snapshots bit for bit.  One function, ``_march``, runs this scheme for
+``time_march``, ``picard_solve``, ``sweep_p`` and the inhomogeneous
+Strichartz probe, on one field or a family of them that shares every symbol
+evaluation.  A family member whose sup|u| crosses the threshold stops
+alone; the others march on with unchanged bits.
 Blowup is a result, not an error: ``time_march`` reports kind "blowup" with
 the first midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or
 goes non-finite, and "global-horizon" otherwise.  ``sweep_p`` marches all
@@ -48,8 +49,8 @@ import numpy as np
 from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError, WindowError
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
-from .grids import RadialGrid, SpaceTimeField, SpectralField
-from .linear import _data_coeffs, _weighted_integral
+from .grids import RadialGrid, SpaceTimeField
+from .linear import _data_coeffs, _frame_field, _weighted_integral
 from .profiles import smooth_ramp
 from .symbols import symbol_stream
 
@@ -144,15 +145,33 @@ def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
     return nsteps, horizon / nsteps
 
 
+def _step_times(horizon, nsteps):
+    """(ends, mids) of the march: the step ends min(k dt, horizon), k = 0..nsteps, and the
+    midpoints 0.5 (t_k + t_(k+1)), as lists of floats."""
+    dt = horizon / nsteps
+    ends = [min(k * dt, horizon) for k in range(nsteps + 1)]
+    return ends, [0.5 * (t1 + t2) for t1, t2 in zip(ends, ends[1:])]
+
+
 def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep=()):
-    """Midpoint-frozen Duhamel march of the sine coefficients (cv, cd) to ``horizon``.
+    """Midpoint-frozen Duhamel march of the data coefficients (cv, cd) to ``horizon``, in the fixed frame.
+
+    The march carries the frame coordinates (alpha, beta) = M(t)^-1 (v, v')
+    of each sine coefficient, M(t) being the unit-Wronskian matrix of the
+    symbols V1, V2 and their derivatives; the homogeneous flow leaves them
+    constant.  They start at (cv, cd).  At step i's midpoint t_mid the field
+    is u_mid = V1(t_mid) alpha + V2(t_mid) beta, and the source's sine
+    coefficients s, frozen over the step of length dt, move them by
+    alpha -= dt V2(t_mid) s and beta += dt V1(t_mid) s.  A kept step end t
+    gives u = V1(t) alpha + V2(t) beta.  So the march reads symbol values
+    only: one :func:`symbol_stream` over the midpoints and one over the kept
+    step ends.  Without a source the kept fields are ``_snapshots``'s, bit
+    for bit.
 
     The coefficients are (N-1,) for one field, member 0, or (B, N-1) for a
-    family of B members that shares every symbol evaluation.  The symbols of
-    the step ends 0, dt, ..., horizon and of the midpoints come from one
-    :func:`symbol_stream` each.  A member stops at the first midpoint where
-    its sup|u| exceeds ``threshold`` or is not finite; the others march on,
-    each with the bits it would have alone.
+    family of B members that shares every symbol evaluation.  A member stops
+    at the first midpoint where its sup|u| exceeds ``threshold`` or is not
+    finite; the others march on, each with the bits it would have alone.
     ``source(i, t_mid, u_mid, live)`` gets step i's midpoint field of the
     members still marching, whose indices are the list ``live``, and returns
     their radial source samples frozen over the step (None for source-free).
@@ -176,16 +195,12 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
     live = list(range(len(cv) if cv.ndim == 2 else 1))
     hists, t_stops = [[] for _ in live], [None for _ in live]
     limit = min(threshold, np.finfo(float).max)  # sup <= limit also fails for inf and NaN
-    t_end = [min(k * dt, horizon) for k in range(nsteps + 1)]
-    t_mid = [0.5 * (t1 + t2) for t1, t2 in zip(t_end, t_end[1:])]
-    ends = symbol_stream(m, t_end, lam)
-    mids = symbol_stream(m, t_mid, lam, derivatives=False)
-    sym_prev = next(ends)
-    kept = []
-    for i, (sym_mid, sym_next) in enumerate(zip(mids, ends)):
-        t1, t2, tm = t_end[i], t_end[i + 1], t_mid[i]
-        A1, B1 = _trans_row(sym_prev, sym_mid)
-        um = SpectralField(grid, A1 * cv + B1 * cd).to_radial()
+    t_end, t_mid = _step_times(horizon, nsteps)
+    kept_values = symbol_stream(m, [t_end[k] for k in sorted(keep_steps)], lam, derivatives=False)
+    alpha, beta, kept = cv, cd, []
+    for i, (v1, v2) in enumerate(symbol_stream(m, t_mid, lam, derivatives=False)):
+        tm = t_mid[i]
+        um = _frame_field(grid, (v1, v2), alpha, beta)
         sup = np.atleast_1d(np.abs(um).max(axis=-1))
         for b, s in zip(live, sup.tolist()):
             hists[b].append((tm, s))
@@ -197,47 +212,14 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
             if not ok.any():
                 break
             live = [b for b, o in zip(live, ok) if o]
-            cv, cd, um = cv[ok], cd[ok], um[ok]
+            alpha, beta, um = alpha[ok], beta[ok], um[ok]
         src = source(i, tm, um, live) if source is not None else None
-        A2, B2, C2, D2 = _trans_full(sym_prev, sym_next)
         if src is not None:
-            sh = grid.forward(r_int * src[..., 1 : grid.N])
-            Bm, Dm = _trans_col(sym_mid, sym_next)
-            cv, cd = (
-                A2 * cv + B2 * cd + (t2 - t1) * Bm * sh,
-                C2 * cv + D2 * cd + (t2 - t1) * Dm * sh,
-            )
-        else:
-            cv, cd = A2 * cv + B2 * cd, C2 * cv + D2 * cd
-        sym_prev = sym_next
+            impulse = (t_end[i + 1] - t_end[i]) * grid.forward(r_int * src[..., 1 : grid.N])
+            alpha, beta = alpha - v2 * impulse, beta + v1 * impulse
         if i + 1 in keep_steps:
-            kept.append(((i + 1) * dt, SpectralField(grid, cv).to_radial()))
+            kept.append(((i + 1) * dt, _frame_field(grid, next(kept_values), alpha, beta)))
     return hists, t_stops, kept
-
-
-def _trans_full(s1, s2):
-    a1, a2, a1p, a2p = s1
-    b1, b2, b1p, b2p = s2
-    return (
-        b1 * a2p - b2 * a1p,
-        b2 * a1 - b1 * a2,
-        b1p * a2p - b2p * a1p,
-        b2p * a1 - b1p * a2,
-    )
-
-
-def _trans_row(s1, s2):
-    """(A, B) of the step propagator from s1's time to s2's; reads s2's values only."""
-    a1, a2, a1p, a2p = s1
-    b1, b2 = s2
-    return b1 * a2p - b2 * a1p, b2 * a1 - b1 * a2
-
-
-def _trans_col(s1, s2):
-    """(B, D) of the step propagator from s1's time to s2's; reads s1's values only."""
-    a1, a2 = s1
-    b1, b2, b1p, b2p = s2
-    return b2 * a1 - b1 * a2, b2p * a1 - b1p * a2
 
 
 def _tail_nonincreasing(hist, horizon) -> bool:
@@ -334,7 +316,7 @@ def picard_solve(
     wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
     nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
-    t_mid = (np.arange(nsteps) + 0.5) * dt
+    t_mid = np.array(_step_times(horizon, nsteps)[1])  # the times the march evaluates its midpoints at
     in_box = t_mid >= spec.T0 / 2.0
     if np.count_nonzero(in_box) < 2:
         raise WindowError(
@@ -364,11 +346,10 @@ def picard_solve(
             pred = np.concatenate((_prev[i : i + 1], um[:-1]))
             mids[i, : len(um)] = um
             if in_box[i]:
-                t = float(t_mid[i])
                 # an overflow here gives a non-finite norm, which raises PicardDivergenceError below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    M_int.append(_weighted_integral(um, r, t, params.m, wspec))
-                    N_int.append(_weighted_integral(um - pred, r, t, params.m, wspec))
+                    M_int.append(_weighted_integral(um, r, tm, params.m, wspec))
+                    N_int.append(_weighted_integral(um - pred, r, tm, params.m, wspec))
             return evaluate_nonlinearity(spec, tm, pred)
 
         block = (rows, fh.size)

@@ -62,7 +62,6 @@ __all__ = [
     "Z_SWITCH",
     "W_SWITCH",
     "ModeState",
-    "bessel_j",
     "kummer_M",
     "asymptotic_components",
     "v1_symbol",
@@ -202,35 +201,23 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
 
     Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
     truncation, so an element's value depends on its own w only.  The
-    constants of each order tuple are computed once and cached.
+    constants of each order tuple are computed once and cached.  Only the
+    orders the symbols need are exercised in anger (nu in (-1/2, 0) and
+    (0, 3/2)); this is not a general-purpose Bessel.  At w = 0 it gives the
+    limit, without a warning: inf for -1 < nu < 0, 1 at nu = 0, 0 for nu > 0.
     """
     nus = tuple(float(v) for v in nus)
     flat = w.ravel()
+    if (flat < 0).any():
+        raise ParameterError("w >= 0 required")
     small = flat <= W_SWITCH
     out = np.empty((len(nus), flat.size))
     if small.any():
-        out[:, small] = _bessel_series(nus, flat[small])
+        with np.errstate(divide="ignore"):
+            out[:, small] = _bessel_series(nus, flat[small])
     if not small.all():
         out[:, ~small] = _bessel_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
-
-
-def bessel_j(nu: float, w):
-    """Bessel J_nu(w) for real order nu > -1 and w >= 0, vectorized in w.
-
-    Ascending series up to ``W_SWITCH``, Hankel's expansion beyond.
-    Only the order families needed by the symbols are exercised in anger
-    (nu in (-1/2, 0) and (0, 3/2)); this is not a general-purpose Bessel.
-    At w = 0 it returns the limit, without a warning: inf for -1 < nu < 0,
-    1 at nu = 0, and 0 for nu > 0.  A float for a scalar w, else an array of w's shape.
-    """
-    scalar = np.ndim(w) == 0
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w < 0):
-        raise ParameterError("w >= 0 required")
-    with np.errstate(divide="ignore"):
-        out = _bessel_kernel((nu,), w)[0]
-    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +365,15 @@ def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
 def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
     """Yield (V1, V2, V1', V2') at each of ``times`` in order, for an array of frequencies.
 
-    This is the solvers' hot path: four real arrays per time whose 2x2 mode
-    propagator has unit Wronskian, Bessel route.  The values V1 and V2 need
-    the orders -nu and nu only; the derivatives add 1-nu and 1+nu through
-    d/dw [w^nu J_(-nu)] = -w^nu J_(1-nu) and d/dw [w^-nu J_nu] = -w^-nu J_(nu+1)
-    with dw/dt = t^(m/2) lambda.  With ``derivatives=False`` only (V1, V2)
-    are yielded, from those two orders, bit-identical to the first two
-    arrays of the full evaluation.
+    Four real arrays per time, Bessel route: the mode's fundamental matrix,
+    whose unit Wronskian the solvers' frame coordinates rely on.  The values
+    V1 and V2 need the orders -nu and nu only; the derivatives add 1-nu and
+    1+nu through d/dw [w^nu J_(-nu)] = -w^nu J_(1-nu) and
+    d/dw [w^-nu J_nu] = -w^-nu J_(nu+1) with dw/dt = t^(m/2) lambda.  With
+    ``derivatives=False`` only (V1, V2) are yielded, from those two orders,
+    bit-identical to the first two arrays of the full evaluation; that is
+    the solvers' hot path, since every snapshot and every march step reads
+    values only.
 
     The kernel's cost per call is mostly fixed, so the next
     K = _SYMBOL_BLOCK_ELEMENTS // lam.size times go through one kernel call

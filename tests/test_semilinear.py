@@ -1,5 +1,6 @@
 """Semilinear machinery: nonlinearity blend, Duhamel march, Picard, sweeps."""
 
+import math
 import re
 
 import numpy as np
@@ -10,8 +11,8 @@ import tricomi_lab.symbols as symbols
 from tricomi_lab.errors import ParameterError, PicardDivergenceError
 from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
 from tricomi_lab.geometry import WeightSpec, phi
-from tricomi_lab.grids import RadialGrid, SpaceTimeField
-from tricomi_lab.linear import _data_coeffs, solve_linear, weighted_field_norm
+from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
+from tricomi_lab.linear import _data_coeffs, _snapshots, solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump
 from tricomi_lab.semilinear import (
     BLOWUP_THRESHOLD,
@@ -39,10 +40,10 @@ def sequential_picard(params, spec, f, g, horizon, dt, grid, max_iters=25, tol=1
     wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
     nsteps, dt = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
-    t_mid = (np.arange(nsteps) + 0.5) * dt
-    mask = t_mid >= spec.T0 / 2.0
+    t_mid = np.empty(nsteps)  # the midpoint times the march hands its source
 
     def norm_of(mid_arr):
+        mask = t_mid >= spec.T0 / 2.0
         fld = SpaceTimeField(times=t_mid[mask], grid=grid, u=mid_arr[mask], m=params.m, M=params.M)
         return weighted_field_norm(fld, wspec)
 
@@ -53,7 +54,7 @@ def sequential_picard(params, spec, f, g, horizon, dt, grid, max_iters=25, tol=1
         mids = np.empty_like(prev_mid)
 
         def source(i, tm, um, live, _prev=prev_mid, _mids=mids):
-            _mids[i] = um
+            t_mid[i], _mids[i] = tm, um
             return evaluate_nonlinearity(spec, tm, _prev[i])
 
         _, (t_stop,), _ = _march(params.m, grid, horizon, nsteps, fh, gh, source)
@@ -192,6 +193,21 @@ class TestTimeMarch:
         out, fld = time_march(params, None, bump(0.8), zero, 20.0, 0.02, RadialGrid(64.0, 64), store_midpoints=True)
         assert fld.times.tolist() == [t for t, _ in out.norm_history]
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_source_free_march_is_snapshots(self, m):
+        # the frame march's kept field is solve_linear's expression V1 f + V2 g, bit for bit
+        params = ModelParams(m, 3, 2.0, eps=1.0, M=2.0)
+        grid, horizon, nsteps = RadialGrid(40.0, 1024), 10.0, 500
+        coeffs = [_data_coeffs(params, grid, bump(0.8, a), bump(0.6, b)) for a, b in ((1.0, 0.0), (0.3, 2.0))]
+        fh, gh = (np.array(c) for c in zip(*coeffs))
+        keep = [k * horizon / nsteps for k in (1, 137, 250, 499, 500)]
+        for cv, cd in ((fh[0], gh[0]), (fh, gh)):
+            _, _, kept = _march(m, grid, horizon, nsteps, cv, cd, keep=keep)
+            times = [t for t, _ in kept]
+            assert times == keep
+            for (_, u), want in zip(kept, _snapshots(m, grid, times, cv, cd)):
+                assert u.tobytes() == want.tobytes()
+
     def test_snapshot_out_of_range(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
         grid = RadialGrid(20.0, 256)
@@ -234,6 +250,45 @@ class TestMarchFamily:
                 row = [0, 2].index(b)
                 assert [t for t, _ in kept] == [t for t, _ in alone]
                 assert all(np.array_equal(u[row], v) for (_, u), (_, v) in zip(kept, alone))
+
+
+class TestManufacturedSolution:
+    """u = (cos t + 0.1 t^3) e^(-r^2) solves u_tt - t Lap(u) = s with s its residual; the
+    midpoint-frozen march must converge at order 2 in dt, for one member and for a family."""
+
+    GRID, HORIZON, AMPS = RadialGrid(12.0, 256), 2.0, np.array([1.0, -0.5, 2.0])
+
+    def exact(self, t, r):
+        return (math.cos(t) + 0.1 * t**3) * np.exp(-r * r)
+
+    def residual(self, t, r):
+        # u_tt = (-cos t + 0.6 t) e^(-r^2), and Lap e^(-r^2) = (4 r^2 - 6) e^(-r^2) in n = 3
+        return (-math.cos(t) + 0.6 * t - t * (math.cos(t) + 0.1 * t**3) * (4.0 * r * r - 6.0)) * np.exp(-r * r)
+
+    def errors(self, amps):
+        """Relative errors at the horizon after 20, 40, ..., 320 steps; one member, or a family amps * u."""
+        grid, r = self.GRID, self.GRID.r
+
+        def scaled(x, live=slice(None)):
+            return x if amps is None else np.outer(amps[live], x)
+
+        cv = scaled(SpectralField.from_radial(grid, self.exact(0.0, r)).coeffs)  # u_t(0) = 0
+        errs = []
+        for nsteps in (20, 40, 80, 160, 320):
+            _, _, kept = _march(
+                1, grid, self.HORIZON, nsteps, cv, np.zeros_like(cv),
+                lambda i, tm, um, live: scaled(self.residual(tm, r), live), keep=[self.HORIZON],
+            )
+            ((t, u),) = kept
+            want = scaled(self.exact(t, r))
+            errs.append(np.abs(u - want)[..., 1:].max() / np.abs(want).max())  # r = 0 is extrapolated
+        return np.array(errs)
+
+    @pytest.mark.parametrize("amps", [None, AMPS], ids=["one-member", "family"])
+    def test_order_two(self, amps):
+        errs = self.errors(amps)
+        ratios = errs[:-1] / errs[1:]
+        assert ((3.9 <= ratios) & (ratios <= 4.1)).all(), ratios
 
 
 class TestSymbolBlocks:
@@ -361,8 +416,8 @@ class TestPicard:
             monkeypatch.undo()
             want = outcome(sequential_picard)
         nsteps, _ = _steps(params, grid, horizon, 0.02)
-        assert len(calls) == marches * (1 + 2 * nsteps)  # one symbol row per step end and midpoint per block
-        assert [d for _, d in calls].count(False) == marches * nsteps  # the midpoints need values only
+        assert len(calls) == marches * nsteps  # one symbol row per midpoint per block, and no kept step ends
+        assert not any(d for _, d in calls)  # the frame march reads symbol values only
         assert got[:4] == want[:4]
         assert np.isfinite(got[0] + got[1]).all()  # a non-finite norm raises, it is never recorded
         if isinstance(expect, int):
@@ -370,6 +425,14 @@ class TestPicard:
             assert np.array_equal(got[4].times, want[4].times) and np.array_equal(got[4].u, want[4].u)
         else:
             assert got[4] is None and want[4] is None
+
+    def test_field_times_are_the_marched_midpoints(self):
+        # horizon 20 and dt 0.02, as in criterion 7: (i + 0.5) dt misses the march's midpoints by an ulp
+        params, grid = ModelParams(1, 3, 2.0, eps=1.0, M=2.0), RadialGrid(64.0, 64)
+        _, fld = picard_solve(params, NonlinearitySpec(p=2.0), zero, zero, 20.0, 0.02, grid, max_iters=1)
+        _, marched = time_march(params, None, zero, zero, 20.0, 0.02, grid, store_midpoints=True)
+        assert fld.times.tolist() == marched.times.tolist()
+        assert fld.times.tolist() != ((np.arange(1000) + 0.5) * 0.02).tolist()
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_max_iters_must_be_positive(self, max_iters):

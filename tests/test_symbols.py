@@ -15,9 +15,9 @@ from tricomi_lab.geometry import phi, phi_inverse
 from tricomi_lab.symbols import (
     W_SWITCH,
     Z_SWITCH,
+    _bessel_kernel,
     amplitude_envelope_bound,
     asymptotic_components,
-    bessel_j,
     evolve_mode,
     evolve_mode_many,
     fit_upper_envelope_slope,
@@ -33,11 +33,16 @@ def w_to_t(m, w, lam=1.0):
     return phi_inverse(m, w / lam)
 
 
+def kernel_j(nu, w):
+    """J_nu(w) of one order from the symbols' Bessel kernel."""
+    return _bessel_kernel((nu,), np.asarray(w, dtype=float))[0]
+
+
 class TestBesselRoute:
     @pytest.mark.parametrize("nu", [-1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, -0.25, 1.25])
     def test_against_scipy(self, nu):
         w = np.geomspace(1e-3, 900.0, 400)
-        assert np.abs(bessel_j(nu, w) - scipy_jv(nu, w)).max() < 1e-10
+        assert np.abs(kernel_j(nu, w) - scipy_jv(nu, w)).max() < 1e-10
 
     def test_overlap_band(self):
         # series and asymptotics agree where both are trustworthy
@@ -62,28 +67,29 @@ class TestBesselRoute:
                     got = branch((order,), ws)[0]
                     ref = np.array([float(mpmath.besselj(order, mpmath.mpf(w))) for w in ws])
                     assert np.abs(got - ref).max() < 2e-12
-                    assert np.array_equal(bessel_j(order, ws), got)
+                    assert np.array_equal(kernel_j(order, ws), got)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ParameterError):
-            bessel_j(0.5, -1.0)
+            kernel_j(0.5, -1.0)
 
     @pytest.mark.parametrize("w", [[2.0], np.array([2.0])])
     def test_one_element_input_gives_an_array(self, w):
-        got = bessel_j(0.5, w)
+        got = kernel_j(0.5, w)
         assert isinstance(got, np.ndarray) and got.shape == (1,)
-        assert got[0] == bessel_j(0.5, [2.0, 3.0])[0]
+        assert got[0] == kernel_j(0.5, [2.0, 3.0])[0]
 
     @pytest.mark.parametrize("w", [2.0, np.float64(2.0), np.array(2.0)])
-    def test_scalar_input_gives_a_float(self, w):
-        got = bessel_j(0.5, w)
-        assert type(got) is float and got == bessel_j(0.5, [2.0, 3.0])[0]
+    def test_scalar_input_gives_one_value_per_order(self, w):
+        got = _bessel_kernel((0.5, 1.5), np.asarray(w))
+        assert got.shape == (2,)
+        assert got[0] == kernel_j(0.5, [2.0, 3.0])[0] and got[1] == kernel_j(1.5, [2.0, 3.0])[0]
 
     @pytest.mark.parametrize("nu,limit", [(-1.0 / 3.0, np.inf), (-0.9, np.inf), (0.0, 1.0), (1.0 / 3.0, 0.0)])
     def test_zero_argument_is_the_limit_without_warning(self, nu, limit):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bessel_j(nu, [0.0, 1.0])
+            got = kernel_j(nu, [0.0, 1.0])
         assert got[0] == limit and got[1] == pytest.approx(scipy_jv(nu, 1.0), rel=1e-12)
 
 
@@ -245,7 +251,7 @@ class TestSymbolMatrix:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_wronskian_tight(self, m):
-        # the 2x2 step inverts with the adjugate, which assumes a unit Wronskian
+        # the frame march's source update (-dt V2 s, dt V1 s) is M(t)^-1 (0, dt s) only for a unit Wronskian
         lam = np.pi * np.arange(1, 16384) / 680.0
         worst = 0.0
         for t in np.linspace(1.0, 10.0, 50):
@@ -367,7 +373,7 @@ class TestSymbolStream:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_rows_equal_the_one_time_formula(self, m):
-        # written out per time with Python-float scalars and one bessel_j call per order;
+        # written out per time with Python-float scalars and one kernel call per order;
         # an array power over the times, (t_k)^(m/2), moves V1' in the last bit at m = 3
         nu = 1.0 / (m + 2.0)
         c1, c2 = math.gamma(1.0 - nu), math.gamma(1.0 + nu)
@@ -376,7 +382,7 @@ class TestSymbolStream:
         for t, row in zip(times, symbol_stream(m, times, lam)):
             w = phi(m, t) * lam
             half_pow, inv_half_pow = (0.5 * w) ** nu, (0.5 * w) ** (-nu)
-            j = [bessel_j(order, w) for order in (-nu, nu, 1.0 - nu, 1.0 + nu)]
+            j = [kernel_j(order, w) for order in (-nu, nu, 1.0 - nu, 1.0 + nu)]
             want = (
                 c1 * half_pow * j[0],
                 t * c2 * inv_half_pow * j[1],
