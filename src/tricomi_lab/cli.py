@@ -55,7 +55,6 @@ from .linear import solve_linear
 from .profiles import bump, make_profile
 from .semilinear import (
     NonlinearitySpec,
-    _step_count,
     picard_solve,
     sweep_p,
     time_march,
@@ -167,8 +166,8 @@ def _snapshot_times(section: dict, t_final: float, name: str = "linear", dt: flo
     """Snapshot times to ``t_final`` of section ``name``, for a march of step ``dt`` if given.
 
     The default start is never before ``min(dt, t_final)``, and its 1e-3 floor holds only
-    where that is before ``t_final``.  A given start must be before ``t_final`` and must not
-    round to step 0 of the march, whose steps are t_final / _step_count(t_final, dt) long.
+    where that is before ``t_final``.  A given start must be before ``t_final``; the march
+    itself rejects one that snaps to its step 0.
     """
     t_start = section["t_start"]
     if t_start is None:
@@ -176,12 +175,6 @@ def _snapshot_times(section: dict, t_final: float, name: str = "linear", dt: flo
         t_start = max(t_final / 100.0, 1e-3 if 1e-3 < t_final else 0.0, step)
     elif t_start >= t_final:
         raise ParameterError(f"{name}.t_start must be before the final time {t_final!r}, got {t_start!r}")
-    elif dt is not None:
-        step = t_final / _step_count(t_final, dt)  # semilinear._march snaps a time t to step round(t / step)
-        if round(t_start / step) == 0:
-            raise ParameterError(
-                f"{name}.t_start must not round to step 0 of the march (step {step:.6g}), got {t_start!r}"
-            )
     spaced = np.linspace if section["snapshot_spacing"] == "linear" else np.geomspace
     return spaced(t_start, t_final, section["snapshots"])
 
@@ -285,9 +278,8 @@ def _scenario_solve_semilinear(cfg: RunConfig) -> dict[str, str]:
         )
     else:
         times = _snapshot_times(sec, horizon, name="semilinear", dt=dt)
-        outcome, field = time_march(
-            params, spec, f, g, horizon, dt, grid, snapshot_times=times
-        )
+        with _window_keys("semilinear", snapshot_times="t_start"):  # a start the march snaps to its step 0
+            outcome, field = time_march(params, spec, f, g, horizon, dt, grid, snapshot_times=times)
         record.update(kind=outcome.kind, blowup_time=outcome.blowup_time)
         if outcome.kind == "global-horizon":
             record["tail_nonincreasing"] = outcome.tail_nonincreasing

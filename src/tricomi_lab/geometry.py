@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyIntervalError, ParameterError, WindowError
+from .errors import AccuracyError, EmptyIntervalError, ParameterError, WindowError
 
 __all__ = [
     "WeightSpec",
@@ -174,8 +174,14 @@ def bisect_max_delta(m: int, M: float, T0: float) -> float:
 
 
 def _max_delta(ph, rr, M: float) -> float:
-    """Sampled minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2): the largest delta that holds."""
-    return float(((ph**2 - rr**2) / ((ph + M) ** 2 - rr**2)).min())
+    """Sampled minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2): the largest delta that holds.  Where
+    (phi+M)^2 rounds to phi^2 (m >= 10 at T_HI) the ratio reads 0/0: an AccuracyError."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (ph**2 - rr**2) / ((ph + M) ** 2 - rr**2)
+    if not np.isfinite(ratio).all():
+        raise AccuracyError(f"the sampled ratio (phi^2 - r^2) / ((phi+M)^2 - r^2) is not finite: at phi(T_HI="
+                            f"{T_HI:g}) = {float(ph.max()):.3g}, (phi+M)^2 - r^2 loses M={M} to rounding")
+    return float(ratio.min())
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ the bits of one-time calls; a source-free march gives ``solve_linear``'s
 snapshots bit for bit.  One function, ``_march``, runs this scheme for
 ``time_march``, ``picard_solve``, ``sweep_p`` and the inhomogeneous
 Strichartz probe, on one field or a family of them that shares every symbol
-evaluation.  A family member whose sup|u| crosses the threshold stops
-alone; the others march on with unchanged bits.
+evaluation.  The march owns its clock: ``_steps`` builds its step ends and
+midpoints, and ``_snap`` maps requested times to step ends, for every caller.
+A family member whose sup|u| crosses the threshold stops alone; the others
+march on with unchanged bits.
 Blowup is a result, not an error: ``time_march`` reports kind "blowup" with
 the first midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or
 goes non-finite, and "global-horizon" otherwise.  ``sweep_p`` marches all
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError, ParameterError, PicardDivergenceError, TricomiLabError, WindowError
+from .errors import ParameterError, PicardDivergenceError, TricomiLabError, WindowError
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField
@@ -126,36 +128,39 @@ class PicardDiagnostics:
     iterations: int
 
 
-def _step_count(horizon: float, dt: float) -> int:
-    """Steps of the march to ``horizon``: ceil(horizon / dt), or round(horizon / dt) when that
-    many steps of ``dt`` reach the horizon to a few ulps (0.9 / 0.03 = 30.000000000000004
-    gives 30 steps, not 31)."""
-    n = round(horizon / dt)
-    if abs(n * dt - horizon) <= 4.0 * math.ulp(horizon):
-        return n
-    return math.ceil(horizon / dt)
-
-
 def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
-    """(nsteps, dt) of the fixed-step march to ``horizon``, after the wall check."""
+    """The march's clock, after the dt and wall checks: the lists (ends, mids) of its n steps of
+    h = horizon / n, ends[k] = min(k h, horizon) for k = 0..n and mids[k] = 0.5 (ends[k] + ends[k+1]).
+    n is ceil(horizon / dt), or round(horizon / dt) when that many steps of ``dt`` reach the
+    horizon to a few ulps (0.9 / 0.03 = 30.000000000000004 gives 30 steps, not 31)."""
     if not dt > 0:
         raise ParameterError(f"dt > 0 required, got {dt}")
     grid.validate_horizon(params.m, params.M, horizon)
-    nsteps = _step_count(horizon, dt)
-    return nsteps, horizon / nsteps
-
-
-def _step_times(horizon, nsteps):
-    """(ends, mids) of the march: the step ends min(k dt, horizon), k = 0..nsteps, and the
-    midpoints 0.5 (t_k + t_(k+1)), as lists of floats."""
-    dt = horizon / nsteps
-    ends = [min(k * dt, horizon) for k in range(nsteps + 1)]
+    n = round(horizon / dt)
+    if abs(n * dt - horizon) > 4.0 * math.ulp(horizon):
+        n = math.ceil(horizon / dt)
+    h = horizon / n
+    ends = [min(k * h, horizon) for k in range(n + 1)]
     return ends, [0.5 * (t1 + t2) for t1, t2 in zip(ends, ends[1:])]
 
 
-def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep=()):
-    """Midpoint-frozen Duhamel march of the data coefficients (cv, cd) to ``horizon``, in the fixed frame.
+def _snap(ends, times, name: str) -> list:
+    """The sorted step indices k = round(t / h) of ``times`` on the step ends ``ends`` (h = ends[1]);
+    a time off steps 1..n is a WindowError naming ``name``."""
+    n, h = len(ends) - 1, ends[1]
+    steps = {t: round(t / h) for t in np.atleast_1d(times).tolist()}
+    for t, k in steps.items():
+        if not 1 <= k <= n:
+            raise WindowError(name, f"snapshot time {t:.6g} falls on step {k}, "
+                                    f"outside steps 1..{n} of the march (step {h:.6g})")
+    return sorted(set(steps.values()))
 
+
+def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
+    """Midpoint-frozen Duhamel march of the data coefficients (cv, cd) over ``steps``, in the fixed frame.
+
+    ``steps`` is the (ends, mids) clock of :func:`_steps`, and ``keep`` holds
+    the sorted indices k of the step ends to keep, as :func:`_snap` gives them.
     The march carries the frame coordinates (alpha, beta) = M(t)^-1 (v, v')
     of each sine coefficient, M(t) being the unit-Wronskian matrix of the
     symbols V1, V2 and their derivatives; the homogeneous flow leaves them
@@ -179,24 +184,16 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
 
     Returns (hists, t_stops, kept): hists[b] lists member b's (t_mid, sup|u|)
     per step, ending at its crossing; t_stops[b] is its stopping midpoint
-    time or None; kept lists (k dt, u) at the step ends k dt nearest the
-    ``keep`` times, in step order, with u holding the live members.
+    time or None; kept lists (ends[k], u) for the kept k, in step order, with
+    u holding the live members and evaluated at ends[k].
     """
-    dt = horizon / nsteps
-    keep_steps = set()
-    for t in np.atleast_1d(keep):
-        k = int(round(float(t) / dt))
-        if not 1 <= k <= nsteps:
-            raise GridError(
-                f"snapshot time {t} falls on step {k}, outside steps 1..{nsteps} of dt={dt:.6g}"
-            )
-        keep_steps.add(k)
+    t_end, t_mid = steps
     lam, r_int = grid.lam, grid.r[1 : grid.N]
     live = list(range(len(cv) if cv.ndim == 2 else 1))
     hists, t_stops = [[] for _ in live], [None for _ in live]
     limit = min(threshold, np.finfo(float).max)  # sup <= limit also fails for inf and NaN
-    t_end, t_mid = _step_times(horizon, nsteps)
-    kept_values = symbol_stream(m, [t_end[k] for k in sorted(keep_steps)], lam, derivatives=False)
+    kept_values = symbol_stream(m, [t_end[k] for k in keep], lam, derivatives=False)
+    keep = set(keep)
     alpha, beta, kept = cv, cd, []
     for i, (v1, v2) in enumerate(symbol_stream(m, t_mid, lam, derivatives=False)):
         tm = t_mid[i]
@@ -217,8 +214,8 @@ def _march(m, grid, horizon, nsteps, cv, cd, source=None, threshold=np.inf, keep
         if src is not None:
             impulse = (t_end[i + 1] - t_end[i]) * grid.forward(r_int * src[..., 1 : grid.N])
             alpha, beta = alpha - v2 * impulse, beta + v1 * impulse
-        if i + 1 in keep_steps:
-            kept.append(((i + 1) * dt, _frame_field(grid, next(kept_values), alpha, beta)))
+        if i + 1 in keep:
+            kept.append((t_end[i + 1], _frame_field(grid, next(kept_values), alpha, beta)))
     return hists, t_stops, kept
 
 
@@ -248,13 +245,16 @@ def time_march(
     The march takes ceil(horizon / dt) equal steps, or horizon / dt when ``dt``
     divides the horizon to a few ulps; ``dt`` is a number > 0, as for
     ``picard_solve`` and ``sweep_p``.  The march stops with kind "blowup" at the first step midpoint where
-    sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  Snapshot times are
-    snapped to step boundaries.  Returns (RunOutcome, SpaceTimeField); when
+    sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  The field holds the step
+    ends nearest the snapshot times; one off steps 1..n is a WindowError naming
+    ``snapshot_times``.  Returns (RunOutcome, SpaceTimeField); when
     ``store_midpoints`` is set the field holds the midpoints of the accepted
     steps instead of the requested snapshots.  After a blowup these are
     len(norm_history) - 1 finite midpoints: the crossing step's is not kept.
     """
-    nsteps, _ = _steps(params, grid, horizon, dt)
+    steps = _steps(params, grid, horizon, dt)
+    wanted = () if store_midpoints or snapshot_times is None else snapshot_times
+    keep = _snap(steps[0], wanted, "snapshot_times")
     fh, gh = _data_coeffs(params, grid, f, g)
     mids = []  # (t_mid, u_mid) at the march's own midpoint times, as norm_history records them
 
@@ -263,8 +263,7 @@ def time_march(
             mids.append((tm, um))
         return evaluate_nonlinearity(spec, tm, um) if spec is not None else None
 
-    keep = () if store_midpoints or snapshot_times is None else snapshot_times
-    (hist,), (t_stop,), kept = _march(params.m, grid, horizon, nsteps, fh, gh, source, BLOWUP_THRESHOLD, keep)
+    (hist,), (t_stop,), kept = _march(params.m, grid, steps, fh, gh, source, BLOWUP_THRESHOLD, keep)
     stored = mids if store_midpoints else kept
     times, u = np.array([t for t, _ in stored]), np.array([u for _, u in stored])
     fld = SpaceTimeField(
@@ -314,9 +313,9 @@ def picard_solve(
     lo, hi = gamma_interval(params)  # validates p range
     q = params.p + 1.0
     wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
-    nsteps, dt = _steps(params, grid, horizon, dt)
+    steps = _steps(params, grid, horizon, dt)
     fh, gh = _data_coeffs(params, grid, f, g)
-    t_mid = np.array(_step_times(horizon, nsteps)[1])  # the times the march evaluates its midpoints at
+    t_mid = np.array(steps[1])  # the times the march evaluates its midpoints at
     in_box = t_mid >= spec.T0 / 2.0
     if np.count_nonzero(in_box) < 2:
         raise WindowError(
@@ -330,8 +329,8 @@ def picard_solve(
         return float(np.trapezoid(per_t, t_mid[in_box]) ** (1.0 / q))
 
     width = min(_PICARD_BLOCK, max_iters)
-    mids = np.empty((nsteps, width, grid.N + 1))  # the midpoints of one block, reused by the next
-    prev = np.broadcast_to(0.0, (nsteps, grid.N + 1))  # row 0's predecessor; iterate -1 is 0
+    mids = np.empty((len(t_mid), width, grid.N + 1))  # the midpoints of one block, reused by the next
+    prev = np.broadcast_to(0.0, (len(t_mid), grid.N + 1))  # row 0's predecessor; iterate -1 is 0
     M_seq, N_seq = [], []
     converged, rising, k0 = False, 0, 0
     while not converged and k0 < max_iters:
@@ -353,9 +352,7 @@ def picard_solve(
             return evaluate_nonlinearity(spec, tm, pred)
 
         block = (rows, fh.size)
-        _, t_stops, _ = _march(
-            params.m, grid, horizon, nsteps, np.broadcast_to(fh, block), np.broadcast_to(gh, block), source
-        )
+        _, t_stops, _ = _march(params.m, grid, steps, np.broadcast_to(fh, block), np.broadcast_to(gh, block), source)
         for j in range(rows):
             k = k0 + j
             if t_stops[j] is not None:
@@ -460,11 +457,11 @@ def sweep_p(
         return np.array([evaluate_nonlinearity(specs[b], tm, u) for b, u in zip(live, um)])
 
     try:
-        nsteps, _ = _steps(params_base, grid, horizon, dt)
+        steps = _steps(params_base, grid, horizon, dt)
         fh, gh = _data_coeffs(params_base, grid, f, g)
         family = (len(specs), fh.size)
         hists, t_stops, _ = _march(
-            params_base.m, grid, horizon, nsteps, np.broadcast_to(fh, family), np.broadcast_to(gh, family),
+            params_base.m, grid, steps, np.broadcast_to(fh, family), np.broadcast_to(gh, family),
             source, BLOWUP_THRESHOLD,
         )
     except TricomiLabError as exc:  # no p enters these checks: every valid row gets the error

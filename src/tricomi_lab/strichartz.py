@@ -40,7 +40,7 @@ from .geometry import WeightSpec, finite_speed_radius
 from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField
 from .linear import _data_coeffs, _snapshots, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
-from .semilinear import BLOWUP_THRESHOLD, _march, _steps
+from .semilinear import BLOWUP_THRESHOLD, _march, _snap, _steps
 
 __all__ = [
     "DyadicCutoff",
@@ -345,8 +345,10 @@ def inhomogeneous_ratio(
     the zero test (a source zero at every midpoint is an excluded row) and the
     RHS, the weight^gamma2 L^(q/(q-1)) norm of the step-frozen source by the
     midpoint rule over [0, t_max].  LHS uses weight^gamma1 in L^q over
-    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box, or
-    a dt that puts the first one on step 0, is a WindowError naming that key.
+    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box
+    is a WindowError naming T0.  The march owns the time grid and the snap
+    rule: the snapshot times snap to its step ends, where the LHS reads them,
+    and a dt that snaps the first one to step 0 is a WindowError naming dt.
     A march that stops at the blowup threshold would leave a truncated box:
     TruncatedBoxError names each stopped member and its stop time.
     """
@@ -364,11 +366,10 @@ def inhomogeneous_ratio(
     if not members:
         return []
     names, sources = zip(*members)
-    nsteps, dt = _steps(params, grid, t_max, dt)
-    if round(times[0] / dt) == 0:
-        raise WindowError("dt", f"dt={dt:.6g} puts the first snapshot time {times[0]:.6g} on step 0 of the march")
+    ends, mids = _steps(params, grid, t_max, dt)
+    keep = _snap(ends, times, "dt")
     r, src_spec = grid.r, WeightSpec(gamma=gamma2, q=qp, M=params.M)
-    src_sums = np.zeros(len(sources))  # each source's sum of per-step weighted integrals
+    src_sums = np.zeros(len(sources))  # each source's sum of per-step weighted integrals; the RHS takes step ends[1]
     nonzero = np.zeros(len(sources), dtype=bool)
 
     def source(i, tm, um, live):
@@ -386,7 +387,7 @@ def inhomogeneous_ratio(
         return vals
 
     zero = np.zeros((len(sources), grid.N - 1))
-    _, t_stops, kept = _march(params.m, grid, t_max, nsteps, zero, zero, source, BLOWUP_THRESHOLD, times)
+    _, t_stops, kept = _march(params.m, grid, (ends, mids), zero, zero, source, BLOWUP_THRESHOLD, keep)
     stopped = [f"{n} stopped at t={t:.6g}" for n, t in zip(names, t_stops) if t is not None]
     if stopped:
         raise TruncatedBoxError(
@@ -399,7 +400,7 @@ def inhomogeneous_ratio(
     per_t = np.array([_weighted_integral(u, r, t, params.m, spec) for t, u in kept])
     sel = t_snap >= T0 / 2.0
     return [
-        _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, float((dt * total) ** (1.0 / qp))) if forced
+        _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, float((ends[1] * total) ** (1.0 / qp))) if forced
         else RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero")
         for name, pt, forced, total in zip(names, per_t[sel].T, nonzero, src_sums)
     ]

@@ -546,7 +546,7 @@ class TestSchemaLimits:
              "strichartz.T0: T0=200.0 leaves fewer than two snapshot times"),
             # the first snapshot time 2/24 rounds to step 0 of a 0.2 step
             ({"grid.r_max": 64.0, "strichartz.kind": "inhomogeneous", "strichartz.dt": 0.2},
-             "strichartz.dt: dt=0.2 puts the first snapshot time 0.0833333 on step 0"),
+             "strichartz.dt: snapshot time 0.0833333 falls on step 0, outside steps 1..50 of the march (step 0.2)"),
         ],
     )
     def test_strichartz_window_names_its_key(self, tmp_path, capsys, edits, message):
@@ -573,20 +573,28 @@ class TestSchemaLimits:
         assert main(["check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5", "--nu", "100"]) == 2
         assert "geometry.nu: nu out of range: need 0 <= nu <=" in capsys.readouterr().err
 
+    def test_geometry_weight_lost_to_rounding_exits_3(self, capsys):
+        # phi(1e3) = 1.7e17 at m = 10, so (phi+M)^2 - r^2 loses M and the sampled ratio reads 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-geometry", "--m", "10", "--M", "2", "--T0", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: the sampled ratio") and "loses M=2.0" in err
+
     @pytest.mark.parametrize(
         "scenario,edits,message",
         [
             ("solve-linear", {"linear.t_start": 2.0}, "linear.t_start must be before the final time 2.0, got 2.0"),
             ("solve-semilinear", {"semilinear.t_start": 5.0, "semilinear.horizon": 2.0},
              "semilinear.t_start must be before the final time 2.0, got 5.0"),
-            # a start that snaps to step 0 of the march's step horizon / _step_count(horizon, dt) = 0.05
+            # a start that the march snaps to its step 0; its steps are horizon / n = 0.05 long
             ("solve-semilinear", {"semilinear.t_start": 0.01},
-             "semilinear.t_start must not round to step 0 of the march (step 0.05), got 0.01"),
+             "semilinear.t_start: snapshot time 0.01 falls on step 0, outside steps 1..20 of the march (step 0.05)"),
             ("solve-semilinear", {"semilinear.t_start": 0.12, "semilinear.dt": 0.3},
-             "semilinear.t_start must not round to step 0 of the march (step 0.25), got 0.12"),
+             "semilinear.t_start: snapshot time 0.12 falls on step 0, outside steps 1..4 of the march (step 0.25)"),
             # dt divides the horizon: 30 steps of 0.03, although 0.9 / 0.03 > 30 in floating point
             ("solve-semilinear", {"semilinear.t_start": 0.0148, "semilinear.horizon": 0.9, "semilinear.dt": 0.03},
-             "semilinear.t_start must not round to step 0 of the march (step 0.03), got 0.0148"),
+             "semilinear.t_start: snapshot time 0.0148 falls on step 0, outside steps 1..30 of the march (step 0.03)"),
         ],
     )
     def test_snapshot_start_past_the_end(self, tmp_path, capsys, scenario, edits, message):

@@ -8,7 +8,7 @@ import pytest
 
 import tricomi_lab.semilinear as semilinear
 import tricomi_lab.symbols as symbols
-from tricomi_lab.errors import ParameterError, PicardDivergenceError
+from tricomi_lab.errors import ParameterError, PicardDivergenceError, WindowError
 from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
 from tricomi_lab.geometry import WeightSpec, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
@@ -19,7 +19,7 @@ from tricomi_lab.semilinear import (
     NonlinearitySpec,
     PicardDiagnostics,
     _march,
-    _step_count,
+    _snap,
     _steps,
     evaluate_nonlinearity,
     picard_solve,
@@ -33,12 +33,18 @@ def zero(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
+def clock(horizon, nsteps, m=1):
+    """The march's (ends, mids) for ``nsteps`` steps to ``horizon``, from ``_steps`` on a grid no wall check fails."""
+    return _steps(ModelParams(m, 3, 2.0, eps=1.0, M=2.0), RadialGrid(1e4, 8), horizon, horizon / nsteps)
+
+
 def sequential_picard(params, spec, f, g, horizon, dt, grid, max_iters=25, tol=1e-6):
     """Oracle: one whole march per Picard iterate, with the divergence rules of picard_solve."""
     lo, hi = gamma_interval(params)
     q = params.p + 1.0
     wspec = WeightSpec(gamma=0.5 * (lo + hi), q=q, M=params.M)
-    nsteps, dt = _steps(params, grid, horizon, dt)
+    steps = _steps(params, grid, horizon, dt)
+    nsteps = len(steps[1])
     fh, gh = _data_coeffs(params, grid, f, g)
     t_mid = np.empty(nsteps)  # the midpoint times the march hands its source
 
@@ -57,7 +63,7 @@ def sequential_picard(params, spec, f, g, horizon, dt, grid, max_iters=25, tol=1
             t_mid[i], _mids[i] = tm, um
             return evaluate_nonlinearity(spec, tm, _prev[i])
 
-        _, (t_stop,), _ = _march(params.m, grid, horizon, nsteps, fh, gh, source)
+        _, (t_stop,), _ = _march(params.m, grid, steps, fh, gh, source)
         if t_stop is not None:
             raise PicardDivergenceError(
                 f"iterate {k} left the finite range", PicardDiagnostics(M_seq, N_seq, False, k)
@@ -200,24 +206,23 @@ class TestTimeMarch:
         grid, horizon, nsteps = RadialGrid(40.0, 1024), 10.0, 500
         coeffs = [_data_coeffs(params, grid, bump(0.8, a), bump(0.6, b)) for a, b in ((1.0, 0.0), (0.3, 2.0))]
         fh, gh = (np.array(c) for c in zip(*coeffs))
-        keep = [k * horizon / nsteps for k in (1, 137, 250, 499, 500)]
+        steps, keep = clock(horizon, nsteps, m), [1, 137, 250, 499, 500]
         for cv, cd in ((fh[0], gh[0]), (fh, gh)):
-            _, _, kept = _march(m, grid, horizon, nsteps, cv, cd, keep=keep)
+            _, _, kept = _march(m, grid, steps, cv, cd, keep=keep)
             times = [t for t, _ in kept]
-            assert times == keep
+            assert times == [k * horizon / nsteps for k in keep]
             for (_, u), want in zip(kept, _snapshots(m, grid, times, cv, cd)):
                 assert u.tobytes() == want.tobytes()
 
     def test_snapshot_out_of_range(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
         grid = RadialGrid(20.0, 256)
-        from tricomi_lab.errors import GridError
-
-        with pytest.raises(GridError):
+        with pytest.raises(WindowError, match="snapshot time 3 falls on step 60, outside steps 1..40") as exc:
             time_march(
                 params, None, zero, zero, 2.0, 0.05, grid,
                 snapshot_times=[3.0],
             )
+        assert exc.value.name == "snapshot_times"
 
 
 class TestMarchFamily:
@@ -226,7 +231,8 @@ class TestMarchFamily:
         params = ModelParams(1, 3, 3.5, eps=0.5, M=2.0)
         grid = RadialGrid(14.0, 512, transform="fft")
         spec = NonlinearitySpec(p=3.5)
-        nsteps, _ = _steps(params, grid, 1.0, 5e-3)
+        steps = _steps(params, grid, 1.0, 5e-3)
+        keep = _snap(steps[0], [0.5, 1.0], "snapshot_times")
         coeffs = [_data_coeffs(params, grid, bump(0.8, a), bump(0.8, a)) for a in (0.01, 128.0, 1.0)]
         lives = []
 
@@ -235,16 +241,14 @@ class TestMarchFamily:
             return evaluate_nonlinearity(spec, tm, um)
 
         fh, gh = (np.array(c) for c in zip(*coeffs))
-        hists, t_stops, kept = _march(1, grid, 1.0, nsteps, fh, gh, source, BLOWUP_THRESHOLD, [0.5, 1.0])
+        hists, t_stops, kept = _march(1, grid, steps, fh, gh, source, BLOWUP_THRESHOLD, keep)
         assert t_stops[0] is None and t_stops[2] is None and 0.0 < t_stops[1] < 0.5
         assert lives[0] == [0, 1, 2] and lives[-1] == [0, 2]
         *before, (t_cross, s_cross) = hists[1]
         assert t_cross == t_stops[1] and not s_cross <= BLOWUP_THRESHOLD
         assert all(s <= BLOWUP_THRESHOLD for _, s in before)
         for b in range(3):
-            (hist,), (t_stop,), alone = _march(
-                1, grid, 1.0, nsteps, fh[b], gh[b], source, BLOWUP_THRESHOLD, [0.5, 1.0]
-            )
+            (hist,), (t_stop,), alone = _march(1, grid, steps, fh[b], gh[b], source, BLOWUP_THRESHOLD, keep)
             assert hists[b] == hist and t_stops[b] == t_stop
             if t_stop is None:
                 row = [0, 2].index(b)
@@ -276,8 +280,8 @@ class TestManufacturedSolution:
         errs = []
         for nsteps in (20, 40, 80, 160, 320):
             _, _, kept = _march(
-                1, grid, self.HORIZON, nsteps, cv, np.zeros_like(cv),
-                lambda i, tm, um, live: scaled(self.residual(tm, r), live), keep=[self.HORIZON],
+                1, grid, clock(self.HORIZON, nsteps), cv, np.zeros_like(cv),
+                lambda i, tm, um, live: scaled(self.residual(tm, r), live), keep=[nsteps],
             )
             ((t, u),) = kept
             want = scaled(self.exact(t, r))
@@ -299,16 +303,15 @@ class TestSymbolBlocks:
 
     def march(self, amps, horizon, dt, keep=()):
         spec = NonlinearitySpec(p=2.5)
-        nsteps, step = _steps(self.PARAMS, self.GRID, horizon, dt)
+        steps = _steps(self.PARAMS, self.GRID, horizon, dt)
         coeffs = [_data_coeffs(self.PARAMS, self.GRID, bump(1.0, a), bump(1.0, a)) for a in amps]
         fh, gh = (np.array(c) for c in zip(*coeffs))
         hists, t_stops, kept = _march(
-            1, self.GRID, horizon, nsteps, fh, gh,
-            lambda i, tm, um, live: evaluate_nonlinearity(spec, tm, um), BLOWUP_THRESHOLD,
-            [k * step for k in keep],
+            1, self.GRID, steps, fh, gh,
+            lambda i, tm, um, live: evaluate_nonlinearity(spec, tm, um), BLOWUP_THRESHOLD, list(keep),
         )
         bits = [np.array(h).tobytes() for h in hists], t_stops, [(t, u.tobytes()) for t, u in kept]
-        return bits, nsteps, hists
+        return bits, len(steps[1]), hists
 
     # (amplitudes, horizon, dt, keep steps)
     CASES = {
@@ -415,7 +418,7 @@ class TestPicard:
             got = outcome(picard_solve)
             monkeypatch.undo()
             want = outcome(sequential_picard)
-        nsteps, _ = _steps(params, grid, horizon, 0.02)
+        nsteps = len(_steps(params, grid, horizon, 0.02)[1])
         assert len(calls) == marches * nsteps  # one symbol row per midpoint per block, and no kept step ends
         assert not any(d for _, d in calls)  # the frame march reads symbol values only
         assert got[:4] == want[:4]
@@ -511,7 +514,22 @@ class TestStepCheck:
     )
     def test_step_count(self, horizon, dt, n):
         # ceil(0.9 / 0.03) is 31 in floating point; a dt that divides the horizon gives its quotient
-        assert _step_count(horizon, dt) == n
+        ends, mids = _steps(self.PARAMS, RadialGrid(100.0, 8), horizon, dt)
+        assert len(ends) - 1 == n and len(mids) == n
+
+    @pytest.mark.parametrize("t, k", [(0.004, 0), (1.2, 120)], ids=["step-0", "past-the-end"])
+    def test_snap_outside_the_steps(self, t, k):
+        ends, _ = _steps(self.PARAMS, self.GRID, 1.0, 0.01)
+        assert _snap(ends, [1.0, 0.006, 0.5, 0.504], "snapshot_times") == [1, 50, 100]
+        with pytest.raises(WindowError, match=f"falls on step {k}, outside steps 1..100 ") as exc:
+            _snap(ends, [0.5, t], "snapshot_times")
+        assert exc.value.name == "snapshot_times"
+
+    def test_kept_field_carries_its_evaluation_time(self):
+        # 70 steps of 0.7 / 70 end at 70 * (0.7 / 70) = 0.7000000000000001; the march evaluates min(that, 0.7)
+        assert 70 * (0.7 / 70) > 0.7
+        _, fld = time_march(self.PARAMS, None, zero, zero, 0.7, 0.01, self.GRID, snapshot_times=[0.35, 0.7])
+        assert fld.times.tolist() == [35 * (0.7 / 70), 0.7]
 
     def test_dividing_step_is_one_march_step(self):
         assert 0.9 / 0.03 > 30

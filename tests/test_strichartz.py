@@ -12,7 +12,7 @@ from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
 from tricomi_lab.linear import solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump, dilate, gaussian_truncated
-from tricomi_lab.semilinear import _march, _steps
+from tricomi_lab.semilinear import _march, _snap, _steps
 from tricomi_lab.strichartz import (
     TAIL_DOMINATED_FRACTION,
     DyadicCutoff,
@@ -217,9 +217,9 @@ class TestInhomogeneousRatio:
 
         inhomogeneous_ratio(PARAMS, [("counted", counted), ("none", lambda t, r: zero(r))], q, g1, g2, grid,
                             t_max=10.0, dt=0.05)
-        nsteps, dt = _steps(PARAMS, grid, 10.0, 0.05)
-        assert len(times) == nsteps
-        assert np.allclose(times, (np.arange(nsteps) + 0.5) * dt, rtol=0.0, atol=1e-12)
+        _, mids = _steps(PARAMS, grid, 10.0, 0.05)
+        assert len(times) == len(mids)
+        assert np.allclose(times, (np.arange(len(mids)) + 0.5) * 0.05, rtol=0.0, atol=1e-12)
 
 
     def test_all_zero_family_marches(self):
@@ -234,7 +234,7 @@ class TestInhomogeneousRatio:
 
         rows = inhomogeneous_ratio(PARAMS, [("a", none), ("b", none)], q, g1, g2, grid, t_max=10.0, dt=0.05)
         assert rows == [RatioRow(n, 0.0, 0.0, None, 0.0, "excluded-zero") for n in "ab"]
-        assert len(calls) == 2 * _steps(PARAMS, grid, 10.0, 0.05)[0]
+        assert len(calls) == 2 * len(_steps(PARAMS, grid, 10.0, 0.05)[1])
         with pytest.raises(GridError, match="too small"):
             inhomogeneous_ratio(PARAMS, [("a", none)], q, g1, g2, RadialGrid(10.0, 512), t_max=10.0)
 
@@ -315,7 +315,7 @@ class TestBatchEngine:
             if name == "none":
                 want.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
                 continue
-            nsteps, step = _steps(PARAMS, grid, t_max, dt)
+            ends, mids = _steps(PARAMS, grid, t_max, dt)
             c0 = np.zeros(grid.N - 1)
             src_spec = WeightSpec(gamma=g2, q=q / (q - 1.0), M=2.0)
             src_total = 0.0  # midpoint rule: the source frozen at each step's midpoint, as the march applies it
@@ -326,12 +326,13 @@ class TestBatchEngine:
                 src_total += _per_time(vals, grid.r, tm, 1, src_spec)
                 return vals
 
-            _, _, kept = _march(1, grid, t_max, nsteps, c0, c0, frozen, keep=_time_grid(t_max)[1:])
+            keep = _snap(ends, _time_grid(t_max)[1:], "dt")
+            _, _, kept = _march(1, grid, (ends, mids), c0, c0, frozen, keep=keep)
             times = np.array([t for t, _ in kept])
             sel = times >= T0 / 2.0
             u = np.array([u for _, u in kept])
             sol = SpaceTimeField(times=times[sel], grid=grid, u=u[sel], m=1, M=2.0)
-            rhs = float((step * src_total) ** (1.0 / src_spec.q))
+            rhs = float((ends[1] * src_total) ** (1.0 / src_spec.q))
             want.append(_field_row(name, sol, WeightSpec(gamma=g1, q=q, M=2.0), t_max / 10.0, rhs))
         assert rows == want
 

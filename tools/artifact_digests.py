@@ -1,8 +1,12 @@
 """Print the manifest ``outputs`` checksums of the benchmark configs and README's example config.
 
-Runs every ``perfbench.workloads.WORKLOADS`` config at seeds 1 and 5, plus the
-first JSON config in README.md, through ``parse_config`` -> ``run_scenario`` in
-temporary directories, and prints one sorted JSON object.  Two checkouts whose
+Runs every ``perfbench.workloads.WORKLOADS`` config at seeds 1 and 5, the
+first JSON config in README.md, and three small configs that reach the other
+callers of the semilinear march (a ``sweep-p`` with one global and one blowup
+row, an inhomogeneous ``verify-strichartz``, and a ``solve-semilinear`` march
+with a given ``t_start`` that writes its field), through ``parse_config`` ->
+``run_scenario`` in temporary directories, and prints one sorted JSON object.
+Every march horizon is n steps of exactly horizon / n.  Two checkouts whose
 outputs are byte-identical print the same text:
 
     python3 tools/artifact_digests.py > after.json   # likewise in the other checkout
@@ -28,6 +32,22 @@ configs = {f"{name}/seed{seed}/{i}": cfg for name, make in WORKLOADS.items() for
            for i, cfg in enumerate(make(np.random.default_rng(seed)))}
 readme = (ROOT / "README.md").read_text()
 configs["README"] = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+configs["sweep-p"] = {
+    "scenario": "sweep-p", "model": {"m": 1, "n": 3, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 16.0, "N": 256, "transform": "fft"},
+    "sweep": {"p_grid": [1.5, 4.0], "horizon": 1.0, "dt": 0.01, "data": {"profile": "bump", "amplitude": 40.0}},
+}
+configs["inhomogeneous"] = {
+    "scenario": "verify-strichartz", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 64.0, "N": 512, "transform": "fft"},
+    "strichartz": {"kind": "inhomogeneous", "t_max": 10.0, "dt": 0.05},
+}
+configs["t_start"] = {
+    "scenario": "solve-semilinear", "model": {"m": 1, "n": 3, "p": 2.5, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 16.0, "N": 256, "transform": "fft"},
+    "semilinear": {"horizon": 1.0, "dt": 0.01, "t_start": 0.1, "snapshots": 5, "write_field": True,
+                   "field_r_points": 32, "data": {"profile": "bump", "amplitude": 1.0}},
+}
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
     for key, cfg in configs.items():
