@@ -75,12 +75,18 @@ class RadialGrid:
 
         return dst(coeffs, type=1) / 2.0
 
-    def u_from_w(self, w_interior: np.ndarray) -> np.ndarray:
-        """Radial samples of u = w/r on all nodes from interior w, origin by one-sided limit."""
-        u = np.empty(w_interior.shape[:-1] + (self.N + 1,))
-        u[..., 1 : self.N] = w_interior / self.r[1 : self.N]
+    def u_from_w(self, w_interior: np.ndarray, nodes: int | None = None) -> np.ndarray:
+        """Radial samples of u = w/r from interior w, origin by one-sided limit.
+
+        On all N + 1 nodes, or on the first ``nodes`` of them (1 <= nodes <= N + 1);
+        each sample has the same bits either way.
+        """
+        nodes = self.N + 1 if nodes is None else nodes
+        k = min(nodes, self.N)
+        u = np.empty(w_interior.shape[:-1] + (nodes,))
+        u[..., 1:k] = w_interior[..., : k - 1] / self.r[1:k]
         u[..., 0] = origin_value(w_interior, self.h)
-        u[..., self.N] = 0.0
+        u[..., self.N :] = 0.0  # the wall node, when it is one of them
         return u
 
     def validate_horizon(self, m: int, M: float, t_final: float) -> None:

@@ -82,25 +82,30 @@ def _data_coeffs(params, grid, f, g, enforce_support=True):
     )
 
 
-def _frame_field(grid: RadialGrid, values, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _frame_field(grid: RadialGrid, values, a: np.ndarray, b: np.ndarray, nodes: int | None = None) -> np.ndarray:
     """The radial field with sine coefficients V1 a + V2 b, from the symbol values (V1, V2) at one time.
 
     (a, b) are the frame coordinates of the field: the data coefficients of
     a homogeneous solution, or the march's (alpha, beta).  One field (N-1,)
-    gives (N+1,) samples, a (B, N-1) family (B, N+1).
+    gives (N+1,) samples, a (B, N-1) family (B, N+1); with ``nodes`` only the
+    first ``nodes`` samples of each, with the same bits.
     """
     v1, v2 = values
-    return SpectralField(grid, v1 * a + v2 * b).to_radial()
+    c = v1 * a
+    c += v2 * b
+    return grid.u_from_w(grid.inverse(c), nodes)
 
 
-def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
+def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray, nodes=None):
     """Yield the radial solution at each time, for coefficients (N-1,) or a (B, N-1) family.
 
     The symbols come from one :func:`symbol_stream`, once per time, shared
-    by every member; each yielded array has shape (N+1,) or (B, N+1).
+    by every member; each yielded array has shape (N+1,) or (B, N+1), or
+    holds the first ``nodes[i]`` nodes at the i-th time when ``nodes`` is given.
     """
-    for values in symbol_stream(m, times, grid.lam, derivatives=False):
-        yield _frame_field(grid, values, fh, gh)
+    nodes = [None] * len(times) if nodes is None else nodes
+    for values, k in zip(symbol_stream(m, times, grid.lam, derivatives=False), nodes):
+        yield _frame_field(grid, values, fh, gh, k)
 
 
 def fd_oracle(
@@ -217,15 +222,23 @@ def weighted_field_norm(field: SpaceTimeField, spec: WeightSpec) -> float:
     return float(np.trapezoid(per_t, field.times) ** (1.0 / spec.q))
 
 
+def _cone_nodes(r: np.ndarray, m: int, M: float, t: float) -> int:
+    """The number of ascending nodes ``r`` on the cone r <= phi(t) + M - 1 at time t."""
+    return int(np.searchsorted(r, finite_speed_radius(m, M, t), side="right"))
+
+
 def _weighted_integral(u: np.ndarray, r: np.ndarray, t: float, m: int, spec: WeightSpec):
     """4 pi int_{r <= phi(t)+M-1} ((phi(t)+M)^2 - r^2)^(gamma q) |u(r)|^q r^2 dr at one time, trapezoid in r.
 
     ``u`` is one snapshot (N+1,) or a family (B, N+1); a family gives one
     value per member, each equal to its own 1-D call.  The nodes ``r``
-    ascend, so r <= phi(t)+M-1 is a prefix, taken as a slice: the rows stay
-    C-ordered and each is summed in the same order as a single snapshot.
+    ascend, so r <= phi(t)+M-1 is a prefix, the first ``_cone_nodes`` of
+    them, taken as a slice: the rows stay C-ordered and each is summed in the
+    same order as a single snapshot.  ``u`` may hold just that prefix (as the
+    Strichartz probes build their snapshots) or any longer one; the value is
+    the same.
     """
-    k = int(np.searchsorted(r, finite_speed_radius(m, spec.M, t), side="right"))
+    k = _cone_nodes(r, m, spec.M, t)
     rr = r[:k]
     weight = characteristic_weight(m, spec.M, t, rr) ** (spec.gamma * spec.q)
     return 4.0 * np.pi * np.trapezoid(weight * np.abs(u[..., :k]) ** spec.q * rr * rr, rr)

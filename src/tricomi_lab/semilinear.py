@@ -135,6 +135,8 @@ def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
     horizon to a few ulps (0.9 / 0.03 = 30.000000000000004 gives 30 steps, not 31)."""
     if not dt > 0:
         raise ParameterError(f"dt > 0 required, got {dt}")
+    if not 0 < horizon < math.inf:
+        raise ParameterError(f"horizon > 0 and finite required, got horizon={horizon}")
     grid.validate_horizon(params.m, params.M, horizon)
     n = round(horizon / dt)
     if abs(n * dt - horizon) > 4.0 * math.ulp(horizon):
@@ -146,9 +148,13 @@ def _steps(params: ModelParams, grid: RadialGrid, horizon: float, dt: float):
 
 def _snap(ends, times, name: str) -> list:
     """The sorted step indices k = round(t / h) of ``times`` on the step ends ``ends`` (h = ends[1]);
-    a time off steps 1..n is a WindowError naming ``name``."""
+    a time that is not finite or falls off steps 1..n is a WindowError naming ``name``."""
     n, h = len(ends) - 1, ends[1]
-    steps = {t: round(t / h) for t in np.atleast_1d(times).tolist()}
+    times = np.atleast_1d(times).tolist()
+    for t in times:
+        if not math.isfinite(t):
+            raise WindowError(name, f"snapshot time {t} is not finite")
+    steps = {t: round(t / h) for t in times}
     for t, k in steps.items():
         if not 1 <= k <= n:
             raise WindowError(name, f"snapshot time {t:.6g} falls on step {k}, "

@@ -19,10 +19,12 @@ norms are truncated at a finite box and every LHS carries a decay-slope
 tail estimate so the truncation is auditable.
 
 The probes share one window check and one reduction of each linear snapshot
-to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``).  The
-inhomogeneous probe samples each source once per march step, at the midpoint
-where the march freezes it; those samples drive the march and also serve the
-support check, the zero test and the RHS.
+to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``), which
+reads only the cone r <= phi(t) + M - 1, so each snapshot is formed on the
+cone's nodes alone.  ``sobolev_w_s1_norm`` of zero data is 0.0 without a
+transform.  The inhomogeneous probe samples each source once per march step,
+at the midpoint where the march freezes it; those samples drive the march and
+also serve the support check, the zero test and the RHS.
 
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
@@ -38,7 +40,7 @@ from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxErr
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField
-from .linear import _data_coeffs, _snapshots, _weighted_integral
+from .linear import _cone_nodes, _data_coeffs, _snapshots, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _snap, _steps
 
@@ -99,7 +101,10 @@ def sobolev_w_s1_norm(
 
 def _sobolev_value(f, s, grid, tail_tol):
     r = grid.r
-    sf = SpectralField.from_radial(grid, f(r))
+    samples = f(r)
+    if not np.any(samples):
+        return 0.0  # zero data: no transform
+    sf = SpectralField.from_radial(grid, samples)
     coeffs = sf.coeffs.copy()
     # Smooth data reaches the rounding floor well inside the band; the
     # multiplier would amplify that floor into a fake tail, so clip it.
@@ -200,9 +205,14 @@ def _time_grid(t_max: float) -> np.ndarray:
 
 
 def _per_time_integrals(params: ModelParams, grid: RadialGrid, times, fh, gh, spec: WeightSpec) -> np.ndarray:
-    """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family."""
+    """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family.
+
+    Each snapshot is formed only on the nodes of the cone its weight integrates.
+    """
     grid.validate_horizon(params.m, params.M, float(times.max()))
-    r, snaps = grid.r, _snapshots(params.m, grid, times, fh, gh)
+    r = grid.r
+    nodes = [_cone_nodes(r, params.m, spec.M, float(t)) for t in times]
+    snaps = _snapshots(params.m, grid, times, fh, gh, nodes)
     return np.array([_weighted_integral(u, r, float(t), params.m, spec) for t, u in zip(times, snaps)])
 
 

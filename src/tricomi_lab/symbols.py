@@ -26,6 +26,8 @@ explicit integration), the Kummer route (series for |z| <= 30, exponential
 two-component asymptotics beyond, overlap-checked on |z| in [25, 40]), and
 the Bessel route (ascending series for w <= W_SWITCH = 12.25, Hankel's
 expansion beyond, both with fixed truncations and good to about 1e-12).
+Ascending rows w = phi(t) lambda are split at W_SWITCH by slices, other
+input by a boolean mask, with the same bits.
 Pochhammer ratios are always accumulated incrementally, never via Gamma
 quotients.
 
@@ -200,13 +202,20 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
     """J_nu(w) for every order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
 
     Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
-    truncation, so an element's value depends on its own w only.  The
+    truncation, so an element's value depends on its own w only.  Each
+    ascending row w >= 0 (the last axis; the solvers' rows phi(t) lambda
+    ascend) splits at ``W_SWITCH`` by slices: one series call on the
+    prefixes, one Hankel call on the suffixes.  Other input (unsorted,
+    negative, NaN) is split by a boolean mask, with the same bits.  The
     constants of each order tuple are computed once and cached.  Only the
     orders the symbols need are exercised in anger (nu in (-1/2, 0) and
     (0, 3/2)); this is not a general-purpose Bessel.  At w = 0 it gives the
     limit, without a warning: inf for -1 < nu < 0, 1 at nu = 0, 0 for nu > 0.
     """
     nus = tuple(float(v) for v in nus)
+    rows = np.atleast_2d(w)
+    if rows.ndim == 2 and rows.size and (rows[:, 0] >= 0).all() and (rows[:, 1:] >= rows[:, :-1]).all():
+        return _bessel_rows(nus, rows).reshape((len(nus),) + w.shape)
     flat = w.ravel()
     if (flat < 0).any():
         raise ParameterError("w >= 0 required")
@@ -218,6 +227,25 @@ def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
     if not small.all():
         out[:, ~small] = _bessel_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
+
+
+def _bessel_rows(nus: tuple, rows: np.ndarray) -> np.ndarray:
+    """:func:`_bessel_kernel` of ascending rows w >= 0 (R, C): shape (len(nus), R, C), split by slices."""
+    split = np.count_nonzero(rows <= W_SWITCH, axis=1).tolist()
+    with np.errstate(divide="ignore"):
+        series = _bessel_part(_bessel_series, nus, [row[:k] for row, k in zip(rows, split)])
+    hankel = _bessel_part(_bessel_hankel, nus, [row[k:] for row, k in zip(rows, split)])
+    pieces, i, j, n = [], 0, 0, rows.shape[1]
+    for k in split:
+        pieces += series[:, i : i + k], hankel[:, j : j + n - k]
+        i, j = i + k, j + n - k
+    return np.concatenate(pieces, axis=1).reshape((len(nus),) + rows.shape)
+
+
+def _bessel_part(branch, nus: tuple, pieces: list) -> np.ndarray:
+    """``branch`` on the concatenated ``pieces``: shape (len(nus), their total size), no call when empty."""
+    w = np.concatenate(pieces)
+    return branch(nus, w) if w.size else np.empty((len(nus), 0))
 
 
 # ---------------------------------------------------------------------------

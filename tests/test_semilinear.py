@@ -507,6 +507,26 @@ class TestStepCheck:
         assert rows[1]["error"].startswith("ParameterError") and "dt" not in rows[1]["error"]
         assert all(row["kind"] is None for row in rows)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("solve", [time_march, picard_solve], ids=["march", "picard"])
+    def test_solver_names_the_bad_horizon(self, solve, horizon):
+        # horizon 0 divided 0 by 0 steps, a negative one gave an empty clock, NaN failed in round()
+        with pytest.raises(ParameterError, match=re.escape(f"got horizon={horizon}")):
+            solve(self.PARAMS, NonlinearitySpec(p=2.0), zero, zero, horizon, 0.01, self.GRID)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+    def test_sweep_records_the_bad_horizon_in_every_valid_row(self, horizon):
+        rows = sweep_p(self.PARAMS, [2.0, 0.9, 3.0], zero, zero, horizon, 0.01, self.GRID)
+        want = f"ParameterError: horizon > 0 and finite required, got horizon={horizon}"
+        assert [row["error"] for row in rows[::2]] == [want] * 2
+        assert all(row["kind"] is None for row in rows)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snapshot_time_names_its_key(self, t):
+        with pytest.raises(WindowError, match="is not finite") as exc:
+            time_march(self.PARAMS, None, zero, zero, 1.0, 0.01, self.GRID, snapshot_times=[0.5, t])
+        assert exc.value.name == "snapshot_times"
+
     @pytest.mark.parametrize(
         "horizon, dt, n",
         [(0.9, 0.03, 30), (0.3, 0.1, 3), (2.1, 0.3, 7), (1.8, 0.06, 30), (1.0, 0.01, 100),

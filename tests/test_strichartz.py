@@ -6,11 +6,12 @@ from scipy.integrate import quad
 
 import tricomi_lab.linear
 import tricomi_lab.semilinear
+import tricomi_lab.strichartz
 from tricomi_lab.errors import AccuracyError, GridError, ParameterError, SupportError, TruncatedBoxError
 from tricomi_lab.exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
-from tricomi_lab.linear import solve_linear, weighted_field_norm
+from tricomi_lab.linear import _cone_nodes, _weighted_integral, solve_linear, weighted_field_norm
 from tricomi_lab.profiles import bump, dilate, gaussian_truncated
 from tricomi_lab.semilinear import _march, _snap, _steps
 from tricomi_lab.strichartz import (
@@ -91,6 +92,16 @@ class TestSobolevNorm:
         grid = default_sobolev_grid(2.0)
         val, err = sobolev_w_s1_norm(bump(0.6), 1.5, grid, with_error=True)
         assert val > 0 and err >= 0 and err < 0.05 * val
+
+    @pytest.mark.parametrize("with_error", [False, True])
+    def test_zero_data_makes_no_transform(self, monkeypatch, with_error):
+        def refuse(grid, w):
+            raise AssertionError("zero data went through a transform")
+
+        monkeypatch.setattr(RadialGrid, "forward", refuse)
+        got = sobolev_w_s1_norm(zero, 2.5, default_sobolev_grid(2.0), with_error=with_error)
+        assert got == ((0.0, 0.0) if with_error else 0.0)
+        assert all(type(v) is float for v in np.atleast_1d(got).tolist())
 
     def test_order_cap(self):
         with pytest.raises(ParameterError):
@@ -354,6 +365,37 @@ class TestBatchEngine:
         with pytest.raises(TruncatedBoxError, match=r"of huge stopped at t=1\.") as exc:
             inhomogeneous_ratio(PARAMS, fam, q, g1, g2, grid, t_max=10.0, dt=0.05)
         assert "small" not in str(exc.value)
+
+
+class TestConePrefix:
+    """The probes form each snapshot only on the cone r <= phi(t)+M-1 that its weight integrates."""
+
+    def test_per_time_integrals_equal_full_snapshots(self, monkeypatch):
+        # the last cone ends within a few h of the wall check's limit, so the largest prefix is covered
+        t_max, N, q, gamma = 10.0, 1024, 3.0, 0.2
+        grid = RadialGrid(finite_speed_radius(1, 2.0, t_max) * N / (N - 4), N, transform="fft")
+        r, times = grid.r, _time_grid(t_max)
+        assert _cone_nodes(r, 1, 2.0, t_max) >= N - 4
+        captured, inner = [], tricomi_lab.strichartz._per_time_integrals
+        monkeypatch.setattr(
+            tricomi_lab.strichartz, "_per_time_integrals", lambda *a: captured.append(inner(*a)) or captured[-1]
+        )
+        fam = standard_family(2.0, 1)  # two-bump and dilate-1.3 carry velocity data
+        homogeneous_ratio(PARAMS, fam, q, gamma, 0.3, grid, t_max=t_max)
+        for name, f, g in (fam[0], fam[7]):
+            lhs_box_values(PARAMS, f, g, q, gamma, grid, boxes=(5.0, t_max))
+
+        spec = WeightSpec(gamma=gamma, q=q, M=2.0)
+
+        def full(f, g):
+            fld = solve_linear(PARAMS, f, g, times, grid)
+            assert fld.u.shape == (times.size, N + 1)
+            return np.array([_weighted_integral(u, r, float(t), 1, spec) for t, u in zip(times, fld.u)])
+
+        want = np.stack([full(f, g) for _, f, g in fam], axis=1)
+        assert [a.shape for a in captured] == [want.shape, times.shape, times.shape]
+        assert captured[0].tobytes() == want.tobytes()
+        assert captured[1].tobytes() == want[:, 0].tobytes() and captured[2].tobytes() == want[:, 7].tobytes()
 
 
 class TestLittlewoodPaley:

@@ -93,6 +93,91 @@ class TestBesselRoute:
         assert got[0] == limit and got[1] == pytest.approx(scipy_jv(nu, 1.0), rel=1e-12)
 
 
+class TestKernelPaths:
+    """Ascending rows split by slices, any other input by a mask; both give the same bits."""
+
+    NUS = (-1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0)
+
+    @staticmethod
+    def kernel_spy(monkeypatch):
+        """Wrap ``symbols._bessel_rows`` and return the list of the shapes it is called on."""
+        inner, shapes = symbols._bessel_rows, []
+        monkeypatch.setattr(symbols, "_bessel_rows", lambda nus, rows: shapes.append(rows.shape) or inner(nus, rows))
+        return shapes
+
+    def assert_paths_agree(self, monkeypatch, w):
+        """The slice path on ascending ``w`` equals the mask path on the same values shuffled, bit for bit.
+
+        Rows of two or more are shuffled in place; a lone value goes behind a
+        smaller one, which makes its row unsorted.
+        """
+        w = np.asarray(w, dtype=float)
+        shapes = self.kernel_spy(monkeypatch)
+        sliced = _bessel_kernel(self.NUS, w)
+        assert shapes == [np.atleast_2d(w).shape] and sliced.shape == (len(self.NUS),) + w.shape
+        if w.size == 1:
+            masked = _bessel_kernel(self.NUS, np.array([w.item(), 0.5 * w.item()]))[:, :1]
+            assert masked.tobytes() == sliced.tobytes()
+        else:
+            perm = np.random.default_rng(3).permutation(w.shape[-1])
+            masked = _bessel_kernel(self.NUS, w[..., perm])
+            assert sliced[..., perm].tobytes() == masked.tobytes()
+        assert len(shapes) == 1
+        return sliced
+
+    def test_block_rows_split_at_different_indices(self, monkeypatch):
+        # a K = 4 block of times: the series prefix shrinks from row to row
+        lam = np.pi * np.arange(1, 400) / 32.0
+        w = np.stack([phi(1, t) * lam for t in (1.0, 2.0, 4.0, 8.0)])
+        split = (w <= W_SWITCH).sum(axis=1)
+        assert len(set(split.tolist())) == 4 and 0 < split.min() and split.max() < lam.size
+        self.assert_paths_agree(monkeypatch, w)
+
+    def test_all_series_and_all_hankel_rows(self, monkeypatch):
+        lam = np.pi * np.arange(1, 64) / 32.0
+        w = np.stack([1e-3 * lam, phi(1, 1.0) * lam, 20.0 + lam])
+        assert (w[0] <= W_SWITCH).all() and (w[2] > W_SWITCH).all()
+        self.assert_paths_agree(monkeypatch, w)
+        for row in w[[0, 2]]:
+            monkeypatch.undo()
+            self.assert_paths_agree(monkeypatch, row)
+
+    def test_element_at_the_switch_takes_the_series(self, monkeypatch):
+        from tricomi_lab.symbols import _bessel_series
+
+        w = np.array([1.0, W_SWITCH, W_SWITCH, np.nextafter(W_SWITCH, np.inf), 30.0])
+        got = self.assert_paths_agree(monkeypatch, w)
+        assert np.array_equal(got[:, 1], _bessel_series(self.NUS, np.array([W_SWITCH]))[:, 0])
+
+    def test_zero_frequency_row_and_zero_row(self, monkeypatch):
+        # lambda = 0 leads its row with w = 0; t = 0 makes the whole row 0
+        lam = np.pi * np.arange(0, 64) / 8.0
+        w = np.stack([phi(1, 2.0) * lam, 0.0 * lam])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.assert_paths_agree(monkeypatch, w)
+        assert got[0, 0, 0] == np.inf and got[1, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("w", [2.0, 20.0, [20.0], [2.0, 20.0]], ids=["0-d", "0-d-hankel", "1-d-one", "1-d"])
+    def test_zero_and_one_dimensional_input(self, monkeypatch, w):
+        self.assert_paths_agree(monkeypatch, w)
+
+    @pytest.mark.parametrize(
+        "w", [[-1.0, 0.0, 2.0], [[0.0, 1.0], [-2.0, 3.0]], [-0.5]], ids=["leading", "second-row", "one"]
+    )
+    def test_negative_ascending_input_rejected(self, monkeypatch, w):
+        shapes = self.kernel_spy(monkeypatch)
+        with pytest.raises(ParameterError, match="w >= 0 required"):
+            _bessel_kernel(self.NUS, np.array(w))
+        assert shapes == []
+
+    def test_nan_takes_the_mask(self, monkeypatch):
+        shapes = self.kernel_spy(monkeypatch)
+        got = _bessel_kernel(self.NUS, np.array([1.0, np.nan, 20.0]))
+        assert shapes == [] and np.isnan(got[:, 1]).all()
+        assert got[:, [0, 2]].tobytes() == _bessel_kernel(self.NUS, np.array([1.0, 20.0])).tobytes()
+
+
 class TestKummer:
     def test_value_at_zero(self):
         for a, b in ((0.3, 0.9), (1.2, 2.4), (0.1, 1.7)):

@@ -1,10 +1,12 @@
 """Print the manifest ``outputs`` checksums of the benchmark configs and README's example config.
 
 Runs every ``perfbench.workloads.WORKLOADS`` config at seeds 1 and 5, the
-first JSON config in README.md, and three small configs that reach the other
+first JSON config in README.md, three small configs that reach the other
 callers of the semilinear march (a ``sweep-p`` with one global and one blowup
 row, an inhomogeneous ``verify-strichartz``, and a ``solve-semilinear`` march
-with a given ``t_start`` that writes its field), through ``parse_config`` ->
+with a given ``t_start`` that writes its field), and a small homogeneous
+``verify-strichartz`` whose last snapshot's cone r <= phi(t_max) + M - 1 ends
+within 4 h of the grid's wall (at node 508 of 512), through ``parse_config`` ->
 ``run_scenario`` in temporary directories, and prints one sorted JSON object.
 Every march horizon is n steps of exactly horizon / n.  Two checkouts whose
 outputs are byte-identical print the same text:
@@ -41,6 +43,11 @@ configs["inhomogeneous"] = {
     "scenario": "verify-strichartz", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
     "grid": {"r_max": 64.0, "N": 512, "transform": "fft"},
     "strichartz": {"kind": "inhomogeneous", "t_max": 10.0, "dt": 0.05},
+}
+configs["homogeneous"] = {
+    "scenario": "verify-strichartz", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 22.25, "N": 512, "transform": "fft"},
+    "strichartz": {"kind": "homogeneous", "t_max": 10.0},
 }
 configs["t_start"] = {
     "scenario": "solve-semilinear", "model": {"m": 1, "n": 3, "p": 2.5, "eps": 1.0, "M": 2.0},
