@@ -74,15 +74,13 @@ EXPONENT_HEADER = "m,n,p,p_crit,p_conf,p_strauss,q_min,q0,mu_m,alpha_m,gamma_lo,
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "" if x is None else repr(x)
+    if isinstance(x, (float, np.floating)):  # first, as most cells are; nan and inf print as Python floats do
+        return f"{x:.17g}"
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+    return str(x)  # ints, numpy's too, and strings
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -70,8 +70,8 @@ class WeightSpec:
 
 def phi(m: int, t):
     """Degenerate phase (2/(m+2)) t^((m+2)/2); vectorized in t."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    t = np.asarray(t, dtype=float)  # a scalar stays a 0-d array, so its power takes numpy's array loop
+    if (t < 0).any():
         raise ParameterError("t >= 0 required")
     out = 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0)
     return out if out.ndim else float(out)
@@ -80,7 +80,7 @@ def phi(m: int, t):
 def phi_inverse(m: int, s):
     """Inverse phase ((m+2) s / 2)^(2/(m+2)); round-trips with phi."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if (s < 0).any():
         raise ParameterError("s >= 0 required")
     out = ((m + 2.0) * s / 2.0) ** (2.0 / (m + 2.0))
     return out if out.ndim else float(out)
@@ -204,9 +204,9 @@ def verify_shifted_cone_bounds(
 ) -> ShiftedConeBounds:
     """Sample the shifted-cone/centered-weight ratio over the shifted cone.
 
-    Points are x = nu e1 + rho omega with rho <= phi(t) - phi(T0/4) and
-    omega ranging over the axis-aligned worst case (angle 0 and pi) plus a
-    fan of intermediate angles; optional random samples refine the fan.
+    Points are x = nu e1 + rho omega with rho <= phi(t) - phi(T0/4) and omega
+    over a fan of angles from 0 to pi (the axis-aligned worst cases); an ``rng``
+    draws each t's radial fractions at random instead of evenly spaced.
     Asserts nothing; returns the sampled min and max of the ratio.
     """
     if not (0.0 < T0 < 1.0):
@@ -214,16 +214,14 @@ def verify_shifted_cone_bounds(
     nu_max = max_shift(m, M, T0)
     if not (0.0 <= nu <= nu_max):
         raise WindowError("nu", f"nu out of range: need 0 <= nu <= {nu_max:.6f}, got {nu}")
-    ts, rr = _cone_samples(m, T0, T0 / 2.0, n_t, n_r, rng=rng)
-    ph = phi(m, ts)[:, None, None]
-    rho = rr[:, :, None]
-    # worst-case axis alignment is included as theta = 0, pi
-    theta = np.linspace(0.0, np.pi, n_angle)[None, None, :]
-    x_sq = nu * nu + rho**2 + 2.0 * nu * rho * np.cos(theta)
-    num = ph**2 - rho**2
+    ts, rho = _cone_samples(m, T0, T0 / 2.0, n_t, n_r, rng=rng)
+    ph = phi(m, ts)[:, None]
+    # angle first, (n_angle, n_t, n_r): the inner loops run over whole (t, r) planes
+    cos_theta = np.cos(np.linspace(0.0, np.pi, n_angle))[:, None, None]
+    x_sq = nu * nu + rho**2 + 2.0 * nu * rho * cos_theta
     den = (ph + M) ** 2 - x_sq
-    ratio = num / den
-    if np.any(den <= 0.0):
+    ratio = (ph**2 - rho**2) / den
+    if (den <= 0.0).any():
         raise ParameterError("sampled point escaped the weight's positivity region")
     c_lower = float(ratio.min())
     C_upper = float(ratio.max())

@@ -21,6 +21,7 @@ to its own 1-D call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +55,14 @@ class RadialGrid:
     def h(self) -> float:
         return self.r_max / self.N
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return np.arange(self.N + 1) * self.h
+        return _frozen(np.arange(self.N + 1) * self.h)
 
-    @property
+    @cached_property
     def lam(self) -> np.ndarray:
-        """Mode frequencies lambda_k = k pi / r_max, k = 1..N-1."""
-        return np.arange(1, self.N) * np.pi / self.r_max
+        """Mode frequencies lambda_k = k pi / r_max, k = 1..N-1; like ``r``, built once and read-only."""
+        return _frozen(np.arange(1, self.N) * np.pi / self.r_max)
 
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
         """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis."""
@@ -97,6 +98,11 @@ class RadialGrid:
                 f"grid.r_max={self.r_max} too small for t_final={t_final}: "
                 f"support radius + 2h = {needed:.3f}"
             )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # cached and shared by every caller
+    return a
 
 
 def origin_value(w_interior: np.ndarray, h: float):

@@ -270,11 +270,12 @@ def homogeneous_ratio(
     rows = []
     live = []  # (row index, name, f coeffs, g coeffs, rhs) of the members with data
     for name, f, g in family:
-        if np.abs(f(sgrid.r)).max() == 0.0 and np.abs(g(sgrid.r)).max() == 0.0:
+        fs, gs = f(sgrid.r), g(sgrid.r)  # sampled once, for the zero test and the norms
+        if not (np.any(fs) or np.any(gs)):
             rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
             continue
         fh, gh = _data_coeffs(params, grid, f, g)
-        rhs = sobolev_w_s1_norm(f, s_f, sgrid) + sobolev_w_s1_norm(g, s_g, sgrid)
+        rhs = sobolev_w_s1_norm(lambda r: fs, s_f, sgrid) + sobolev_w_s1_norm(lambda r: gs, s_g, sgrid)
         live.append((len(rows), name, fh, gh, rhs))
         rows.append(None)
     if live:

@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import AccuracyError, InstabilityError, ParameterError
 from .geometry import phi, phi_inverse
+from .grids import _frozen
 
 __all__ = [
     "Z_SWITCH",
@@ -128,11 +129,6 @@ def _horner(coef, x: np.ndarray) -> np.ndarray:
         s *= x
         s += c
     return s
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)  # cached and shared by every call
-    return a
 
 
 @functools.lru_cache(maxsize=64)

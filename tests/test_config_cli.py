@@ -16,6 +16,8 @@ import tricomi_lab.cli as cli
 from tricomi_lab.cli import EXPONENT_HEADER, _snapshot_times, main, run_exponents
 from tricomi_lab.config import SCHEMA, RunConfig, emit_config, parse_config
 from tricomi_lab.errors import ParameterError
+from tricomi_lab.geometry import phi_inverse
+from tricomi_lab.symbols import amplitude_envelope_bound, v1_symbol, v2_symbol
 
 ROOT = Path(__file__).resolve().parent.parent
 MINIMAL_EXPONENTS = json.dumps({"scenario": "exponents", "model": {"m": 1, "n": 3, "p": 2.0}})
@@ -164,6 +166,35 @@ class TestGeometrySymbolsCommands:
 
     def test_symbols_bad_grid(self, capsys):
         assert main(["symbols", "--m", "1", "--grid", "oops"]) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symbols_rows_equal_per_point_calls(self, capsys, m):
+        # a scalar phi_inverse or envelope power takes libm's pow, an array power numpy's
+        # own loop, and the two differ in the last bit at some points: so one call per point
+        assert main(["symbols", "--m", str(m), "--grid", "100:256"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        want = []
+        for w in np.geomspace(1e-2, 100.0, 256):
+            t = phi_inverse(m, w)
+            v1, v2 = v1_symbol(m, t, 1.0), v2_symbol(m, t, 1.0)
+            cells = [t, 1.0, v1.real, v1.imag, v2.real, v2.imag, float(amplitude_envelope_bound(m, t, 1.0))]
+            want.append(",".join(cli._fmt(x) for x in cells))
+        assert rows == want
+
+
+_NON_FINITE = [(kind(x), cell) for kind in (float, np.float64, np.float32)
+               for x, cell in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"))]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("value, cell", [
+        (None, ""), (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+        (7, "7"), (np.int64(-3), "-3"), (0.1, "0.10000000000000001"), (-0.0, "-0"),
+        (np.float64(1.0 / 3.0), "0.33333333333333331"), (np.float32(0.1), "0.10000000149011612"),
+        *_NON_FINITE, ("hom:bump-w0.5", "hom:bump-w0.5"),
+    ], ids=repr)
+    def test_every_branch_pins_its_string(self, value, cell):
+        assert cli._fmt(value) == cell
 
 
 class TestScenarioRuns:

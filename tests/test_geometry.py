@@ -12,6 +12,7 @@ from tricomi_lab.geometry import (
     UNSHIFTED_N_R,
     UNSHIFTED_N_T,
     WeightSpec,
+    _cone_samples,
     bisect_max_delta,
     characteristic_weight,
     finite_speed_radius,
@@ -161,6 +162,38 @@ class TestShiftedCone:
     def test_nu_out_of_range(self):
         with pytest.raises(ParameterError, match="nu out of range"):
             verify_shifted_cone_bounds(1, 2.0, 0.5, max_shift(1, 2.0, 0.5) + 0.5)
+
+
+def _shifted_reference(m, M, T0, nu, rng=None, n_t=120, n_r=40, n_angle=12):
+    """The shifted-cone ratio's (min, max) on the former (t, r, angle) layout, in the same operations."""
+    ts, rr = _cone_samples(m, T0, T0 / 2.0, n_t, n_r, rng=rng)
+    ph = phi(m, ts)[:, None, None]
+    rho = rr[:, :, None]
+    theta = np.linspace(0.0, np.pi, n_angle)[None, None, :]
+    x_sq = nu * nu + rho**2 + 2.0 * nu * rho * np.cos(theta)
+    ratio = (ph**2 - rho**2) / ((ph + M) ** 2 - x_sq)
+    return float(ratio.min()), float(ratio.max())
+
+
+class TestShiftedSamplerLayout:
+    @pytest.mark.parametrize("m, M", [(1, 2.0), (2, 1.6), (3, 2.5)])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+    def test_angle_first_equals_the_former_layout(self, m, M, frac):
+        # the sampler's layout is a speed choice only: its bounds keep their bits
+        draws = np.random.default_rng(100 * m + int(4 * frac))
+        for seed in range(4):
+            T0 = float(draws.uniform(0.05, 0.95))
+            nu = frac * max_shift(m, M, T0)
+            for draw in (False, True):  # evenly spaced, then random radial fractions
+                got = verify_shifted_cone_bounds(m, M, T0, nu, rng=np.random.default_rng(seed) if draw else None)
+                want = _shifted_reference(m, M, T0, nu, rng=np.random.default_rng(seed) if draw else None)
+                assert (got.c_lower, got.C_upper) == want
+
+    @pytest.mark.parametrize("n_t, n_r, n_angle", [(7, 5, 1), (30, 9, 2), (64, 17, 31)])
+    def test_other_sample_counts_equal_the_former_layout(self, n_t, n_r, n_angle):
+        nu, counts = 0.7 * max_shift(2, 1.8, 0.6), {"n_t": n_t, "n_r": n_r, "n_angle": n_angle}
+        got = verify_shifted_cone_bounds(2, 1.8, 0.6, nu, **counts)
+        assert (got.c_lower, got.C_upper) == _shifted_reference(2, 1.8, 0.6, nu, **counts)
 
 
 class TestSamplerSignatures:

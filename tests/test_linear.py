@@ -217,6 +217,15 @@ class TestGridInvariants:
         c = np.exp(-gf.lam)
         assert np.abs(sine @ c - gf.inverse(c)).max() < 1e-12
 
+    def test_nodes_and_frequencies_are_built_once_and_read_only(self):
+        grid = RadialGrid(12.0, 64)
+        assert grid.r is grid.r and grid.lam is grid.lam
+        assert np.array_equal(grid.r, np.arange(65) * grid.h)
+        assert np.array_equal(grid.lam, np.arange(1, 64) * np.pi / 12.0)
+        for shared in (grid.r, grid.lam):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[1] = 0.0
+
     def test_direct_transform_retired(self):
         with pytest.raises(GridError, match="retired"):
             RadialGrid(12.0, 256, transform="direct")

@@ -126,6 +126,23 @@ class TestHomogeneousRatio:
         assert rows[0].flags == "excluded-zero" and rows[0].ratio is None
         assert rows[1].ratio is not None and np.isfinite(rows[1].ratio)
 
+    def test_each_profile_is_sampled_once_on_the_sobolev_grid(self):
+        # the zero test and the W^(s,1) norms read the same samples
+        seen = []
+
+        def counted(key, prof):
+            def f(r):
+                seen.append((key, np.size(r)))
+                return prof(r)
+            return f
+
+        fam = [("null", counted("null f", zero), counted("null g", zero)),
+               ("b", counted("b f", bump(0.5)), counted("b g", zero))]
+        rows = homogeneous_ratio(PARAMS, fam, 3.0, 0.2, 0.3, RadialGrid(50.0, 512), t_max=10.0)
+        assert [row.flags == "excluded-zero" for row in rows] == [True, False]
+        on_sobolev_grid = [key for key, size in seen if size == default_sobolev_grid(2.0).N + 1]
+        assert sorted(on_sobolev_grid) == ["b f", "b g", "null f", "null g"]
+
     def test_family_ratios_finite_medium_box(self):
         grid = RadialGrid(180.0, 4096, transform="fft")
         fam = standard_family(2.0, 1)[:3]

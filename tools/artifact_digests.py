@@ -6,7 +6,9 @@ callers of the semilinear march (a ``sweep-p`` with one global and one blowup
 row, an inhomogeneous ``verify-strichartz``, and a ``solve-semilinear`` march
 with a given ``t_start`` that writes its field), and a small homogeneous
 ``verify-strichartz`` whose last snapshot's cone r <= phi(t_max) + M - 1 ends
-within 4 h of the grid's wall (at node 508 of 512), through ``parse_config`` ->
+within 4 h of the grid's wall (at node 508 of 512), an m=3 ``check-geometry`` with a
+given ``nu`` and ``delta`` and a 256-point m=1 ``symbols`` dump (exponent 2/3 in
+``phi_inverse``), through ``parse_config`` ->
 ``run_scenario`` in temporary directories, and prints one sorted JSON object.
 Every march horizon is n steps of exactly horizon / n.  Two checkouts whose
 outputs are byte-identical print the same text:
@@ -55,6 +57,9 @@ configs["t_start"] = {
     "semilinear": {"horizon": 1.0, "dt": 0.01, "t_start": 0.1, "snapshots": 5, "write_field": True,
                    "field_r_points": 32, "data": {"profile": "bump", "amplitude": 1.0}},
 }
+configs["geometry-m3"] = {"scenario": "check-geometry", "model": {"m": 3, "M": 2.0}, "seed": 7,
+                          "geometry": {"T0": 0.9, "nu": 0.75, "delta": 1e-5}}
+configs["symbols-m1"] = {"scenario": "symbols", "model": {"m": 1}, "symbols": {"grid": "100.000:256"}}
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
     for key, cfg in configs.items():
