@@ -88,10 +88,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _manifest(outdir: Path, cfg_payload: dict, outputs: list[Path], t0: float) -> None:

@@ -118,8 +118,6 @@ def p_conf(m: int, n: int) -> float:
         raise ParameterError(f"m >= 0 required, got m={m}")
     _check_dimension(n)
     kn = (m + 2.0) * n
-    if kn <= 2:
-        raise ParameterError("(m+2)n > 2 required")
     return (kn + 6.0) / (kn - 2.0)
 
 
@@ -190,8 +188,6 @@ def q_bounds(m: int, n: int) -> tuple[float, float]:
         raise ParameterError(f"m >= 0 required, got m={m}")
     _check_dimension(n)
     kn = (m + 2.0) * n
-    if kn <= 2:
-        raise ParameterError("(m+2)n > 2 required")
     q_min = 2.0 * (kn - m) / (kn - 2.0)
     q0 = 2.0 * (kn + 2.0) / (kn - 2.0)
     if not q0 > q_min:

@@ -71,7 +71,7 @@ class WeightSpec:
 def phi(m: int, t):
     """Degenerate phase (2/(m+2)) t^((m+2)/2); vectorized in t."""
     t = np.asarray(t, dtype=float)  # a scalar stays a 0-d array, so its power takes numpy's array loop
-    if (t < 0).any():
+    if (t < 0).any() if t.ndim else float(t) < 0:  # a float comparison skips numpy's reduction
         raise ParameterError("t >= 0 required")
     out = 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0)
     return out if out.ndim else float(out)
@@ -80,7 +80,7 @@ def phi(m: int, t):
 def phi_inverse(m: int, s):
     """Inverse phase ((m+2) s / 2)^(2/(m+2)); round-trips with phi."""
     s = np.asarray(s, dtype=float)
-    if (s < 0).any():
+    if (s < 0).any() if s.ndim else float(s) < 0:
         raise ParameterError("s >= 0 required")
     out = ((m + 2.0) * s / 2.0) ** (2.0 / (m + 2.0))
     return out if out.ndim else float(out)
@@ -92,7 +92,6 @@ def characteristic_weight(m: int, M: float, t, r):
     Callers that integrate only over r <= phi(t) + M - 1 never see negative
     values; anyone else decides about clamping themselves.
     """
-    t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     out = (phi(m, t) + M) ** 2 - r * r
     return out if out.ndim else float(out)
@@ -205,8 +204,12 @@ def verify_shifted_cone_bounds(
     """Sample the shifted-cone/centered-weight ratio over the shifted cone.
 
     Points are x = nu e1 + rho omega with rho <= phi(t) - phi(T0/4) and omega
-    over a fan of angles from 0 to pi (the axis-aligned worst cases); an ``rng``
-    draws each t's radial fractions at random instead of evenly spaced.
+    over the fan linspace(0, pi, n_angle); an ``rng`` draws each t's radial
+    fractions at random instead of evenly spaced.  Only the fan's end angles
+    are evaluated, with the whole fan's bits: the numerator phi^2 - rho^2 has
+    no angle, and |x|^2 = nu^2 + rho^2 + (2 nu rho) cos(theta), 2 nu rho >= 0,
+    rounds non-decreasing in cos(theta), so the ratio's min is at theta = pi and
+    its max and smallest denominator at theta = 0 (n_angle = 1: both ends are 0).
     Asserts nothing; returns the sampled min and max of the ratio.
     """
     if not (0.0 < T0 < 1.0):
@@ -216,8 +219,8 @@ def verify_shifted_cone_bounds(
         raise WindowError("nu", f"nu out of range: need 0 <= nu <= {nu_max:.6f}, got {nu}")
     ts, rho = _cone_samples(m, T0, T0 / 2.0, n_t, n_r, rng=rng)
     ph = phi(m, ts)[:, None]
-    # angle first, (n_angle, n_t, n_r): the inner loops run over whole (t, r) planes
-    cos_theta = np.cos(np.linspace(0.0, np.pi, n_angle))[:, None, None]
+    # the fan's two end angles first, (2, n_t, n_r): the inner loops run over whole (t, r) planes
+    cos_theta = np.cos(np.linspace(0.0, np.pi, n_angle)[[0, -1]])[:, None, None]
     x_sq = nu * nu + rho**2 + 2.0 * nu * rho * cos_theta
     den = (ph + M) ** 2 - x_sq
     ratio = (ph**2 - rho**2) / den

@@ -28,8 +28,8 @@ A family member whose sup|u| crosses the threshold stops alone; the others
 march on with unchanged bits.
 Blowup is a result, not an error: ``time_march`` reports kind "blowup" with
 the first midpoint time at which sup|u| exceeds BLOWUP_THRESHOLD (1e6) or
-goes non-finite, and "global-horizon" otherwise.  ``sweep_p`` marches all
-its powers as one family, each row with its own p.
+overflows, and "global-horizon" otherwise; a NaN from a finite source is a
+fault.  ``sweep_p`` marches all its powers as one family, each with its p.
 
 ``picard_solve`` runs the fixed-point iteration u_k <- (linear solve with
 source F_p(t, u_{k-1})), recording the weighted norms M_k of iterates and
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ParameterError, PicardDivergenceError, TricomiLabError, WindowError
+from .errors import InstabilityError, ParameterError, PicardDivergenceError, TricomiLabError, WindowError
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField
@@ -182,7 +182,8 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
     The coefficients are (N-1,) for one field, member 0, or (B, N-1) for a
     family of B members that shares every symbol evaluation.  A member stops
     at the first midpoint where its sup|u| exceeds ``threshold`` or is not
-    finite; the others march on, each with the bits it would have alone.
+    finite; the others march on, each with the bits it would have alone.  A
+    sup that is not finite after a finite source (or none) is an InstabilityError.
     ``source(i, t_mid, u_mid, live)`` gets step i's midpoint field of the
     members still marching, whose indices are the list ``live``, and returns
     their radial source samples frozen over the step (None for source-free).
@@ -200,7 +201,7 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
     limit = min(threshold, np.finfo(float).max)  # sup <= limit also fails for inf and NaN
     kept_values = symbol_stream(m, [t_end[k] for k in keep], lam, derivatives=False)
     keep = set(keep)
-    alpha, beta, kept = cv, cd, []
+    alpha, beta, kept, src = cv, cd, [], None  # src: the last step's source, read only where a member stops
     for i, (v1, v2) in enumerate(symbol_stream(m, t_mid, lam, derivatives=False)):
         tm = t_mid[i]
         um = _frame_field(grid, (v1, v2), alpha, beta)
@@ -209,7 +210,10 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
             hists[b].append((tm, s))
         ok = sup <= limit
         if not ok.all():
-            for b, o in zip(live, ok):
+            for j, (b, o) in enumerate(zip(live, ok)):  # a live member's hists[b] has i + 1 entries
+                if not (o or math.isfinite(sup[j])) and (src is None or np.isfinite(np.atleast_2d(src)[j]).all()):
+                    raise InstabilityError(f"march step {i} at t={tm:.6g}: sup|u| = {sup[j]} after a finite source "
+                                           f"(last finite sup {hists[b][-2][1] if i else None}); a fault, not a blowup")
                 if not o:
                     t_stops[b] = tm
             if not ok.any():
@@ -251,8 +255,8 @@ def time_march(
     The march takes ceil(horizon / dt) equal steps, or horizon / dt when ``dt``
     divides the horizon to a few ulps; ``dt`` is a number > 0, as for
     ``picard_solve`` and ``sweep_p``.  The march stops with kind "blowup" at the first step midpoint where
-    sup|u| exceeds BLOWUP_THRESHOLD or is not finite.  The field holds the step
-    ends nearest the snapshot times; one off steps 1..n is a WindowError naming
+    sup|u| exceeds BLOWUP_THRESHOLD or overflows; a NaN after a finite source raises InstabilityError.
+    The field holds the step ends nearest the snapshot times; one off steps 1..n is a WindowError naming
     ``snapshot_times``.  Returns (RunOutcome, SpaceTimeField); when
     ``store_midpoints`` is set the field holds the midpoints of the accepted
     steps instead of the requested snapshots.  After a blowup these are
@@ -470,7 +474,7 @@ def sweep_p(
             params_base.m, grid, steps, np.broadcast_to(fh, family), np.broadcast_to(gh, family),
             source, BLOWUP_THRESHOLD,
         )
-    except TricomiLabError as exc:  # no p enters these checks: every valid row gets the error
+    except TricomiLabError as exc:  # the checks and a march fault (shared symbols) are every valid row's error
         for row in marching:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return rows

@@ -280,17 +280,17 @@ def _kummer_confluent_even(a: float, z: complex) -> complex:
 def _asym_sum(c1: float, c2: float, z: complex) -> tuple[complex, float]:
     """Asymptotic sum 1 + sum_k (c1)_k (c2)_k / (k! z^k), truncated at the
     smallest term; returns (value, size of first neglected term)."""
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    s, term, size = 1.0 + 0.0j, 1.0 + 0.0j, 1.0  # size is abs(term), taken once per step
     for k in range(60):
         term_next = term * (c1 + k) * (c2 + k) / ((k + 1.0) * z)
-        if abs(term_next) >= abs(term):
-            return s, abs(term_next)
-        term = term_next
+        size_next = abs(term_next)
+        if size_next >= size:
+            return s, size_next
+        term, size = term_next, size_next
         s += term
-        if abs(term) <= 1e-18:
-            return s, abs(term)
-    return s, abs(term)
+        if size <= 1e-18:
+            break
+    return s, size
 
 
 def asymptotic_components(a: float, b: float, z: complex, rtol: float = 1e-7):

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+
+import tricomi_lab.symbols as symbols
 
 
 @pytest.fixture
@@ -18,5 +21,27 @@ def symbol_rows(monkeypatch):
 
         monkeypatch.setattr(module, "symbol_stream", counted)
         return rows
+
+    return install
+
+
+@pytest.fixture
+def nan_in_kernel(monkeypatch):
+    """``nan_in_kernel(n)`` puts a NaN into one element of the n-th ``symbols._bessel_kernel`` call
+    and returns the list of the calls' argument shapes, which it fills."""
+    calls = []
+
+    def install(n):
+        kernel = symbols._bessel_kernel
+
+        def faulty(nus, w):
+            j = kernel(nus, w)
+            calls.append(w.shape)
+            if len(calls) == n:
+                j[0].flat[3] = np.nan
+            return j
+
+        monkeypatch.setattr(symbols, "_bessel_kernel", faulty)
+        return calls
 
     return install

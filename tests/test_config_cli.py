@@ -456,6 +456,19 @@ class TestBadInput:
         assert "iterate 1 has a non-finite weighted norm" in capsys.readouterr().err
         assert not (tmp_path / "out" / "outcome.json-lines").exists()
 
+    def test_nan_in_a_symbol_exits_3(self, tmp_path, capsys, nan_in_kernel):
+        # a NaN from the 5th kernel call of a march is a numerical fault, not a blowup
+        def edit(cfg):
+            del cfg["linear"]
+            cfg["scenario"] = "solve-semilinear"
+            cfg["semilinear"] = {"horizon": 2.0, "dt": 0.005}
+
+        calls = nan_in_kernel(5)
+        assert self._run(tmp_path, edit) == 3
+        assert len(calls) == 5
+        assert "numerical failure: march step 96 at t=0.4825: sup|u| = nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "outcome.json-lines").exists()
+
     def test_picard_overflow_prints_only_the_failure(self, tmp_path, capfd):
         def edit(cfg):
             del cfg["linear"]

@@ -60,6 +60,32 @@ class TestPhase:
     def test_monotone(self, m, t):
         assert phi(m, t * 1.0000001) > phi(m, t)
 
+    # each phase's formula on a 0-d array, as a scalar input reaches it
+    POWERS = {phi: lambda m, t: 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0),
+              phi_inverse: lambda m, s: ((m + 2.0) * s / 2.0) ** (2.0 / (m + 2.0))}
+
+    @pytest.mark.parametrize("fn", [phi, phi_inverse])
+    @pytest.mark.parametrize("x", [0.7, np.float64(0.7), np.array(0.7), 3, -0.0, float("nan")])
+    def test_scalar_input_kinds(self, fn, x):
+        # a scalar's sign check is a float comparison; NaN and -0.0 pass it, as they pass (t < 0).any()
+        out = fn(2, x)
+        assert type(out) is float
+        assert repr(out) == repr(float(self.POWERS[fn](2, np.asarray(x, dtype=float))))
+
+    @pytest.mark.parametrize("fn", [phi, phi_inverse])
+    @pytest.mark.parametrize("x", [-1e-300, -np.inf, np.float64(-1e-300), np.array(-np.inf)])
+    def test_scalar_negative_rejected(self, fn, x):
+        with pytest.raises(ParameterError, match=">= 0 required"):
+            fn(1, x)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scalar_phi_is_a_0d_array_power(self, m):
+        # the symbols dump's times: a scalar phi keeps the bits of numpy's array power, which at
+        # exponents 1.5 and 2.5 differ from libm's pow (a Python or np.float64 power) at some points
+        for w in np.geomspace(1e-2, 100.0, 256):
+            t = phi_inverse(m, float(w))
+            assert phi(m, t) == float(2.0 / (m + 2.0) * np.asarray(t) ** ((m + 2.0) / 2.0))
+
 
 class TestCharacteristicWeight:
     def test_origin_value(self):

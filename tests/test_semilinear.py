@@ -8,7 +8,7 @@ import pytest
 
 import tricomi_lab.semilinear as semilinear
 import tricomi_lab.symbols as symbols
-from tricomi_lab.errors import ParameterError, PicardDivergenceError, WindowError
+from tricomi_lab.errors import InstabilityError, ParameterError, PicardDivergenceError, WindowError
 from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
 from tricomi_lab.geometry import WeightSpec, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
@@ -555,6 +555,37 @@ class TestStepCheck:
         assert 0.9 / 0.03 > 30
         out, fld = time_march(self.PARAMS, None, zero, zero, 0.9, 0.03, self.GRID, snapshot_times=[0.03, 0.9])
         assert len(out.norm_history) == 30 and fld.times.tolist() == [0.9 / 30, 0.9]
+
+
+class TestNonFiniteSup:
+    """A sup that is not finite stops a member as a blowup only after its source overflowed."""
+
+    GRID = RadialGrid(16.0, 256)
+
+    def test_overflowing_source_is_a_blowup(self):
+        # |u|^400 of a sup near 10 is inf: the next midpoint is not finite, and that is a blowup
+        params = ModelParams(1, 3, 400.0, eps=1.0, M=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = time_march(params, NonlinearitySpec(p=400.0), bump(0.95, 10.0), zero, 1.0, 0.01, self.GRID)
+        assert out.kind == "blowup" and out.blowup_time == 0.015
+        assert [math.isfinite(s) for _, s in out.norm_history] == [True, False]
+
+    @pytest.mark.parametrize("spec", [None, NonlinearitySpec(p=2.0)])
+    def test_nan_after_finite_source_raises(self, spec, nan_in_kernel):
+        nan_in_kernel(3)  # 32 midpoints per call at N = 256: steps 64..95
+        with pytest.raises(InstabilityError, match=r"march step 64 at t=0\.3225: sup\|u\| = nan after a finite "
+                                                   r"source \(last finite sup [0-9.e+-]+\)"):
+            time_march(ModelParams(1, 3, 2.0, eps=1.0, M=2.0), spec, bump(0.95), zero, 1.0, 0.005, self.GRID)
+
+    def test_sweep_records_the_fault_in_every_row(self, nan_in_kernel):
+        # the family shares its symbols, so a fault in them is every valid row's error
+        nan_in_kernel(3)
+        rows = sweep_p(ModelParams(1, 3, 2.0, eps=1.0, M=2.0), [0.5, 1.5, 2.0], bump(0.95), zero, 1.0, 0.005,
+                       self.GRID)
+        assert rows[0]["error"].startswith("ParameterError")
+        for row in rows[1:]:
+            assert row["kind"] is None and row["blowup_time"] is None and row["final_sup"] is None
+            assert row["error"].startswith("InstabilityError: march step 64 at t=0.3225")
 
 
 class TestSweep:

@@ -237,6 +237,31 @@ class TestAsymptoticComponents:
         assert slope_plus == pytest.approx(a - b, abs=0.15 * abs(a - b))
         assert slope_minus == pytest.approx(-a, abs=0.15 * a)
 
+    @staticmethod
+    def _three_abs_sum(c1, c2, z):
+        """The former loop of ``_asym_sum``, which took abs(term) up to three times per step."""
+        s = 1.0 + 0.0j
+        term = 1.0 + 0.0j
+        for k in range(60):
+            term_next = term * (c1 + k) * (c2 + k) / ((k + 1.0) * z)
+            if abs(term_next) >= abs(term):
+                return s, abs(term_next)
+            term = term_next
+            s += term
+            if abs(term) <= 1e-18:
+                return s, abs(term)
+        return s, abs(term)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_asym_sum_keeps_its_bits(self, m):
+        # the (c1, c2) pairs asymptotic_components forms for V1 and V2, at z = +-2iw
+        families = [(m / (2.0 * (m + 2.0)), m / (m + 2.0)), ((m + 4.0) / (2.0 * (m + 2.0)), (m + 4.0) / (m + 2.0))]
+        pairs = [pair for a, b in families for pair in ((b - a, 1.0 - a), (a, a - b + 1.0))]
+        for w in np.geomspace(15.0, 1e4, 200):
+            for c1, c2 in pairs:
+                for z in (2j * w, -2j * w):
+                    assert repr(symbols._asym_sum(c1, c2, z)) == repr(self._three_abs_sum(c1, c2, z))  # bits, -0.0 too
+
 
 class TestSymbols:
     @pytest.mark.parametrize("m", [1, 2, 3])
