@@ -83,18 +83,20 @@ def _fmt(x) -> str:
     return str(x)  # ints, numpy's too, and strings
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8 and return the sha256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
-def _manifest(outdir: Path, cfg_payload: dict, outputs: list[Path], t0: float) -> None:
+def _manifest(outdir: Path, cfg_payload: dict, checks: dict[str, str], t0: float) -> None:
     import scipy
 
-    checks = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
     manifest = {
         "config": cfg_payload,
         "versions": {
@@ -383,10 +385,8 @@ def _run(cfg: RunConfig, outdir: Path | None) -> dict[str, str]:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _outdir_error(outdir, exc.strerror) from None
-        paths = [outdir / name for name in artifacts]
-        for path, text in zip(paths, artifacts.values()):
-            _write_text(path, text)
-        _manifest(outdir, cfg.data, paths, t0)
+        checks = {name: _write_text(outdir / name, text) for name, text in artifacts.items()}
+        _manifest(outdir, cfg.data, checks, t0)
     return artifacts
 
 

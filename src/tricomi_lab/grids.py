@@ -70,11 +70,16 @@ class RadialGrid:
 
         return dst(w_interior, type=1) / self.N
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Interior samples w_j from sine coefficients, along the last axis."""
+    def inverse(self, coeffs: np.ndarray, nodes: int | None = None) -> np.ndarray:
+        """Interior samples w_j from sine coefficients, along the last axis.
+
+        With ``nodes``, only the first max(nodes - 1, 4) samples, the ones
+        ``u_from_w(w, nodes)`` reads, each with the same bits.
+        """
         from scipy.fft import dst  # imported here: the flag subcommands make no transform
 
-        return dst(coeffs, type=1) / 2.0
+        w = dst(coeffs, type=1)
+        return (w if nodes is None else w[..., : max(nodes - 1, 4)]) / 2.0
 
     def u_from_w(self, w_interior: np.ndarray, nodes: int | None = None) -> np.ndarray:
         """Radial samples of u = w/r from interior w, origin by one-sided limit.

@@ -93,7 +93,7 @@ def _frame_field(grid: RadialGrid, values, a: np.ndarray, b: np.ndarray, nodes: 
     v1, v2 = values
     c = v1 * a
     c += v2 * b
-    return grid.u_from_w(grid.inverse(c), nodes)
+    return grid.u_from_w(grid.inverse(c, nodes), nodes)
 
 
 def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray, nodes=None):

@@ -21,10 +21,12 @@ tail estimate so the truncation is auditable.
 The probes share one window check and one reduction of each linear snapshot
 to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``), which
 reads only the cone r <= phi(t) + M - 1, so each snapshot is formed on the
-cone's nodes alone.  ``sobolev_w_s1_norm`` of zero data is 0.0 without a
-transform.  The inhomogeneous probe samples each source once per march step,
-at the midpoint where the march freezes it; those samples drive the march and
-also serve the support check, the zero test and the RHS.
+cone's nodes alone; it reduces the later half of the times in a second
+thread, with the same bits as one thread.  ``sobolev_w_s1_norm`` of zero
+data is 0.0 without a transform.  The inhomogeneous probe samples each
+source once per march step, at the midpoint where the march freezes it;
+those samples drive the march and also serve the support check, the zero
+test and the RHS.
 
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
@@ -32,6 +34,8 @@ Littlewood-Paley band decomposition of spectral snapshots.
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,12 +212,48 @@ def _per_time_integrals(params: ModelParams, grid: RadialGrid, times, fh, gh, sp
     """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family.
 
     Each snapshot is formed only on the nodes of the cone its weight integrates.
+    The times split into two halves by count: a second thread reduces the later
+    half while the caller reduces the earlier one.  Every time goes through the
+    same operations as in one thread, so each integral keeps its bits; the
+    transforms and the element-wise kernels release the GIL.
     """
     grid.validate_horizon(params.m, params.M, float(times.max()))
     r = grid.r
     nodes = [_cone_nodes(r, params.m, spec.M, float(t)) for t in times]
-    snaps = _snapshots(params.m, grid, times, fh, gh, nodes)
-    return np.array([_weighted_integral(u, r, float(t), params.m, spec) for t, u in zip(times, snaps)])
+
+    def reduce(lo, hi):
+        snaps = _snapshots(params.m, grid, times[lo:hi], fh, gh, nodes[lo:hi])
+        return [_weighted_integral(u, r, float(t), params.m, spec) for t, u in zip(times[lo:hi], snaps)]
+
+    half = (len(times) + 1) // 2
+    return np.array(_in_two_threads(lambda: reduce(0, half), lambda: reduce(half, len(times))))
+
+
+def _in_two_threads(first, second) -> list:
+    """first() + second(), with second() run in a thread of its own under the caller's context.
+
+    The context copy carries the caller's ``np.errstate`` into the thread.  The
+    thread is joined before this returns or raises.  An error of first()
+    wins, as it would in serial order; an error of second() alone is
+    re-raised unchanged.
+    """
+    out = []
+
+    def run():
+        try:
+            out.append(second())
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            out.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
+    try:
+        head = first()
+    finally:
+        thread.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return head + out[0]
 
 
 def _ratio_row(name: str, per_t: np.ndarray, times: np.ndarray, q: float, t_split: float, rhs: float):

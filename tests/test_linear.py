@@ -246,6 +246,16 @@ class TestGridInvariants:
                 assert np.array_equal(u, u_b)
                 assert _weighted_integral(u, grid.r, t, 1, spec) == i_b
 
+    def test_inverse_to_nodes_equals_full_inverse(self):
+        # the prefix a snapshot on its first k nodes reads keeps the bits of the full path
+        grid = RadialGrid(12.0, 64)
+        coeffs = np.random.default_rng(5).standard_normal((3, grid.N - 1))
+        full = grid.u_from_w(grid.inverse(coeffs))
+        for k in (1, 2, 3, 4, 5, 6, grid.N + 1):
+            w = grid.inverse(coeffs, k)
+            assert w.shape == (3, min(max(k - 1, 4), grid.N - 1))
+            assert grid.u_from_w(w, k).tobytes() == full[:, :k].tobytes()
+
     def test_snapshot_times_must_increase(self):
         grid = RadialGrid(12.0, 128)
         with pytest.raises(ParameterError):

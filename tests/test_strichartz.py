@@ -1,5 +1,8 @@
 """Sobolev norms, estimate ratio probes, Littlewood-Paley machinery."""
 
+import contextvars
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +14,14 @@ from tricomi_lab.errors import AccuracyError, GridError, ParameterError, Support
 from tricomi_lab.exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
-from tricomi_lab.linear import _cone_nodes, _weighted_integral, solve_linear, weighted_field_norm
+from tricomi_lab.linear import (
+    _cone_nodes,
+    _data_coeffs,
+    _snapshots,
+    _weighted_integral,
+    solve_linear,
+    weighted_field_norm,
+)
 from tricomi_lab.profiles import bump, dilate, gaussian_truncated
 from tricomi_lab.semilinear import _march, _snap, _steps
 from tricomi_lab.strichartz import (
@@ -373,7 +383,8 @@ class TestBatchEngine:
         calls = symbol_rows(tricomi_lab.linear)
         rows = homogeneous_ratio(PARAMS, standard_family(2.0, 1), q, gamma, delta, grid, t_max=10.0)
         assert len(rows) == 8 and all(r.ratio is not None for r in rows)
-        assert calls == [(t, False) for t in _time_grid(10.0)]
+        # two threads reduce the two halves of the times, so their rows interleave
+        assert sorted(calls) == [(t, False) for t in _time_grid(10.0)]
 
     def test_stopped_march_raises_not_truncates(self):
         grid = RadialGrid(60.0, 512, transform="fft")
@@ -413,6 +424,83 @@ class TestConePrefix:
         assert [a.shape for a in captured] == [want.shape, times.shape, times.shape]
         assert captured[0].tobytes() == want.tobytes()
         assert captured[1].tobytes() == want[:, 0].tobytes() and captured[2].tobytes() == want[:, 7].tobytes()
+
+
+class TestTimeSplit:
+    """_per_time_integrals reduces the two halves of its times in two threads, bit for bit."""
+
+    GRID = RadialGrid(60.0, 1024, transform="fft")
+    SPEC = WeightSpec(gamma=0.2, q=3.0, M=2.0)
+
+    def _family(self):
+        coeffs = [_data_coeffs(PARAMS, self.GRID, f, g) for _, f, g in standard_family(2.0, 1)]
+        return np.array([c[0] for c in coeffs]), np.array([c[1] for c in coeffs])
+
+    def _integrals(self, times):
+        return tricomi_lab.strichartz._per_time_integrals(PARAMS, self.GRID, times, *self._family(), self.SPEC)
+
+    @pytest.mark.parametrize("count", [72, 37, 1])
+    def test_equals_one_thread_reduction(self, count):
+        times = _time_grid(10.0)[-count:]
+        r = self.GRID.r
+        nodes = [_cone_nodes(r, 1, 2.0, float(t)) for t in times]
+        snaps = _snapshots(1, self.GRID, times, *self._family(), nodes)
+        want = np.array([_weighted_integral(u, r, float(t), 1, self.SPEC) for t, u in zip(times, snaps)])
+        got = self._integrals(times)
+        assert got.shape == (count, 8) and got.tobytes() == want.tobytes()
+
+    def _raise_at(self, monkeypatch, errors):
+        """Patch the reduction to raise errors[t] at each time t that has one; return the raised ones."""
+        raised, inner = [], _weighted_integral
+
+        def patched(u, r, t, m, spec):
+            if t in errors:
+                raised.append(errors[t])
+                raise errors[t]
+            return inner(u, r, t, m, spec)
+
+        monkeypatch.setattr(tricomi_lab.strichartz, "_weighted_integral", patched)
+        return raised
+
+    def test_second_half_error_reaches_caller(self, monkeypatch):
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        error = AccuracyError(f"late failure at t={times[-1]}")
+        self._raise_at(monkeypatch, {float(times[-1]): error})
+        with pytest.raises(AccuracyError, match=r"^late failure at t=10\.0$") as exc:
+            self._integrals(times)
+        assert exc.value is error
+        assert threading.active_count() == threads
+
+    def test_first_half_error_wins(self, monkeypatch):
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        first, second = ParameterError("first half"), GridError("second half")
+        raised = self._raise_at(monkeypatch, {float(times[0]): first, float(times[36]): second})
+        with pytest.raises(ParameterError, match="first half"):
+            self._integrals(times)
+        assert sorted(map(str, raised)) == ["first half", "second half"]  # both raised; the join waited
+        assert threading.active_count() == threads
+
+    def test_threads_return_after_success(self):
+        threads = threading.active_count()
+        self._integrals(_time_grid(10.0))
+        assert threading.active_count() == threads
+
+    def test_thread_runs_in_callers_context(self, monkeypatch):
+        var = contextvars.ContextVar("probe")
+        seen, inner = [], _weighted_integral
+
+        def patched(u, r, t, m, spec):
+            seen.append((threading.get_ident(), np.geterr()["over"], var.get(None)))
+            return inner(u, r, t, m, spec)
+
+        monkeypatch.setattr(tricomi_lab.strichartz, "_weighted_integral", patched)
+        var.set("set")
+        with np.errstate(over="raise"):
+            self._integrals(_time_grid(10.0))
+        assert len(seen) == 72 and len({ident for ident, _, _ in seen}) == 2
+        assert {(over, value) for _, over, value in seen} == {("raise", "set")}
 
 
 class TestLittlewoodPaley:
