@@ -12,20 +12,21 @@ whose fundamental pair normalized to data (V1(0) = 1, V1'(0) = 0) and
     V2(t, lambda) = t e^(-z/2) M(a2, 2 a2; z),     a2 = (m+4) / (2(m+2)),
 
 with z = 2 i phi(t) lambda and M the confluent hypergeometric (Kummer)
-function.  Because both parameter pairs satisfy b = 2a, the symbols reduce
-to Bessel functions of real argument w = phi(t) lambda:
+function.  Because both parameter pairs satisfy b = 2a, Kummer's second
+transformation (DLMF 13.6.9, 10.16.9) makes them real 0F1 functions of
+w = phi(t) lambda, with nu = 1/(m+2):
 
-    V1 = Gamma(1 - nu) (w/2)^(+nu) J_(-nu)(w),     nu = 1/(m+2),
-    V2 = t Gamma(1 + nu) (w/2)^(-nu) J_(+nu)(w),
+    V1 = Lambda_(-nu)(w),   V2 = t Lambda_(+nu)(w),
+    Lambda_nu(w) = 0F1(; nu + 1; -w^2/4) = Gamma(nu + 1) (w/2)^(-nu) J_nu(w),
 
-manifestly real, with large-w modulus ~ w^(-m/(2(m+2))).
+with Lambda_nu(0) = 1 and large-w modulus of V1 ~ w^(-m/(2(m+2))).
 
 Three independent evaluation routes are provided and cross-validated by the
 tests: direct ODE integration (power series start + adaptive high-order
 explicit integration), the Kummer route (series for |z| <= 30, exponential
 two-component asymptotics beyond, overlap-checked on |z| in [25, 40]), and
-the Bessel route (ascending series for w <= W_SWITCH = 12.25, Hankel's
-expansion beyond, both with fixed truncations and good to about 1e-12).
+the Bessel route, Lambda_nu itself (a 30-term series with no fractional power
+up to W_SWITCH = 12.25, Hankel's expansion beyond, both good to about 1e-12).
 Ascending rows w = phi(t) lambda are split at W_SWITCH by slices, other
 input by a boolean mask, with the same bits.
 Pochhammer ratios are always accumulated incrementally, never via Gamma
@@ -33,19 +34,19 @@ quotients.
 
 The solver-facing entry point is :func:`symbol_stream`, which yields
 (V1, V2, V1', V2') at each of a sequence of times, vectorized over a
-frequency array via the Bessel route, all its Bessel orders in one pass of
-one kernel.  The kernel call has a fixed cost that dwarfs a small grid's
+frequency array via the Bessel route, all its orders in one pass of one
+kernel.  The kernel call has a fixed cost that dwarfs a small grid's
 work, so the stream evaluates the next K = _SYMBOL_BLOCK_ELEMENTS // n times
 of an n-frequency grid in one call, and each row keeps the bits of a
 one-time evaluation; :func:`symbol_matrix` is the one-time case.  The
-values V1 and V2 need only J_(-nu) and J_(+nu), which share one Hankel P/Q
-pair; the derivatives add J_(1-nu) and J_(1+nu).  Callers that read the
-values only (snapshots, step midpoints) pass ``derivatives=False`` and get
-(V1, V2) from the two orders.  The kernel's per-order constants (series
-coefficients, reciprocal gammas, Hankel a_k, cos/sin(nu pi/2)) are computed
-once per order tuple and cached.  The Wronskian V1 V2' - V1' V2 is
-identically 1 (no first-order term in the mode ODE), which the stepper
-relies on, and is met to about 1e-11 in floating point.
+values V1 and V2 need only Lambda_(-nu) and Lambda_(+nu), which share one
+Hankel P/Q pair; the derivatives add Lambda_(1-nu) and Lambda_(1+nu).
+Callers that read the values only (snapshots, step midpoints) pass
+``derivatives=False`` and get (V1, V2) from the two orders.  The kernel's
+per-order constants (series coefficients, Hankel a_k, scaled cos/sin of the
+phase pi/4 + nu pi/2) are computed once per order tuple and cached.  The
+Wronskian V1 V2' - V1' V2 is identically 1 (no first-order term in the mode
+ODE), which the stepper relies on, and is met to about 2e-11 in floating point.
 """
 
 from __future__ import annotations
@@ -81,13 +82,14 @@ __all__ = [
 # overlap band [25, 40] validated in the tests.  At 30 the stabilized
 # series loses ~ e^(|z|/2) * eps ~ 1e-9 to cancellation.
 Z_SWITCH = 30.0
-# Bessel series/Hankel handover in w, where the two truncation errors cross
-# (both about 1e-12 against mpmath); overlap-validated on w in [12.5, 20].
+# Series/Hankel handover in w, where the two truncation errors cross
+# (both about 1e-12 against mpmath); overlap-validated on w in [12.5, 16].
 # The series error grows like eps e^w, the Hankel error falls like e^(-2w).
 W_SWITCH = 12.25
-# Fixed truncations, the same for every element: the series is exact to
-# rounding up to w = 20; the Hankel expansion keeps a_0 .. a_23.
-_SERIES_TERMS = 40
+# Fixed truncations, the same for every element: the 30-term series is exact
+# to rounding up to w = 16 (40 terms gain nothing below the switch); the
+# Hankel expansion keeps a_0 .. a_23.
+_SERIES_TERMS = 30
 _HANKEL_TERMS = 12
 # Elements per kernel call of symbol_stream: K = this // lam.size times at once.
 # Chosen by measurement against peak RSS (CHANGES.md); 16384 cost 7% more.
@@ -124,38 +126,36 @@ def _horner(coef, x: np.ndarray) -> np.ndarray:
     Coefficients are scalars, or columns (one value per row) to evaluate
     several polynomials at once.
     """
-    s = coef[-1] * np.ones_like(x)
-    for c in coef[-2::-1]:
-        s *= x
+    s = coef[-1] * x
+    for c in coef[-2:0:-1]:
         s += c
+        s *= x
+    s += coef[0]
     return s
 
 
 @functools.lru_cache(maxsize=64)
 def _series_constants(nus: tuple) -> tuple:
-    """(Horner coefficients, orders, reciprocal gammas) of :func:`_bessel_series`, as columns."""
-    nu = _frozen(np.asarray(nus, dtype=float)[:, None])
+    """Horner coefficients 1 / (k! (nu + 1)_k) of :func:`_hyp0f1_series`, as columns."""
+    nu = np.asarray(nus, dtype=float)[:, None]
     k = np.arange(1.0, _SERIES_TERMS)
     coef = np.cumprod(1.0 / (k * (nu + k)), axis=1)
-    rgamma = np.array([[_rgamma(v + 1.0)] for v in nus])
-    return (1.0, *(_frozen(c) for c in coef.T[:, :, None])), nu, _frozen(rgamma)
+    return (1.0, *(_frozen(c) for c in coef.T[:, :, None]))
 
 
-def _bessel_series(nus, w: np.ndarray) -> np.ndarray:
-    """J_nu(w) for each order in ``nus`` (rows) by the ascending series (DLMF 10.2.2).
+def _hyp0f1_series(nus, w: np.ndarray) -> np.ndarray:
+    """Lambda_nu(w) = 0F1(; nu + 1; -w^2/4) for each order in ``nus`` (rows) by its Maclaurin series.
 
-    J_nu(w) = (w/2)^nu / Gamma(nu + 1) * sum_k x^k / (k! (nu + 1)_k),  x = -w^2/4,
-    over ``_SERIES_TERMS`` terms, all orders in one Horner pass.
+    Lambda_nu(w) = sum_k x^k / (k! (nu + 1)_k), x = -w^2/4 (DLMF 10.2.2 without its
+    (w/2)^nu / Gamma(nu + 1)), over ``_SERIES_TERMS`` terms, all orders in one Horner pass.
     """
-    coef, nu, rgamma = _series_constants(nus)
-    s = _horner(coef, -0.25 * w * w)
-    return s * (rgamma * (0.5 * w) ** nu)
+    return _horner(_series_constants(nus), -0.25 * w * w)
 
 
 @functools.lru_cache(maxsize=64)
 def _hankel_constants(nus: tuple) -> tuple:
-    """(4 nu^2, P and Q Horner coefficients, cos(nu pi/2), sin(nu pi/2)) per order
-    of :func:`_bessel_hankel`."""
+    """(4 nu^2, P and Q Horner coefficients, c cos(phase), c sin(phase), -nu - 1/2) per order
+    of :func:`_hyp0f1_hankel`, with c = Gamma(nu + 1) 2^nu sqrt(2/pi) and phase = pi/4 + nu pi/2."""
     j = np.arange(1.0, 2 * _HANKEL_TERMS)
     out = []
     for nu in nus:
@@ -164,73 +164,77 @@ def _hankel_constants(nus: tuple) -> tuple:
         a[2::4] *= -1.0
         a[3::4] *= -1.0
         p, q = tuple(a[0::2].tolist()), tuple(a[1::2].tolist())
-        out.append((mu, p, q, math.cos(0.5 * math.pi * nu), math.sin(0.5 * math.pi * nu)))
+        c, phase = math.gamma(nu + 1.0) * 2.0**nu * math.sqrt(2.0 / math.pi), 0.25 * math.pi + 0.5 * math.pi * nu
+        out.append((mu, p, q, c * math.cos(phase), c * math.sin(phase), -nu - 0.5))
     return tuple(out)
 
 
-def _bessel_hankel(nus, w: np.ndarray) -> np.ndarray:
-    """J_nu(w) for each order in ``nus`` (rows) by Hankel's expansion (DLMF 10.17.3).
+def _hyp0f1_hankel(nus, w: np.ndarray) -> np.ndarray:
+    """Lambda_nu(w) = Gamma(nu + 1) (w/2)^(-nu) J_nu(w) for each order in ``nus`` (rows)
+    by Hankel's expansion of J_nu (DLMF 10.17.3).
 
-    J_nu(w) = amp (cos(chi) P - sin(chi) Q),  amp = sqrt(2/(pi w)),  chi = theta - nu pi/2,
-    theta = w - pi/4, with P = sum_k (-1)^k a_2k / w^2k and
+    J_nu(w) = sqrt(2/(pi w)) (cos(w - phase) P - sin(w - phase) Q),  phase = pi/4 + nu pi/2,
+    with P = sum_k (-1)^k a_2k / w^2k and
     Q = sum_k (-1)^k a_(2k+1) / w^(2k+1), a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8j),
-    each by Horner in 1/w^2 over ``_HANKEL_TERMS`` terms.  Expanding chi gives
-    J_nu = cos(nu pi/2) A + sin(nu pi/2) B with A = amp (cos(theta) P - sin(theta) Q)
-    and B = amp (sin(theta) P + cos(theta) Q), so one cos/sin of theta serves every
-    order, and orders +-nu (same 4 nu^2, same P and Q) share A and B.
+    each by Horner in 1/w^2 over ``_HANKEL_TERMS`` terms.  Expanding w - phase gives
+    Lambda_nu = c w^(-nu-1/2) (cos(phase) A + sin(phase) B) with
+    c = Gamma(nu + 1) 2^nu sqrt(2/pi), A = cos(w) P - sin(w) Q and
+    B = sin(w) P + cos(w) Q, so one cos/sin of w serves every order, and
+    orders +-nu (same 4 nu^2, same P and Q) share A and B.  The phase never
+    meets w in floating point: a rounded w - pi/4 is off by up to ulp(w)/2,
+    1e-12 at w = 1e4 and the whole amplitude at w = 1e16.
     """
     y = 1.0 / (w * w)
-    amp = np.sqrt(2.0 / (np.pi * w))
-    amp_cos, amp_sin = amp * np.cos(w - 0.25 * np.pi), amp * np.sin(w - 0.25 * np.pi)
+    cos_w, sin_w = np.cos(w), np.sin(w)
     rotated = {}
     out = np.empty((len(nus), w.size))
-    for row, (mu, p_coef, q_coef, cos_nu, sin_nu) in zip(out, _hankel_constants(nus)):
+    for row, (mu, p_coef, q_coef, c_cos, c_sin, power) in zip(out, _hankel_constants(nus)):
         if mu not in rotated:
             p, q = _horner(p_coef, y), _horner(q_coef, y) / w
-            rotated[mu] = p * amp_cos - q * amp_sin, p * amp_sin + q * amp_cos
+            rotated[mu] = p * cos_w - q * sin_w, p * sin_w + q * cos_w
         a_rot, b_rot = rotated[mu]
-        np.multiply(a_rot, cos_nu, out=row)
-        row += sin_nu * b_rot
+        np.multiply(a_rot, c_cos, out=row)
+        row += c_sin * b_rot
+        row *= w**power
     return out
 
 
-def _bessel_kernel(nus, w: np.ndarray) -> np.ndarray:
-    """J_nu(w) for every order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
+def _hyp0f1_kernel(nus, w: np.ndarray) -> np.ndarray:
+    """Lambda_nu(w) = 0F1(; nu + 1; -w^2/4) = Gamma(nu + 1) (w/2)^(-nu) J_nu(w) for every
+    order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
 
-    Series up to ``W_SWITCH``, Hankel's expansion beyond, each with a fixed
-    truncation, so an element's value depends on its own w only.  Each
-    ascending row w >= 0 (the last axis; the solvers' rows phi(t) lambda
-    ascend) splits at ``W_SWITCH`` by slices: one series call on the
-    prefixes, one Hankel call on the suffixes.  Other input (unsorted,
+    Maclaurin series up to ``W_SWITCH``, Hankel's expansion of J_nu beyond,
+    each with a fixed truncation, so an element's value depends on its own w
+    only.  Each ascending row w >= 0 (the last axis; the solvers' rows
+    phi(t) lambda ascend) splits at ``W_SWITCH`` by slices: one series call on
+    the prefixes, one Hankel call on the suffixes.  Other input (unsorted,
     negative, NaN) is split by a boolean mask, with the same bits.  The
     constants of each order tuple are computed once and cached.  Only the
     orders the symbols need are exercised in anger (nu in (-1/2, 0) and
-    (0, 3/2)); this is not a general-purpose Bessel.  At w = 0 it gives the
-    limit, without a warning: inf for -1 < nu < 0, 1 at nu = 0, 0 for nu > 0.
+    (0, 3/2)); this is not a general-purpose 0F1.  Lambda_nu(0) = 1 for every
+    order: the series takes w = 0 like any other element.
     """
     nus = tuple(float(v) for v in nus)
     rows = np.atleast_2d(w)
     if rows.ndim == 2 and rows.size and (rows[:, 0] >= 0).all() and (rows[:, 1:] >= rows[:, :-1]).all():
-        return _bessel_rows(nus, rows).reshape((len(nus),) + w.shape)
+        return _kernel_rows(nus, rows).reshape((len(nus),) + w.shape)
     flat = w.ravel()
     if (flat < 0).any():
         raise ParameterError("w >= 0 required")
     small = flat <= W_SWITCH
     out = np.empty((len(nus), flat.size))
     if small.any():
-        with np.errstate(divide="ignore"):
-            out[:, small] = _bessel_series(nus, flat[small])
+        out[:, small] = _hyp0f1_series(nus, flat[small])
     if not small.all():
-        out[:, ~small] = _bessel_hankel(nus, flat[~small])
+        out[:, ~small] = _hyp0f1_hankel(nus, flat[~small])
     return out.reshape((len(nus),) + w.shape)
 
 
-def _bessel_rows(nus: tuple, rows: np.ndarray) -> np.ndarray:
-    """:func:`_bessel_kernel` of ascending rows w >= 0 (R, C): shape (len(nus), R, C), split by slices."""
+def _kernel_rows(nus: tuple, rows: np.ndarray) -> np.ndarray:
+    """:func:`_hyp0f1_kernel` of ascending rows w >= 0 (R, C): shape (len(nus), R, C), split by slices."""
     split = np.count_nonzero(rows <= W_SWITCH, axis=1).tolist()
-    with np.errstate(divide="ignore"):
-        series = _bessel_part(_bessel_series, nus, [row[:k] for row, k in zip(rows, split)])
-    hankel = _bessel_part(_bessel_hankel, nus, [row[k:] for row, k in zip(rows, split)])
+    series = _kernel_part(_hyp0f1_series, nus, [row[:k] for row, k in zip(rows, split)])
+    hankel = _kernel_part(_hyp0f1_hankel, nus, [row[k:] for row, k in zip(rows, split)])
     pieces, i, j, n = [], 0, 0, rows.shape[1]
     for k in split:
         pieces += series[:, i : i + k], hankel[:, j : j + n - k]
@@ -238,7 +242,7 @@ def _bessel_rows(nus: tuple, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(pieces, axis=1).reshape((len(nus),) + rows.shape)
 
 
-def _bessel_part(branch, nus: tuple, pieces: list) -> np.ndarray:
+def _kernel_part(branch, nus: tuple, pieces: list) -> np.ndarray:
     """``branch`` on the concatenated ``pieces``: shape (len(nus), their total size), no call when empty."""
     w = np.concatenate(pieces)
     return branch(nus, w) if w.size else np.empty((len(nus), 0))
@@ -304,12 +308,14 @@ def asymptotic_components(a: float, b: float, z: complex, rtol: float = 1e-7):
     """
     s_plus, err_p = _asym_sum(b - a, 1.0 - a, z)
     s_minus, err_m = _asym_sum(a, a - b + 1.0, -z)
-    a_plus = math.gamma(b) * _rgamma(a) * z ** (a - b) * s_plus
-    a_minus = math.gamma(b) * _rgamma(b - a) * (-z) ** (-a) * s_minus
+    pre_plus = math.gamma(b) * _rgamma(a) * z ** (a - b)
+    pre_minus = math.gamma(b) * _rgamma(b - a) * (-z) ** (-a)
+    a_plus, a_minus = pre_plus * s_plus, pre_minus * s_minus
     scale = max(abs(a_plus), abs(a_minus), 1e-300)
-    if (err_p + err_m) > rtol * scale * 10.0:
+    err = err_p * abs(pre_plus) + err_m * abs(pre_minus)  # each sum's error is relative to its own 1
+    if err > rtol * scale * 10.0:
         raise AccuracyError(
-            f"asymptotic expansion stagnates at relative {(err_p + err_m) / scale:.2e} "
+            f"asymptotic expansion stagnates at relative {err / scale:.2e} "
             f"for |z| = {abs(z):.3f}; requested rtol = {rtol:.2e}"
         )
     return a_plus, a_minus
@@ -365,8 +371,6 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     Both agree to roughly 1e-7 relative; the ODE route is :func:`evolve_mode`.
     """
     w = _symbol_arg(m, t, lam, route)
-    if w == 0.0:
-        return 1.0 + 0.0j
     if route == "kummer":
         z = 2j * w
         return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), m / (m + 2.0), z)
@@ -377,8 +381,6 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
 def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     """V2(t, lambda): the velocity-to-solution symbol, d/dt V2(0, .) = 1."""
     w = _symbol_arg(m, t, lam, route)
-    if w == 0.0:
-        return complex(t)
     if route == "kummer":
         z = 2j * w
         return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), (m + 4.0) / (m + 2.0), z)
@@ -391,9 +393,11 @@ def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
 
     Four real arrays per time, Bessel route: the mode's fundamental matrix,
     whose unit Wronskian the solvers' frame coordinates rely on.  The values
-    V1 and V2 need the orders -nu and nu only; the derivatives add 1-nu and
-    1+nu through d/dw [w^nu J_(-nu)] = -w^nu J_(1-nu) and
-    d/dw [w^-nu J_nu] = -w^-nu J_(nu+1) with dw/dt = t^(m/2) lambda.  With
+    V1 = Lambda_(-nu) and V2 = t Lambda_nu need the orders -nu and nu only;
+    the derivatives add 1-nu and 1+nu through
+    d/dw Lambda_nu = -(w/2) / (nu + 1) Lambda_(nu+1) with dw/dt = t^(m/2) lambda:
+    V1' = -(w/2) / (1 - nu) Lambda_(1-nu) t^(m/2) lambda and
+    V2' = Lambda_nu - w^2 / (4 nu (1 + nu)) Lambda_(1+nu).  With
     ``derivatives=False`` only (V1, V2) are yielded, from those two orders,
     bit-identical to the first two arrays of the full evaluation; that is
     the solvers' hot path, since every snapshot and every march step reads
@@ -402,8 +406,8 @@ def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
     The kernel's cost per call is mostly fixed, so the next
     K = _SYMBOL_BLOCK_ELEMENTS // lam.size times go through one kernel call
     on a (K, lam.size) array.  Every element depends on its own w only, and
-    the per-time scalars (phi(t), t c2, t^(m/2), the w = 0 limits) are formed
-    per time as Python floats, so each yielded row has the bits of a
+    the per-time scalars (phi(t), t, t^(m/2)) are formed per time as Python
+    floats, so each yielded row has the bits of a
     one-time call.  ``times`` may be any iterable; it is read K at a time.
     """
     lam = np.asarray(lam, dtype=float)
@@ -422,23 +426,12 @@ def _symbol_block(m: int, ts: list, lam: np.ndarray, derivatives: bool) -> tuple
     nu = 1.0 / (m + 2.0)
     w = np.stack([phi(m, t) * lam for t in ts])
     col = (len(ts),) + (1,) * lam.ndim  # one per-time scalar for each row
-    zero = w == 0.0
-    if zero.any():  # (w/2)^(-nu) is infinite there; the w -> 0 limits are set below
-        w = np.where(zero, 1.0, w)
     orders = (-nu, nu, 1.0 - nu, 1.0 + nu) if derivatives else (-nu, nu)
-    j = _bessel_kernel(orders, w)
-    c1 = math.gamma(1.0 - nu)
-    c2 = math.gamma(1.0 + nu)
-    half_pow = (0.5 * w) ** nu
-    inv_half_pow = (0.5 * w) ** (-nu)
-    t_c2 = np.array([t * c2 for t in ts]).reshape(col)
-    out = (c1 * half_pow * j[0], t_c2 * inv_half_pow * j[1])
+    hyp = _hyp0f1_kernel(orders, w)
+    out = (hyp[0], np.array(ts).reshape(col) * hyp[1])
     if derivatives:
         dw = np.array([t ** (m / 2.0) for t in ts]).reshape(col) * lam
-        out += (-c1 * half_pow * j[2] * dw, c2 * inv_half_pow * (j[1] - w / (2.0 * nu) * j[3]))
-    if zero.any():
-        limits = (1.0, np.array(ts).reshape(col), 0.0, 1.0)
-        out = tuple(np.where(zero, limit, v) for limit, v in zip(limits, out))
+        out += (-0.5 / (1.0 - nu) * w * hyp[2] * dw, hyp[1] - w * w / (4.0 * nu * (1.0 + nu)) * hyp[3])
     return out
 
 

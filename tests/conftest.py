@@ -27,12 +27,12 @@ def symbol_rows(monkeypatch):
 
 @pytest.fixture
 def nan_in_kernel(monkeypatch):
-    """``nan_in_kernel(n)`` puts a NaN into one element of the n-th ``symbols._bessel_kernel`` call
+    """``nan_in_kernel(n)`` puts a NaN into one element of the n-th ``symbols._hyp0f1_kernel`` call
     and returns the list of the calls' argument shapes, which it fills."""
     calls = []
 
     def install(n):
-        kernel = symbols._bessel_kernel
+        kernel = symbols._hyp0f1_kernel
 
         def faulty(nus, w):
             j = kernel(nus, w)
@@ -41,7 +41,7 @@ def nan_in_kernel(monkeypatch):
                 j[0].flat[3] = np.nan
             return j
 
-        monkeypatch.setattr(symbols, "_bessel_kernel", faulty)
+        monkeypatch.setattr(symbols, "_hyp0f1_kernel", faulty)
         return calls
 
     return install

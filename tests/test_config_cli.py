@@ -164,6 +164,15 @@ class TestGeometrySymbolsCommands:
         first = [float(x) for x in lines[1].split(",")]
         assert abs(first[3]) < 1e-9  # im_v1 ~ 0
 
+    def test_symbols_dump_at_huge_w(self, capsys):
+        # w from 1e16 to 1e20: the Kummer route's asymptotics hold there, and agree with the Bessel route
+        assert main(["symbols", "--m", "1", "--grid", "1e20:4"]) == 0
+        rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        for t, lam, re_v1, _, re_v2, _, _ in rows:
+            assert re_v1 == pytest.approx(v1_symbol(1, t, lam, "bessel").real, rel=1e-7)
+            assert re_v2 == pytest.approx(v2_symbol(1, t, lam, "bessel").real, rel=1e-7)
+
     def test_symbols_bad_grid(self, capsys):
         assert main(["symbols", "--m", "1", "--grid", "oops"]) == 2
 

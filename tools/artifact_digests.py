@@ -16,8 +16,17 @@ outputs are byte-identical print the same text:
 
     python3 tools/artifact_digests.py > after.json   # likewise in the other checkout
     cmp before.json after.json
+
+With ``--keep DIR`` each config's run directory (its artifacts and manifest)
+is kept as ``DIR/<name>/`` instead of a temporary directory, so that
+``tools/artifact_drift.py`` can show by how much the numbers of two
+checkouts differ where their checksums do:
+
+    python3 tools/artifact_digests.py --keep after > after.json
+    python3 tools/artifact_drift.py before after
 """
 
+import argparse
 import json
 import re
 import sys
@@ -64,10 +73,14 @@ for m, T0 in ((1, 0.3), (2, 0.7)):
     configs[f"geometry-nu0-m{m}"] = {"scenario": "check-geometry", "model": {"m": m, "M": 1.5}, "seed": 3,
                                      "geometry": {"T0": T0, "nu": 0.0}}
 configs["symbols-m1"] = {"scenario": "symbols", "model": {"m": 1}, "symbols": {"grid": "100.000:256"}}
+parser = argparse.ArgumentParser(description="Print the manifest output checksums of a fixed set of configs.")
+parser.add_argument("--keep", metavar="DIR", help="keep each config's run directory as DIR/<name>/")
+args = parser.parse_args()
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
+    root = Path(args.keep) if args.keep else Path(tmp)
     for key, cfg in configs.items():
-        outdir = Path(tmp) / key
+        outdir = root / key
         run_scenario(parse_config(json.dumps({**cfg, "output_dir": str(outdir)})))
         outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
         digests.update({f"{key}/{name}": digest for name, digest in outputs.items()})
