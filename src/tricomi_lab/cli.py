@@ -135,6 +135,8 @@ def run_exponents(m, n, p=None, sweep: str | None = None) -> str:
         if not match:
             raise ParameterError(f"exponents.sweep: bad sweep spec {sweep!r}; expected 'm=1..6 n=3..8'")
         m0, m1, n0, n1 = (int(g) for g in match.groups())
+        if not (1 <= m0 <= m1 and 3 <= n0 <= n1):
+            raise ParameterError(f"exponents.sweep: ranges must ascend with m >= 1 and n >= 3, got {sweep!r}")
         for mm in range(m0, m1 + 1):
             for nn in range(n0, n1 + 1):
                 rows.append(_exponent_row(mm, nn, p))
@@ -220,6 +222,9 @@ def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
         w_max = n_pts = 0
     if not (0.0 < w_max < np.inf and n_pts >= 1):
         raise ParameterError(f"bad symbols.grid {grid_spec!r}; expected 'WMAX:NPOINTS', finite WMAX > 0, NPOINTS >= 1")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(phi_inverse(m, w_max)):
+            raise ParameterError(f"bad symbols.grid {grid_spec!r}: the time phi_inverse(m={m}, WMAX) overflows")
     lam = 1.0
     ws = np.geomspace(max(w_max, 1.0) * 1e-4, w_max, n_pts)
     rows = []

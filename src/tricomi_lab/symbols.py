@@ -23,12 +23,13 @@ with Lambda_nu(0) = 1 and large-w modulus of V1 ~ w^(-m/(2(m+2))).
 
 Three independent evaluation routes are provided and cross-validated by the
 tests: direct ODE integration (power series start + adaptive high-order
-explicit integration), the Kummer route (series for |z| <= 30, exponential
-two-component asymptotics beyond, overlap-checked on |z| in [25, 40]), and
-the Bessel route, Lambda_nu itself (a 30-term series with no fractional power
-up to W_SWITCH = 12.25, Hankel's expansion beyond, both good to about 1e-12).
-Ascending rows w = phi(t) lambda are split at W_SWITCH by slices, other
-input by a boolean mask, with the same bits.
+explicit integration), the Kummer route (M(a, 2a; z) only, the symbols'
+family: the stabilized even series for |z| <= 30, exponential two-component
+asymptotics beyond, overlap-checked on |z| in [25, 40]), and the Bessel
+route, Lambda_nu itself (a 30-term series with no fractional power up to
+W_SWITCH = 12.25, Hankel's expansion beyond, both good to about 1e-12).
+The kernel takes ascending rows w = phi(t) lambda only and splits each at
+W_SWITCH by slices; the stream sorts an unsorted lambda once.
 Pochhammer ratios are always accumulated incrementally, never via Gamma
 quotients.
 
@@ -199,39 +200,19 @@ def _hyp0f1_hankel(nus, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hyp0f1_kernel(nus, w: np.ndarray) -> np.ndarray:
+def _hyp0f1_kernel(nus: tuple, rows: np.ndarray) -> np.ndarray:
     """Lambda_nu(w) = 0F1(; nu + 1; -w^2/4) = Gamma(nu + 1) (w/2)^(-nu) J_nu(w) for every
-    order in ``nus`` and every w >= 0: shape (len(nus),) + w.shape.
+    order in ``nus`` and every element of ``rows``: shape (len(nus),) + rows.shape.
 
-    Maclaurin series up to ``W_SWITCH``, Hankel's expansion of J_nu beyond,
-    each with a fixed truncation, so an element's value depends on its own w
-    only.  Each ascending row w >= 0 (the last axis; the solvers' rows
-    phi(t) lambda ascend) splits at ``W_SWITCH`` by slices: one series call on
-    the prefixes, one Hankel call on the suffixes.  Other input (unsorted,
-    negative, NaN) is split by a boolean mask, with the same bits.  The
-    constants of each order tuple are computed once and cached.  Only the
-    orders the symbols need are exercised in anger (nu in (-1/2, 0) and
-    (0, 3/2)); this is not a general-purpose 0F1.  Lambda_nu(0) = 1 for every
-    order: the series takes w = 0 like any other element.
+    ``rows`` is 2-D and each row ascends from w >= 0 (a NaN may trail it),
+    as :func:`symbol_stream` guarantees; the kernel does not check it.  Each
+    row splits at ``W_SWITCH`` by slices: one Maclaurin series call on the
+    prefixes, one Hankel call on the suffixes, each with a fixed truncation,
+    so an element's value depends on its own w only.  Constants are cached
+    per order tuple.  Only the symbols' orders (nu in (-1/2, 0) and (0, 3/2))
+    are exercised in anger; this is not a general-purpose 0F1.
+    Lambda_nu(0) = 1: the series takes w = 0 like any other element.
     """
-    nus = tuple(float(v) for v in nus)
-    rows = np.atleast_2d(w)
-    if rows.ndim == 2 and rows.size and (rows[:, 0] >= 0).all() and (rows[:, 1:] >= rows[:, :-1]).all():
-        return _kernel_rows(nus, rows).reshape((len(nus),) + w.shape)
-    flat = w.ravel()
-    if (flat < 0).any():
-        raise ParameterError("w >= 0 required")
-    small = flat <= W_SWITCH
-    out = np.empty((len(nus), flat.size))
-    if small.any():
-        out[:, small] = _hyp0f1_series(nus, flat[small])
-    if not small.all():
-        out[:, ~small] = _hyp0f1_hankel(nus, flat[~small])
-    return out.reshape((len(nus),) + w.shape)
-
-
-def _kernel_rows(nus: tuple, rows: np.ndarray) -> np.ndarray:
-    """:func:`_hyp0f1_kernel` of ascending rows w >= 0 (R, C): shape (len(nus), R, C), split by slices."""
     split = np.count_nonzero(rows <= W_SWITCH, axis=1).tolist()
     series = _kernel_part(_hyp0f1_series, nus, [row[:k] for row, k in zip(rows, split)])
     hankel = _kernel_part(_hyp0f1_hankel, nus, [row[k:] for row, k in zip(rows, split)])
@@ -251,17 +232,6 @@ def _kernel_part(branch, nus: tuple, pieces: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kummer route
 # ---------------------------------------------------------------------------
-
-
-def _kummer_maclaurin(a: float, b: float, z: complex) -> complex:
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(2000):
-        term *= (a + k) / (b + k) * z / (k + 1.0)
-        s += term
-        if abs(term) <= 1e-17 * abs(s):
-            break
-    return s
 
 
 def _kummer_confluent_even(a: float, z: complex) -> complex:
@@ -321,28 +291,21 @@ def asymptotic_components(a: float, b: float, z: complex, rtol: float = 1e-7):
     return a_plus, a_minus
 
 
-def kummer_M(a: float, b: float, z: complex, rtol: float = 1e-7) -> complex:
-    """Confluent hypergeometric M(a, b; z) for z on the (closed upper) imaginary axis.
+def kummer_M(a: float, z: complex, rtol: float = 1e-7) -> complex:
+    """Confluent hypergeometric M(a, 2a; z) for z on the (closed upper) imaginary axis.
 
-    Series below |z| = Z_SWITCH -- the cancellation-stabilized even form when
-    b = 2a (the symbols' family), the raw Maclaurin sum otherwise -- and the
-    two-component exponential asymptotics above.  The achieved accuracy is
-    tracked; if it cannot meet ``rtol`` an AccuracyError is raised rather
-    than returning a silently degraded value.
+    Both symbols have b = 2a, and this is the only family served: the
+    cancellation-stabilized even series below |z| = Z_SWITCH, and the
+    two-component exponential asymptotics :func:`asymptotic_components`
+    above.  The achieved accuracy is tracked; if it cannot meet ``rtol`` an
+    AccuracyError is raised rather than returning a silently degraded value.
     """
+    b = 2.0 * a
     if b <= 0 and b == round(b):
-        raise ParameterError(f"b must not be a nonpositive integer, got b={b}")
+        raise ParameterError(f"2a must not be a nonpositive integer, got a={a}")
     z = complex(z)
     if abs(z) <= Z_SWITCH:
-        if b == 2.0 * a:
-            return _kummer_confluent_even(a, z)
-        loss = math.exp(abs(z)) * 2.3e-16
-        if loss > rtol:
-            raise AccuracyError(
-                f"Maclaurin cancellation ~{loss:.2e} exceeds rtol={rtol:.2e} at |z|={abs(z):.2f}; "
-                "only the b = 2a family is stabilized"
-            )
-        return _kummer_maclaurin(a, b, z)
+        return _kummer_confluent_even(a, z)
     a_plus, a_minus = asymptotic_components(a, b, z, rtol)
     return np.exp(z) * a_plus + a_minus
 
@@ -373,7 +336,7 @@ def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     w = _symbol_arg(m, t, lam, route)
     if route == "kummer":
         z = 2j * w
-        return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), m / (m + 2.0), z)
+        return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), z)
     v1, _ = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
     return complex(v1[0])
 
@@ -383,13 +346,13 @@ def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     w = _symbol_arg(m, t, lam, route)
     if route == "kummer":
         z = 2j * w
-        return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), (m + 4.0) / (m + 2.0), z)
+        return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), z)
     _, v2 = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
     return complex(v2[0])
 
 
 def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
-    """Yield (V1, V2, V1', V2') at each of ``times`` in order, for an array of frequencies.
+    """An iterator of (V1, V2, V1', V2') at each of ``times`` in order, for an array of frequencies.
 
     Four real arrays per time, Bessel route: the mode's fundamental matrix,
     whose unit Wronskian the solvers' frame coordinates rely on.  The values
@@ -403,6 +366,11 @@ def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
     the solvers' hot path, since every snapshot and every march step reads
     values only.
 
+    ``lam`` must be 1-D and >= 0 (ParameterError), checked once per stream.
+    A sorted ``lam`` (every solver's grid) goes straight to the kernel, which
+    takes ascending rows only; any other (a NaN counts as unsorted) is sorted
+    once, and each yielded array is put back in the caller's order.
+
     The kernel's cost per call is mostly fixed, so the next
     K = _SYMBOL_BLOCK_ELEMENTS // lam.size times go through one kernel call
     on a (K, lam.size) array.  Every element depends on its own w only, and
@@ -411,6 +379,17 @@ def symbol_stream(m: int, times, lam: np.ndarray, *, derivatives: bool = True):
     one-time call.  ``times`` may be any iterable; it is read K at a time.
     """
     lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or (lam < 0).any():
+        raise ParameterError(f"lambda must be a 1-D array with every entry >= 0, got shape {lam.shape}")
+    if (lam[1:] >= lam[:-1]).all():
+        return _ascending_stream(m, times, lam, derivatives)
+    order = np.argsort(lam)
+    back = np.argsort(order)
+    return (tuple(a[back] for a in row) for row in _ascending_stream(m, times, lam[order], derivatives))
+
+
+def _ascending_stream(m: int, times, lam: np.ndarray, derivatives: bool):
+    """The rows of :func:`symbol_stream` for an ascending ``lam``, K times per kernel call."""
     block = max(1, _SYMBOL_BLOCK_ELEMENTS // max(lam.size, 1))
     times = iter(times)
     while ts := [float(t) for t in itertools.islice(times, block)]:
@@ -425,12 +404,11 @@ def _symbol_block(m: int, ts: list, lam: np.ndarray, derivatives: bool) -> tuple
     """
     nu = 1.0 / (m + 2.0)
     w = np.stack([phi(m, t) * lam for t in ts])
-    col = (len(ts),) + (1,) * lam.ndim  # one per-time scalar for each row
     orders = (-nu, nu, 1.0 - nu, 1.0 + nu) if derivatives else (-nu, nu)
     hyp = _hyp0f1_kernel(orders, w)
-    out = (hyp[0], np.array(ts).reshape(col) * hyp[1])
+    out = (hyp[0], np.array(ts)[:, None] * hyp[1])
     if derivatives:
-        dw = np.array([t ** (m / 2.0) for t in ts]).reshape(col) * lam
+        dw = np.array([t ** (m / 2.0) for t in ts])[:, None] * lam
         out += (-0.5 / (1.0 - nu) * w * hyp[2] * dw, hyp[1] - w * w / (4.0 * nu * (1.0 + nu)) * hyp[3])
     return out
 

@@ -142,6 +142,14 @@ class TestExponentsCommand:
     def test_cli_validation_exit_2(self, capsys):
         assert main(["exponents", "--m", "1", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["m=3..1 n=3..4", "m=0..1 n=3..3", "m=1..1 n=2..3"],
+                             ids=["reversed", "m-below-1", "n-below-3"])
+    def test_sweep_outside_the_model_limits(self, capsys, sweep):
+        # a reversed range printed only the header, m = 0 printed a row, and n = 2 did not name the key
+        assert main(["exponents", "--sweep", sweep]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"exponents.sweep: ranges must ascend with m >= 1 and n >= 3, got {sweep!r}" in err
+
 
 class TestGeometrySymbolsCommands:
     def test_check_geometry(self, capsys):
@@ -266,6 +274,21 @@ class TestScenarioRuns:
         rec = json.loads((tmp_path / "out" / "outcome.json-lines").read_text())
         assert rec["kind"] == "global-horizon"
         assert "weighted_norm" in rec
+
+    def test_data_above_the_threshold_blow_up_at_the_first_midpoint(self, tmp_path):
+        # a documented outcome, not a validation error: data whose own sup exceeds BLOWUP_THRESHOLD
+        cfg = {
+            "scenario": "solve-semilinear",
+            "model": {"m": 1, "n": 3, "p": 2.0, "M": 2.0},
+            "grid": {"r_max": 16.0, "N": 64},
+            "output_dir": str(tmp_path / "out"),
+            "semilinear": {"horizon": 4.0, "dt": 1.0, "snapshots": 2, "data": {"amplitude": 1e40}},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve-semilinear", "--config", str(cfg_path)]) == 0
+        rec = json.loads((tmp_path / "out" / "outcome.json-lines").read_text())
+        assert rec["kind"] == "blowup" and rec["blowup_time"] == 0.5 and len(rec["norm_history"]) == 1
 
     def test_sweep_p_grid_flag(self, tmp_path):
         cfg = {
@@ -674,6 +697,20 @@ class TestSchemaLimits:
     def test_symbols_grid(self, capsys, grid):
         assert main(["symbols", "--m", "1", "--grid", grid]) == 2
         assert f"bad symbols.grid {grid!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, grid", [(1, "1e308:2"), (2, "5e307:2")])
+    def test_symbols_grid_whose_time_overflows(self, capsys, m, grid):
+        # phi_inverse(m, WMAX) overflows in (m + 2) WMAX: the dump printed inf,1,nan,... and exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["symbols", "--m", str(m), "--grid", grid]) == 2
+        assert f"bad symbols.grid {grid!r}: the time phi_inverse(m={m}, WMAX) overflows" in capsys.readouterr().err
+
+    def test_symbols_grid_just_below_the_overflow(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["symbols", "--m", "2", "--grid", "4e307:2"]) == 0
+        assert "nan" not in capsys.readouterr().out
 
     def test_filled_defaults_round_trip(self):
         cfg = parse_config(json.dumps({"scenario": "verify-strichartz"}))

@@ -35,9 +35,9 @@ def w_to_t(m, w, lam=1.0):
 
 
 def kernel_j(nu, w):
-    """J_nu(w) = Lambda_nu(w) (w/2)^nu / Gamma(nu + 1) of one order from the symbols' kernel."""
+    """J_nu(w) = Lambda_nu(w) (w/2)^nu / Gamma(nu + 1) of one order from the symbols' kernel, on one ascending row."""
     w = np.asarray(w, dtype=float)
-    return _hyp0f1_kernel((nu,), w)[0] * (0.5 * w) ** nu / math.gamma(nu + 1.0)
+    return _hyp0f1_kernel((nu,), w[None])[0, 0] * (0.5 * w) ** nu / math.gamma(nu + 1.0)
 
 
 class TestBesselRoute:
@@ -69,11 +69,12 @@ class TestBesselRoute:
                     got = branch((order,), ws)[0]
                     ref = np.array([float(mpmath.besselj(order, mpmath.mpf(w))) for w in ws])
                     assert np.abs(got * (0.5 * ws) ** order / math.gamma(order + 1.0) - ref).max() < 2e-12
-                    assert np.array_equal(_hyp0f1_kernel((order,), ws)[0], got)
+                    assert np.array_equal(_hyp0f1_kernel((order,), ws[None])[0, 0], got)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(ParameterError):
-            kernel_j(0.5, -1.0)
+        # the stream checks lambda once; the kernel takes ascending rows from w >= 0 only
+        with pytest.raises(ParameterError, match="lambda"):
+            symbol_matrix(1, 1.0, np.array([-1.0]))
 
     @pytest.mark.parametrize("w", [[2.0], np.array([2.0])])
     def test_one_element_input_gives_an_array(self, w):
@@ -81,19 +82,12 @@ class TestBesselRoute:
         assert isinstance(got, np.ndarray) and got.shape == (1,)
         assert got[0] == kernel_j(0.5, [2.0, 3.0])[0]
 
-    @pytest.mark.parametrize("w", [2.0, np.float64(2.0), np.array(2.0)])
-    def test_scalar_input_gives_one_value_per_order(self, w):
-        got = _hyp0f1_kernel((0.5, 1.5), np.asarray(w))
-        assert got.shape == (2,)
-        one = _hyp0f1_kernel((0.5, 1.5), np.array([2.0, 3.0]))
-        assert got[0] == one[0, 0] and got[1] == one[1, 0]
-
     @pytest.mark.parametrize("nu,limit", [(-1.0 / 3.0, np.inf), (-0.9, np.inf), (0.0, 1.0), (1.0 / 3.0, 0.0)])
     def test_zero_argument_is_the_limit_without_warning(self, nu, limit):
         # Lambda_nu(0) = 0F1(; nu + 1; 0) = 1 for every order, and J_nu(w) -> limit follows from it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _hyp0f1_kernel((nu,), np.array([0.0, 1.0]))[0]
+            got = _hyp0f1_kernel((nu,), np.array([[0.0, 1.0]]))[0, 0]
         assert got[0] == 1.0 and got[1] == pytest.approx(scipy_hyp0f1(nu + 1.0, -0.25), rel=1e-12)
         with np.errstate(divide="ignore"):
             assert kernel_j(nu, [0.0])[0] == limit
@@ -120,109 +114,81 @@ class TestBesselRoute:
 
 
 class TestKernelPaths:
-    """Ascending rows split by slices, any other input by a mask; both give the same bits."""
+    """The kernel splits each ascending row at W_SWITCH by slices; every element keeps the bits of a one-element row."""
 
     NUS = (-1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0)
 
     @staticmethod
     def kernel_spy(monkeypatch):
-        """Wrap ``symbols._kernel_rows`` and return the list of the shapes it is called on."""
-        inner, shapes = symbols._kernel_rows, []
-        monkeypatch.setattr(symbols, "_kernel_rows", lambda nus, rows: shapes.append(rows.shape) or inner(nus, rows))
-        return shapes
+        """Wrap ``symbols._hyp0f1_kernel`` and return the list of the rows it is called on."""
+        inner, calls = symbols._hyp0f1_kernel, []
+        monkeypatch.setattr(symbols, "_hyp0f1_kernel", lambda nus, rows: calls.append(rows.copy()) or inner(nus, rows))
+        return calls
 
-    def assert_paths_agree(self, monkeypatch, w):
-        """The slice path on ascending ``w`` equals the mask path on the same values shuffled, bit for bit.
-
-        Rows of two or more are shuffled in place; a lone value goes behind a
-        smaller one, which makes its row unsorted.
-        """
-        w = np.asarray(w, dtype=float)
-        shapes = self.kernel_spy(monkeypatch)
+    def assert_paths_agree(self, w):
+        """The kernel on the ascending rows ``w`` equals one-element-row calls on each element, bit for bit."""
+        w = np.atleast_2d(np.asarray(w, dtype=float))
         sliced = _hyp0f1_kernel(self.NUS, w)
-        assert shapes == [np.atleast_2d(w).shape] and sliced.shape == (len(self.NUS),) + w.shape
-        if w.size == 1:
-            masked = _hyp0f1_kernel(self.NUS, np.array([w.item(), 0.5 * w.item()]))[:, :1]
-            assert masked.tobytes() == sliced.tobytes()
-        else:
-            perm = np.random.default_rng(3).permutation(w.shape[-1])
-            masked = _hyp0f1_kernel(self.NUS, w[..., perm])
-            assert sliced[..., perm].tobytes() == masked.tobytes()
-        assert len(shapes) == 1
+        assert sliced.shape == (len(self.NUS),) + w.shape
+        for (r, c), x in np.ndenumerate(w):
+            assert sliced[:, r, c].tobytes() == _hyp0f1_kernel(self.NUS, np.array([[x]]))[:, 0, 0].tobytes()
         return sliced
 
-    def test_block_rows_split_at_different_indices(self, monkeypatch):
+    def test_block_rows_split_at_different_indices(self):
         # a K = 4 block of times: the series prefix shrinks from row to row
         lam = np.pi * np.arange(1, 400) / 32.0
         w = np.stack([phi(1, t) * lam for t in (1.0, 2.0, 4.0, 8.0)])
         split = (w <= W_SWITCH).sum(axis=1)
         assert len(set(split.tolist())) == 4 and 0 < split.min() and split.max() < lam.size
-        self.assert_paths_agree(monkeypatch, w)
+        self.assert_paths_agree(w)
 
-    def test_all_series_and_all_hankel_rows(self, monkeypatch):
+    def test_all_series_and_all_hankel_rows(self):
         lam = np.pi * np.arange(1, 64) / 32.0
         w = np.stack([1e-3 * lam, phi(1, 1.0) * lam, 20.0 + lam])
         assert (w[0] <= W_SWITCH).all() and (w[2] > W_SWITCH).all()
-        self.assert_paths_agree(monkeypatch, w)
+        self.assert_paths_agree(w)
         for row in w[[0, 2]]:
-            monkeypatch.undo()
-            self.assert_paths_agree(monkeypatch, row)
+            self.assert_paths_agree(row)
 
-    def test_element_at_the_switch_takes_the_series(self, monkeypatch):
+    def test_element_at_the_switch_takes_the_series(self):
         from tricomi_lab.symbols import _hyp0f1_series
 
         w = np.array([1.0, W_SWITCH, W_SWITCH, np.nextafter(W_SWITCH, np.inf), 30.0])
-        got = self.assert_paths_agree(monkeypatch, w)
-        assert np.array_equal(got[:, 1], _hyp0f1_series(self.NUS, np.array([W_SWITCH]))[:, 0])
+        got = self.assert_paths_agree(w)
+        assert np.array_equal(got[:, 0, 1], _hyp0f1_series(self.NUS, np.array([W_SWITCH]))[:, 0])
 
-    def test_zero_frequency_row_and_zero_row(self, monkeypatch):
+    def test_zero_frequency_row_and_zero_row(self):
         # lambda = 0 leads its row with w = 0; t = 0 makes the whole row 0
         lam = np.pi * np.arange(0, 64) / 8.0
         w = np.stack([phi(1, 2.0) * lam, 0.0 * lam])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = self.assert_paths_agree(monkeypatch, w)
+            got = self.assert_paths_agree(w)
         assert (got[:, 0, 0] == 1.0).all() and (got[:, 1] == 1.0).all()  # Lambda(0) = 1 for every order
 
-    @pytest.mark.parametrize("w", [2.0, 20.0, [20.0], [2.0, 20.0]], ids=["0-d", "0-d-hankel", "1-d-one", "1-d"])
-    def test_zero_and_one_dimensional_input(self, monkeypatch, w):
-        self.assert_paths_agree(monkeypatch, w)
-
     @pytest.mark.parametrize(
-        "w", [[-1.0, 0.0, 2.0], [[0.0, 1.0], [-2.0, 3.0]], [-0.5]], ids=["leading", "second-row", "one"]
+        "lam", [[-1.0, 0.0, 2.0], [[0.0, 1.0], [-2.0, 3.0]], [-0.5]], ids=["leading", "second-row", "one"]
     )
-    def test_negative_ascending_input_rejected(self, monkeypatch, w):
-        shapes = self.kernel_spy(monkeypatch)
-        with pytest.raises(ParameterError, match="w >= 0 required"):
-            _hyp0f1_kernel(self.NUS, np.array(w))
-        assert shapes == []
-
-    def test_nan_takes_the_mask(self, monkeypatch):
-        shapes = self.kernel_spy(monkeypatch)
-        got = _hyp0f1_kernel(self.NUS, np.array([1.0, np.nan, 20.0]))
-        assert shapes == [] and np.isnan(got[:, 1]).all()
-        assert got[:, [0, 2]].tobytes() == _hyp0f1_kernel(self.NUS, np.array([1.0, 20.0])).tobytes()
+    def test_negative_ascending_input_rejected(self, monkeypatch, lam):
+        # the stream rejects a negative frequency (and a 2-D lambda) before any kernel call
+        calls = self.kernel_spy(monkeypatch)
+        with pytest.raises(ParameterError, match="lambda must be a 1-D array with every entry >= 0"):
+            symbol_matrix(1, 1.0, np.array(lam))
+        assert calls == []
 
 
 class TestKummer:
     def test_value_at_zero(self):
-        for a, b in ((0.3, 0.9), (1.2, 2.4), (0.1, 1.7)):
-            assert kummer_M(a, b, 0.0) == pytest.approx(1.0)
-
-    def test_collapses_to_exp_when_a_eq_b(self):
-        z = 2j
-        assert abs(kummer_M(0.7, 0.7, z) - np.exp(z)) < 1e-12
+        # M(a, 2a; 0) = 1
+        for a in (0.3, 1.2, 0.1):
+            assert kummer_M(a, 0.0) == pytest.approx(1.0)
 
     def test_pole_rejected(self):
-        with pytest.raises(ParameterError):
-            kummer_M(0.5, 0.0, 1j)
-        with pytest.raises(ParameterError):
-            kummer_M(0.5, -2.0, 1j)
-
-    def test_maclaurin_accuracy_guard(self):
-        # generic (a, b) Maclaurin at large imaginary z cannot reach 1e-7
-        with pytest.raises(AccuracyError):
-            kummer_M(0.3, 0.8, 25j, rtol=1e-9)
+        # b = 2a a nonpositive integer
+        with pytest.raises(ParameterError, match="2a"):
+            kummer_M(0.0, 1j)
+        with pytest.raises(ParameterError, match="2a"):
+            kummer_M(-1.0, 1j)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_overlap_band_series_vs_asymptotic(self, m):
@@ -539,7 +505,7 @@ class TestSymbolStream:
         times = [0.0, 0.05, 0.3, 0.77, 1.0, 2.5, 3.3, 7.0, 13.0]
         for t, row in zip(times, symbol_stream(m, times, lam)):
             w = phi(m, t) * lam
-            hyp = [_hyp0f1_kernel((order,), w)[0] for order in (-nu, nu, 1.0 - nu, 1.0 + nu)]
+            hyp = [_hyp0f1_kernel((order,), w[None])[0, 0] for order in (-nu, nu, 1.0 - nu, 1.0 + nu)]
             want = (
                 hyp[0],
                 t * hyp[1],
@@ -568,3 +534,42 @@ class TestSymbolStream:
 
     def test_empty_times(self):
         assert list(symbol_stream(1, [], np.linspace(0.1, 1.0, 5))) == []
+
+    @pytest.mark.parametrize("lam", [np.ones((2, 3)), np.array(1.0)], ids=["2-d", "0-d"])
+    def test_lambda_not_one_dimensional_rejected(self, lam):
+        with pytest.raises(ParameterError, match="lambda must be a 1-D array"):
+            symbol_stream(1, [1.0], lam)
+
+    def test_nan_frequency_stays_in_its_place(self):
+        # a NaN gives NaN at its own positions (first, inside, last); every other element keeps its bits
+        lam = np.pi * np.arange(0, 1500) / 24.0
+        holes = [0, 700, 1499]
+        with_nan = lam.copy()
+        with_nan[holes] = np.nan
+        keep = np.ones(lam.size, dtype=bool)
+        keep[holes] = False
+        times = [0.0, 0.3, 1.0, 4.0, 13.0, 2.5]
+        for derivatives in (True, False):
+            rows = list(symbol_stream(2, times, with_nan, derivatives=derivatives))
+            assert len(rows) == len(times)
+            for row, ref in zip(rows, symbol_stream(2, times, lam, derivatives=derivatives)):
+                for a, b in zip(row, ref):
+                    assert np.isnan(a[holes]).all() and a[keep].tobytes() == b[keep].tobytes()
+
+    def test_kernel_gets_ascending_rows_only(self, monkeypatch):
+        # sorted, shuffled and NaN-holding frequencies: every kernel row ascends from w >= 0, NaNs last
+        calls = TestKernelPaths.kernel_spy(monkeypatch)
+        lam = np.pi * np.arange(0, 1500) / 24.0
+        shuffled = lam[np.random.default_rng(5).permutation(lam.size)]
+        holed = shuffled.copy()
+        holed[[3, 900]] = np.nan
+        times = [0.0, 0.05, 1.0, 4.0, 10.0, 13.0, 2.0]
+        for grid in (lam, shuffled, holed):
+            for derivatives in (True, False):
+                assert len(list(symbol_stream(1, times, grid, derivatives=derivatives))) == len(times)
+        assert len(calls) == 6 * 2
+        for rows in calls:
+            assert rows.ndim == 2
+            for row in rows:
+                finite = row[~np.isnan(row)]
+                assert np.isnan(row[finite.size :]).all() and finite[0] >= 0 and (np.diff(finite) >= 0).all()
