@@ -96,8 +96,13 @@ class RadialGrid:
         return u
 
     def validate_horizon(self, m: int, M: float, t_final: float) -> None:
-        """Outer wall must stay causally invisible: r_max > phi(t)+M-1+2h."""
-        needed = finite_speed_radius(m, M, t_final) + 2.0 * self.h
+        """Outer wall must stay causally invisible: r_max > phi(t)+M-1+2h.
+
+        A t_final whose phase overflows needs an infinite radius, and fails
+        the same way, without a numpy overflow warning.
+        """
+        with np.errstate(over="ignore"):
+            needed = finite_speed_radius(m, M, t_final) + 2.0 * self.h
         if self.r_max <= needed:
             raise GridError(
                 f"grid.r_max={self.r_max} too small for t_final={t_final}: "

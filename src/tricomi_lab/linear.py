@@ -82,30 +82,41 @@ def _data_coeffs(params, grid, f, g, enforce_support=True):
     )
 
 
-def _frame_field(grid: RadialGrid, values, a: np.ndarray, b: np.ndarray, nodes: int | None = None) -> np.ndarray:
-    """The radial field with sine coefficients V1 a + V2 b, from the symbol values (V1, V2) at one time.
+def _frame_coeffs(values, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sine coefficients V1 a + V2 b of a field, from the symbol values (V1, V2) at one time.
 
     (a, b) are the frame coordinates of the field: the data coefficients of
-    a homogeneous solution, or the march's (alpha, beta).  One field (N-1,)
-    gives (N+1,) samples, a (B, N-1) family (B, N+1); with ``nodes`` only the
-    first ``nodes`` samples of each, with the same bits.
+    a homogeneous solution, or the march's (alpha, beta); (N-1,) for one
+    field, (B, N-1) for a family.
     """
     v1, v2 = values
     c = v1 * a
     c += v2 * b
+    return c
+
+
+def _radial_field(grid: RadialGrid, c: np.ndarray, nodes: int | None = None) -> np.ndarray:
+    """The radial field with sine coefficients c: (N-1,) gives (N+1,) samples, (B, N-1) gives (B, N+1).
+
+    With ``nodes``, only the first ``nodes`` samples of each, with the same bits.
+    """
     return grid.u_from_w(grid.inverse(c, nodes), nodes)
 
 
-def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray, nodes=None):
-    """Yield the radial solution at each time, for coefficients (N-1,) or a (B, N-1) family.
+def _coeff_stream(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
+    """Yield the sine coefficients of the homogeneous solution at each time, (N-1,) or (B, N-1) for a family.
 
     The symbols come from one :func:`symbol_stream`, once per time, shared
-    by every member; each yielded array has shape (N+1,) or (B, N+1), or
-    holds the first ``nodes[i]`` nodes at the i-th time when ``nodes`` is given.
+    by every member.
     """
-    nodes = [None] * len(times) if nodes is None else nodes
-    for values, k in zip(symbol_stream(m, times, grid.lam, derivatives=False), nodes):
-        yield _frame_field(grid, values, fh, gh, k)
+    for values in symbol_stream(m, times, grid.lam, derivatives=False):
+        yield _frame_coeffs(values, fh, gh)
+
+
+def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
+    """Yield the radial solution at each time, (N+1,) or (B, N+1) for a family, from :func:`_coeff_stream`."""
+    for c in _coeff_stream(m, grid, times, fh, gh):
+        yield _radial_field(grid, c)
 
 
 def fd_oracle(

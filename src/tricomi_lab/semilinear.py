@@ -52,7 +52,7 @@ from .errors import InstabilityError, ParameterError, PicardDivergenceError, Tri
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField
-from .linear import _data_coeffs, _frame_field, _weighted_integral
+from .linear import _data_coeffs, _frame_coeffs, _radial_field, _weighted_integral
 from .profiles import smooth_ramp
 from .symbols import symbol_stream
 
@@ -204,7 +204,7 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
     alpha, beta, kept, src = cv, cd, [], None  # src: the last step's source, read only where a member stops
     for i, (v1, v2) in enumerate(symbol_stream(m, t_mid, lam, derivatives=False)):
         tm = t_mid[i]
-        um = _frame_field(grid, (v1, v2), alpha, beta)
+        um = _radial_field(grid, _frame_coeffs((v1, v2), alpha, beta))
         sup = np.atleast_1d(np.abs(um).max(axis=-1))
         for b, s in zip(live, sup.tolist()):
             hists[b].append((tm, s))
@@ -225,7 +225,7 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
             impulse = (t_end[i + 1] - t_end[i]) * grid.forward(r_int * src[..., 1 : grid.N])
             alpha, beta = alpha - v2 * impulse, beta + v1 * impulse
         if i + 1 in keep:
-            kept.append((t_end[i + 1], _frame_field(grid, next(kept_values), alpha, beta)))
+            kept.append((t_end[i + 1], _radial_field(grid, _frame_coeffs(next(kept_values), alpha, beta))))
     return hists, t_stops, kept
 
 

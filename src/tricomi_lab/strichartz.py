@@ -21,12 +21,16 @@ tail estimate so the truncation is auditable.
 The probes share one window check and one reduction of each linear snapshot
 to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``), which
 reads only the cone r <= phi(t) + M - 1, so each snapshot is formed on the
-cone's nodes alone; it reduces the later half of the times in a second
-thread, with the same bits as one thread.  ``sobolev_w_s1_norm`` of zero
-data is 0.0 without a transform.  The inhomogeneous probe samples each
-source once per march step, at the midpoint where the march freezes it;
-those samples drive the march and also serve the support check, the zero
-test and the RHS.
+cone's nodes alone.  The reduction is a two-stage pipeline with the same
+bits as one thread: the caller evaluates the symbols and forms each time's
+sine coefficients, and one worker thread transforms and integrates them;
+``homogeneous_ratio`` computes the data's W^(s,1) norms on the caller while
+the worker drains.  ``sobolev_w_s1_norm`` of zero data is 0.0 without a
+transform.  The inhomogeneous probe samples each source once per march
+step, at the midpoint where the march freezes it; those samples drive the
+march and also serve the support check, the zero test and the RHS.  A grid
+on which a member's data or source is seen only at r = 0, where the r^2 of
+the weighted norms vanishes, is a GridError naming grid.N.
 
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
@@ -40,11 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, SupportError, TruncatedBoxError, WindowError
+from .errors import AccuracyError, GridError, ParameterError, SupportError, TruncatedBoxError, WindowError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
 from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField
-from .linear import _cone_nodes, _data_coeffs, _snapshots, _weighted_integral
+from .linear import _coeff_stream, _cone_nodes, _data_coeffs, _radial_field, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _snap, _steps
 
@@ -208,52 +212,85 @@ def _time_grid(t_max: float) -> np.ndarray:
     return np.concatenate([np.linspace(0.0, 2.0, 24, endpoint=False), np.geomspace(2.0, t_max, 48)])
 
 
-def _per_time_integrals(params: ModelParams, grid: RadialGrid, times, fh, gh, spec: WeightSpec) -> np.ndarray:
+def _per_time_integrals(
+    params: ModelParams, grid: RadialGrid, times, fh, gh, spec: WeightSpec, after=None
+) -> np.ndarray:
     """Characteristic-weight integral of the linear solution at each time: (T,), or (T, B) for a family.
 
-    Each snapshot is formed only on the nodes of the cone its weight integrates.
-    The times split into two halves by count: a second thread reduces the later
-    half while the caller reduces the earlier one.  Every time goes through the
-    same operations as in one thread, so each integral keeps its bits; the
-    transforms and the element-wise kernels release the GIL.
+    A two-stage pipeline.  The caller runs the one symbol stream over the
+    times and forms each time's sine coefficients; one worker thread takes
+    them through the inverse transform, on the nodes of the cone the weight
+    integrates, and reduces them to the integral.  With ``after``, the caller
+    runs after() once it has handed off the last time, while the worker
+    drains.  Every time goes through the same operations as in one thread,
+    so each integral keeps its bits; the transforms and the element-wise
+    kernels release the GIL.
     """
     grid.validate_horizon(params.m, params.M, float(times.max()))
-    r = grid.r
-    nodes = [_cone_nodes(r, params.m, spec.M, float(t)) for t in times]
+    r, out = grid.r, []
 
-    def reduce(lo, hi):
-        snaps = _snapshots(params.m, grid, times[lo:hi], fh, gh, nodes[lo:hi])
-        return [_weighted_integral(u, r, float(t), params.m, spec) for t, u in zip(times[lo:hi], snaps)]
+    def reduce(c, t):
+        u = _radial_field(grid, c, _cone_nodes(r, params.m, spec.M, t))
+        out.append(_weighted_integral(u, r, t, params.m, spec))
 
-    half = (len(times) + 1) // 2
-    return np.array(_in_two_threads(lambda: reduce(0, half), lambda: reduce(half, len(times))))
+    _pipeline(zip(_coeff_stream(params.m, grid, times, fh, gh), times.tolist()), reduce, after)
+    return np.array(out)
 
 
-def _in_two_threads(first, second) -> list:
-    """first() + second(), with second() run in a thread of its own under the caller's context.
+def _pipeline(items, consume, after=None) -> None:
+    """consume(*item) for each tuple ``items`` yields, in one worker thread fed through a handoff of depth 1.
 
-    The context copy carries the caller's ``np.errstate`` into the thread.  The
-    thread is joined before this returns or raises.  An error of first()
-    wins, as it would in serial order; an error of second() alone is
+    The caller draws the items, hands each off, then runs after() (if given)
+    while the worker drains.  The worker runs under a copy of the caller's
+    context, so it sees the caller's ``np.errstate`` and ContextVars, and it
+    is joined before this returns or raises.  Once the worker fails, the
+    caller hands off nothing more.  A worker error wins over the caller's,
+    as it comes earlier in serial order; an error of the caller's alone is
     re-raised unchanged.
     """
-    out = []
+    cond = threading.Condition()
+    slot, failed = [], []  # the item handed off and not yet taken; the worker's error
 
-    def run():
+    def work():
         try:
-            out.append(second())
+            while True:
+                with cond:
+                    while not slot:
+                        cond.wait()
+                    item = slot.pop()
+                    cond.notify()
+                if item is None:  # the caller's last handoff
+                    return
+                consume(*item)
         except BaseException as exc:  # handed to the caller, which re-raises it
-            out.append(exc)
+            with cond:
+                failed.append(exc)
+                cond.notify()
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    def hand_off(item) -> bool:
+        with cond:
+            while slot and not failed:
+                cond.wait()
+            if not failed:
+                slot.append(item)
+                cond.notify()
+            return not failed
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     thread.start()
     try:
-        head = first()
+        try:
+            for item in items:
+                if not hand_off(item):
+                    break
+        finally:
+            hand_off(None)
+        if after is not None:
+            after()
     finally:
         thread.join()
-    if isinstance(out[0], BaseException):
-        raise out[0]
-    return head + out[0]
+        if failed:
+            raise failed[0]
 
 
 def _ratio_row(name: str, per_t: np.ndarray, times: np.ndarray, q: float, t_split: float, rhs: float):
@@ -295,10 +332,12 @@ def homogeneous_ratio(
 
     LHS is the weighted space-time norm of the linear solution over the box
     t <= t_max with a decay-extrapolated tail estimate attached; RHS is the
-    sum of the two W^(s,1) data norms.  Zero data yields an excluded row.
-    The members with data are solved as one batch: each snapshot time
-    evaluates the symbols once for all of them, and each snapshot is reduced
-    at once to the members' per-time integrals.
+    sum of the two W^(s,1) data norms, computed while the last snapshots are
+    reduced.  Zero data yields an excluded row; data that vanish at every
+    node r > 0 of ``grid`` are a GridError naming grid.N.  The members with
+    data are solved as one batch: each snapshot time evaluates the symbols
+    once for all of them, and each snapshot is reduced at once to the
+    members' per-time integrals.
     """
     _check_window(params.m, params.n, q, gamma, "gamma")
     d_max = delta_bound(params.m, params.n, q, gamma)
@@ -308,20 +347,28 @@ def homogeneous_ratio(
     sgrid = default_sobolev_grid(params.M)
     times = _time_grid(t_max)
     rows = []
-    live = []  # (row index, name, f coeffs, g coeffs, rhs) of the members with data
+    live = []  # (row index, name, f coeffs, g coeffs, f samples, g samples) of the members with data
     for name, f, g in family:
         fs, gs = f(sgrid.r), g(sgrid.r)  # sampled once, for the zero test and the norms
         if not (np.any(fs) or np.any(gs)):
             rows.append(RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero"))
             continue
         fh, gh = _data_coeffs(params, grid, f, g)
-        rhs = sobolev_w_s1_norm(lambda r: fs, s_f, sgrid) + sobolev_w_s1_norm(lambda r: gs, s_g, sgrid)
-        live.append((len(rows), name, fh, gh, rhs))
+        if not (fh.any() or gh.any()):
+            raise GridError(f"grid.N={grid.N}: the data of {name!r} vanish at every node r > 0 (h={grid.h:.4g}), "
+                            "so its LHS would read 0; raise grid.N")
+        live.append((len(rows), name, fh, gh, fs, gs))
         rows.append(None)
     if live:
-        idx, names, fh, gh, rhs = zip(*live)
+        idx, names, fh, gh, fs, gs = zip(*live)
         spec = WeightSpec(gamma=gamma, q=q, M=params.M)
-        per_t = _per_time_integrals(params, grid, times, np.array(fh), np.array(gh), spec)
+        rhs = []
+
+        def data_norms():  # on the caller, while the worker reduces the last times
+            rhs.extend(sobolev_w_s1_norm(lambda r: a, s_f, sgrid) + sobolev_w_s1_norm(lambda r: b, s_g, sgrid)
+                       for a, b in zip(fs, gs))
+
+        per_t = _per_time_integrals(params, grid, times, np.array(fh), np.array(gh), spec, data_norms)
         for i, name, pt, rh in zip(idx, names, per_t.T, rhs):
             rows[i] = _ratio_row(name, pt, times, q, t_max / 10.0, rh)
     return rows
@@ -395,13 +442,15 @@ def inhomogeneous_ratio(
     serve the support check (a leak is a SupportError naming the step's time),
     the zero test (a source zero at every midpoint is an excluded row) and the
     RHS, the weight^gamma2 L^(q/(q-1)) norm of the step-frozen source by the
-    midpoint rule over [0, t_max].  LHS uses weight^gamma1 in L^q over
-    [T0/2, t_max]; a T0 that leaves fewer than two snapshot times in that box
-    is a WindowError naming T0.  The march owns the time grid and the snap
-    rule: the snapshot times snap to its step ends, where the LHS reads them,
-    and a dt that snaps the first one to step 0 is a WindowError naming dt.
-    A march that stops at the blowup threshold would leave a truncated box:
-    TruncatedBoxError names each stopped member and its stop time.
+    midpoint rule over [0, t_max]; a source that is not zero but whose RHS
+    reads 0 (seen only at r = 0 on a coarse grid) is a GridError naming
+    grid.N.  LHS uses weight^gamma1 in L^q over [T0/2, t_max]; a T0 that
+    leaves fewer than two snapshot times in that box is a WindowError naming
+    T0.  The march owns the time grid and the snap rule: the snapshot times
+    snap to its step ends, where the LHS reads them, and a dt that snaps the
+    first one to step 0 is a WindowError naming dt.  A march that stops at
+    the blowup threshold would leave a truncated box: TruncatedBoxError
+    names each stopped member and its stop time.
     """
     _check_window(params.m, params.n, q, gamma1, "gamma1")
     if not gamma2 > 1.0 / q:
@@ -450,6 +499,10 @@ def inhomogeneous_ratio(
     spec = WeightSpec(gamma=gamma1, q=q, M=params.M)
     per_t = np.array([_weighted_integral(u, r, t, params.m, spec) for t, u in kept])
     sel = t_snap >= T0 / 2.0
+    for name, forced, total in zip(names, nonzero, src_sums):
+        if forced and not total:
+            raise GridError(f"grid.N={grid.N}: the weighted norm of source {name!r} reads 0 (h={grid.h:.4g}; nonzero "
+                            "only at r = 0, where its r^2 weight vanishes), so its RHS would too; raise grid.N")
     return [
         _ratio_row(name, pt, t_snap[sel], q, t_max / 10.0, float((ends[1] * total) ** (1.0 / qp))) if forced
         else RatioRow(name, 0.0, 0.0, None, 0.0, "excluded-zero")

@@ -640,6 +640,52 @@ class TestSchemaLimits:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # the directory is made only after the run succeeds
 
+    @pytest.mark.parametrize(
+        "scenario,edits",
+        [
+            ("solve-linear", {"linear.t_final": 1e300}),
+            ("solve-semilinear", {"semilinear.horizon": 1e300, "semilinear.dt": 1e299}),
+            ("verify-strichartz", {"strichartz.t_max": 1e300}),
+        ],
+    )
+    def test_horizon_whose_phase_overflows(self, tmp_path, capsys, scenario, edits):
+        # phi(t) overflows to inf: the wall check printed numpy's overflow warning before its message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(tmp_path, scenario, edits) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: grid.r_max=25.0 too small for t_final=1e+300: support radius + 2h = inf\n"
+
+    def test_sweep_horizon_whose_phase_overflows(self, tmp_path):
+        # each power's row records the wall check's error; the sweep itself succeeds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(tmp_path, "sweep-p", {"sweep.horizon": 1e300}) == 0
+        row = json.loads((tmp_path / "out" / "outcome.json-lines").read_text())
+        assert row["error"] == "GridError: grid.r_max=25.0 too small for t_final=1e+300: support radius + 2h = inf"
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("inhomogeneous", "the weighted norm of source 'pulse-1-2' reads 0 (h="),
+            ("homogeneous", "the data of 'bump-w0.35' vanish at every node r > 0 (h="),
+        ],
+    )
+    def test_strichartz_grid_too_coarse_for_the_profiles(self, tmp_path, capsys, N, kind, message):
+        # on r_max 30 the narrowest profile is nonzero only at the node r = 0, where the r^2 weight
+        # vanishes: the forced RHS read 0 (a ZeroDivisionError traceback) and the homogeneous LHS read 0
+        edits = {"grid.r_max": 30.0, "grid.N": N, "strichartz.kind": kind}
+        assert self._run(tmp_path, "verify-strichartz", edits) == 2
+        assert f"validation error: grid.N={N}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_strichartz_forced_probe_on_a_finer_grid(self, tmp_path):
+        edits = {"grid.r_max": 30.0, "grid.N": 48, "strichartz.kind": "inhomogeneous"}
+        assert self._run(tmp_path, "verify-strichartz", edits) == 0
+        rows = (tmp_path / "out" / "ratios.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(float(row.split(",")[2]) > 0 for row in rows)
+
     def test_picard_empty_norm_box(self, tmp_path, capsys):
         # no step midpoint of a 0.2 horizon reaches T0/2 = 0.25, so every norm would be an empty trapezoid
         edits = {"semilinear.mode": "picard", "semilinear.horizon": 0.2, "semilinear.dt": 0.02, "semilinear.T0": 0.5}

@@ -1,6 +1,7 @@
 """Sobolev norms, estimate ratio probes, Littlewood-Paley machinery."""
 
 import contextvars
+import sys
 import threading
 
 import numpy as np
@@ -10,7 +11,14 @@ from scipy.integrate import quad
 import tricomi_lab.linear
 import tricomi_lab.semilinear
 import tricomi_lab.strichartz
-from tricomi_lab.errors import AccuracyError, GridError, ParameterError, SupportError, TruncatedBoxError
+from tricomi_lab.errors import (
+    AccuracyError,
+    GridError,
+    ParameterError,
+    SupportError,
+    TricomiLabError,
+    TruncatedBoxError,
+)
 from tricomi_lab.exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from tricomi_lab.geometry import WeightSpec, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
@@ -383,8 +391,8 @@ class TestBatchEngine:
         calls = symbol_rows(tricomi_lab.linear)
         rows = homogeneous_ratio(PARAMS, standard_family(2.0, 1), q, gamma, delta, grid, t_max=10.0)
         assert len(rows) == 8 and all(r.ratio is not None for r in rows)
-        # two threads reduce the two halves of the times, so their rows interleave
-        assert sorted(calls) == [(t, False) for t in _time_grid(10.0)]
+        # one producer draws the symbol rows, in time order
+        assert calls == [(t, False) for t in _time_grid(10.0)]
 
     def test_stopped_march_raises_not_truncates(self):
         grid = RadialGrid(60.0, 512, transform="fft")
@@ -426,8 +434,8 @@ class TestConePrefix:
         assert captured[1].tobytes() == want[:, 0].tobytes() and captured[2].tobytes() == want[:, 7].tobytes()
 
 
-class TestTimeSplit:
-    """_per_time_integrals reduces the two halves of its times in two threads, bit for bit."""
+class TestPipeline:
+    """_per_time_integrals: symbols and coefficients on the caller, transforms and integrals on one worker."""
 
     GRID = RadialGrid(60.0, 1024, transform="fft")
     SPEC = WeightSpec(gamma=0.2, q=3.0, M=2.0)
@@ -436,58 +444,64 @@ class TestTimeSplit:
         coeffs = [_data_coeffs(PARAMS, self.GRID, f, g) for _, f, g in standard_family(2.0, 1)]
         return np.array([c[0] for c in coeffs]), np.array([c[1] for c in coeffs])
 
-    def _integrals(self, times):
-        return tricomi_lab.strichartz._per_time_integrals(PARAMS, self.GRID, times, *self._family(), self.SPEC)
+    def _integrals(self, times, after=None):
+        return tricomi_lab.strichartz._per_time_integrals(PARAMS, self.GRID, times, *self._family(), self.SPEC, after)
 
     @pytest.mark.parametrize("count", [72, 37, 1])
     def test_equals_one_thread_reduction(self, count):
         times = _time_grid(10.0)[-count:]
         r = self.GRID.r
-        nodes = [_cone_nodes(r, 1, 2.0, float(t)) for t in times]
-        snaps = _snapshots(1, self.GRID, times, *self._family(), nodes)
+        snaps = _snapshots(1, self.GRID, times, *self._family())  # every node, in this thread
         want = np.array([_weighted_integral(u, r, float(t), 1, self.SPEC) for t, u in zip(times, snaps)])
         got = self._integrals(times)
         assert got.shape == (count, 8) and got.tobytes() == want.tobytes()
 
-    def _raise_at(self, monkeypatch, errors):
-        """Patch the reduction to raise errors[t] at each time t that has one; return the raised ones."""
-        raised, inner = [], _weighted_integral
+    def _patch_worker(self, monkeypatch, errors=None, wait=None):
+        """Patch the worker's reduction to record (thread, time); at a t in ``errors`` it waits, then raises."""
+        seen, inner = [], _weighted_integral
 
         def patched(u, r, t, m, spec):
-            if t in errors:
-                raised.append(errors[t])
+            seen.append((threading.get_ident(), t))
+            if errors and t in errors:
+                if wait is not None:
+                    assert wait.wait(30.0)
                 raise errors[t]
             return inner(u, r, t, m, spec)
 
         monkeypatch.setattr(tricomi_lab.strichartz, "_weighted_integral", patched)
-        return raised
+        return seen
 
-    def test_second_half_error_reaches_caller(self, monkeypatch):
+    def _patch_producer(self, monkeypatch, error_at=None, error=None, drawn_at=None, event=None):
+        """Patch the caller's coefficient stream to record each draw's thread.
+
+        At draw ``drawn_at`` it sets ``event``; at draw ``error_at`` it raises ``error``.
+        """
+        drawn, inner = [], tricomi_lab.strichartz._coeff_stream
+
+        def patched(*args):
+            for i, c in enumerate(inner(*args)):
+                drawn.append(threading.get_ident())
+                if i == drawn_at:
+                    event.set()
+                if i == error_at:
+                    raise error
+                yield c
+
+        monkeypatch.setattr(tricomi_lab.strichartz, "_coeff_stream", patched)
+        return drawn
+
+    def test_one_worker_joined_after_success(self, monkeypatch):
+        threads = threading.active_count()
+        seen = self._patch_worker(monkeypatch)
+        drawn = self._patch_producer(monkeypatch)
         times = _time_grid(10.0)
-        threads = threading.active_count()
-        error = AccuracyError(f"late failure at t={times[-1]}")
-        self._raise_at(monkeypatch, {float(times[-1]): error})
-        with pytest.raises(AccuracyError, match=r"^late failure at t=10\.0$") as exc:
-            self._integrals(times)
-        assert exc.value is error
+        self._integrals(times)
         assert threading.active_count() == threads
+        assert set(drawn) == {threading.get_ident()} and len(drawn) == 72
+        assert [t for _, t in seen] == times.tolist()  # in time order
+        assert len({ident for ident, _ in seen} - {threading.get_ident()}) == 1 == len({ident for ident, _ in seen})
 
-    def test_first_half_error_wins(self, monkeypatch):
-        times = _time_grid(10.0)
-        threads = threading.active_count()
-        first, second = ParameterError("first half"), GridError("second half")
-        raised = self._raise_at(monkeypatch, {float(times[0]): first, float(times[36]): second})
-        with pytest.raises(ParameterError, match="first half"):
-            self._integrals(times)
-        assert sorted(map(str, raised)) == ["first half", "second half"]  # both raised; the join waited
-        assert threading.active_count() == threads
-
-    def test_threads_return_after_success(self):
-        threads = threading.active_count()
-        self._integrals(_time_grid(10.0))
-        assert threading.active_count() == threads
-
-    def test_thread_runs_in_callers_context(self, monkeypatch):
+    def test_worker_runs_in_callers_context(self, monkeypatch):
         var = contextvars.ContextVar("probe")
         seen, inner = [], _weighted_integral
 
@@ -499,9 +513,96 @@ class TestTimeSplit:
         var.set("set")
         with np.errstate(over="raise"):
             self._integrals(_time_grid(10.0))
-        assert len(seen) == 72 and len({ident for ident, _, _ in seen}) == 2
+        assert len(seen) == 72 and {ident for ident, _, _ in seen} != {threading.get_ident()}
         assert {(over, value) for _, over, value in seen} == {("raise", "set")}
 
+    def test_after_runs_on_the_caller_once_every_time_is_handed_off(self, monkeypatch):
+        drawn = self._patch_producer(monkeypatch)
+        calls = []
+        got = self._integrals(_time_grid(10.0), lambda: calls.append((threading.get_ident(), len(drawn))))
+        assert calls == [(threading.get_ident(), 72)] and got.shape == (72, 8)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        error = AccuracyError(f"late failure at t={times[-1]}")
+        self._patch_worker(monkeypatch, {float(times[-1]): error})
+        with pytest.raises(AccuracyError, match=r"^late failure at t=10\.0$") as exc:
+            self._integrals(times)
+        assert exc.value is error
+        assert threading.active_count() == threads
+
+    def _outcome(self, times):
+        """The error _integrals(times) raises, in a daemon thread, so a deadlock fails the test, not the session."""
+        outcome = []
+
+        def call():
+            try:
+                self._integrals(times)
+            except TricomiLabError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60.0)
+        assert not caller.is_alive(), "the pipeline deadlocked"
+        return outcome[0]
+
+    def test_worker_error_wins_over_producer_error(self, monkeypatch):
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        drawn_2 = threading.Event()  # the worker fails only once the caller has drawn time 2
+        first, second = ParameterError("worker at time 0"), GridError("producer at time 2")
+        self._patch_worker(monkeypatch, {float(times[0]): first}, drawn_2)
+        drawn = self._patch_producer(monkeypatch, error_at=2, error=second, drawn_at=2, event=drawn_2)
+        error = self._outcome(times)
+        assert error is first and error.__context__ is second  # both raised; the join waited
+        assert len(drawn) == 3 and threading.active_count() == threads
+
+    def test_producer_stops_at_a_full_handoff_once_the_worker_fails(self, monkeypatch):
+        # the worker fails on time 0 only after the caller has drawn time 2: time 1 fills the
+        # handoff, so the caller waits on it with time 2 in hand, and must wake, not deadlock
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        drawn_2 = threading.Event()
+        error = SupportError("worker at time 0")
+        self._patch_worker(monkeypatch, {float(times[0]): error}, drawn_2)
+        drawn = self._patch_producer(monkeypatch, drawn_at=2, event=drawn_2)
+        assert self._outcome(times) is error
+        assert len(drawn) == 3  # nothing drawn after the refused handoff
+        assert threading.active_count() == threads
+
+    def test_producer_error_alone_reaches_caller(self, monkeypatch):
+        times = _time_grid(10.0)
+        threads = threading.active_count()
+        error = ParameterError("producer at time 5")
+        seen = self._patch_worker(monkeypatch)
+        self._patch_producer(monkeypatch, error_at=5, error=error)
+        with pytest.raises(ParameterError, match="producer at time 5") as exc:
+            self._integrals(times, lambda: pytest.fail("after() ran past a producer error"))
+        assert exc.value is error
+        assert [t for _, t in seen] == times[:5].tolist()  # the worker drained what it was handed
+        assert threading.active_count() == threads
+
+
+    def test_handoff_under_stress(self):
+        # three callers (more than the cores) each feed 2000 items through a pipeline of their own, with
+        # the interpreter switching threads every microsecond; a lost or repeated handoff breaks the order
+        def feed(out):
+            tricomi_lab.strichartz._pipeline(((i,) for i in range(2000)), out.append)
+
+        interval, outs = sys.getswitchinterval(), [[] for _ in range(3)]
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=feed, args=(out,), daemon=True) for out in outs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert outs == [list(range(2000))] * 3
 
 class TestLittlewoodPaley:
     def test_cutoff_support(self):
