@@ -65,21 +65,33 @@ class RadialGrid:
         return _frozen(np.arange(1, self.N) * np.pi / self.r_max)
 
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
-        """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis."""
-        from scipy.fft import dst  # imported here: the flag subcommands make no transform
+        """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis.
 
-        return dst(w_interior, type=1) / self.N
-
-    def inverse(self, coeffs: np.ndarray, nodes: int | None = None) -> np.ndarray:
-        """Interior samples w_j from sine coefficients, along the last axis.
-
-        With ``nodes``, only the first max(nodes - 1, 4) samples, the ones
-        ``u_from_w(w, nodes)`` reads, each with the same bits.
+        The DST's fresh output is divided by N in place; ``w_interior`` is not changed.
         """
         from scipy.fft import dst  # imported here: the flag subcommands make no transform
 
-        w = dst(coeffs, type=1)
-        return (w if nodes is None else w[..., : max(nodes - 1, 4)]) / 2.0
+        c = dst(w_interior, type=1)
+        c /= self.N
+        return c
+
+    def inverse(self, coeffs: np.ndarray, nodes: int | None = None, overwrite_x: bool = False) -> np.ndarray:
+        """Interior samples w_j from sine coefficients, along the last axis.
+
+        With ``nodes``, only the first max(nodes - 1, 4) samples, the ones
+        ``u_from_w(w, nodes)`` reads, each with the same bits.  ``coeffs`` is
+        left as it was, unless ``overwrite_x``: then the DST writes its
+        samples into ``coeffs`` where it can, for a caller that owns it and
+        needs it no more.  The samples are halved in place either way, with
+        the same bits.
+        """
+        from scipy.fft import dst  # imported here: the flag subcommands make no transform
+
+        w = dst(coeffs, type=1, overwrite_x=overwrite_x)
+        if nodes is not None:
+            w = w[..., : max(nodes - 1, 4)]
+        w /= 2.0
+        return w
 
     def u_from_w(self, w_interior: np.ndarray, nodes: int | None = None) -> np.ndarray:
         """Radial samples of u = w/r from interior w, origin by one-sided limit.

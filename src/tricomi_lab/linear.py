@@ -11,8 +11,9 @@ evaluates several times per kernel call.
 ``fd_oracle`` is the independent verification path: a method-of-lines
 leapfrog on w_tt = t^m w_rr with the degeneracy-aware Taylor start and a
 time step bounded by the final wave speed t_final^(m/2), stepped in place
-in three rotating buffers.  It is second order by construction; acceptance
-comparisons run it on a refined grid.
+in three rotating buffers, each step on the nodes of the data's light cone
+only.  It is second order by construction; acceptance comparisons run it on
+a refined grid.
 
 ``decay_slope`` fits the sup-norm decay exponent against log phi(t) (the
 proved rate is -(n-1)/2 - m/(2(m+2))), and ``weighted_field_norm``
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InstabilityError, ParameterError
+from .errors import AccuracyError, InstabilityError, ParameterError
 from .exponents import ModelParams
 from .geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 FD_CFL = 0.4  # fd_oracle's time step in units of h / t_final^(m/2)
+FD_CONE_MARGIN = 100  # fd_oracle's window: nodes past the cone the leapfrog also updates
+FD_EDGE_TOL = 1e-8  # largest |w| at fd_oracle's window edge, relative to the peak
 
 
 def solve_linear(
@@ -74,20 +77,21 @@ def _data_samples(params, grid, f, g, enforce_support=True):
 
 
 def _data_coeffs(params, grid, f, g, enforce_support=True):
-    """Sine coefficients of the data w = r f and r g, after checking their support."""
+    """Sine coefficients of the data w = r f and r g, after checking their support.
+
+    All-zero samples (most members carry no velocity data) give zero
+    coefficients without a transform.
+    """
     f_s, g_s = _data_samples(params, grid, f, g, enforce_support)
-    return (
-        SpectralField.from_radial(grid, f_s).coeffs,
-        SpectralField.from_radial(grid, g_s).coeffs,
-    )
+    return tuple(SpectralField.from_radial(grid, s).coeffs if s.any() else np.zeros(grid.N - 1) for s in (f_s, g_s))
 
 
 def _frame_coeffs(values, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sine coefficients V1 a + V2 b of a field, from the symbol values (V1, V2) at one time.
 
-    (a, b) are the frame coordinates of the field: the data coefficients of
-    a homogeneous solution, or the march's (alpha, beta); (N-1,) for one
-    field, (B, N-1) for a family.
+    (a, b) are the frame coordinates of the field, the march's (alpha, beta);
+    (N-1,) for one field, (B, N-1) for a family.  :func:`_coeff_stream` forms
+    the same values for the data coefficients of a homogeneous solution.
     """
     v1, v2 = values
     c = v1 * a
@@ -99,18 +103,30 @@ def _radial_field(grid: RadialGrid, c: np.ndarray, nodes: int | None = None) -> 
     """The radial field with sine coefficients c: (N-1,) gives (N+1,) samples, (B, N-1) gives (B, N+1).
 
     With ``nodes``, only the first ``nodes`` samples of each, with the same bits.
+    It consumes ``c``: the inverse DST writes its samples into it.
     """
-    return grid.u_from_w(grid.inverse(c, nodes), nodes)
+    return grid.u_from_w(grid.inverse(c, nodes, overwrite_x=True), nodes)
 
 
 def _coeff_stream(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
     """Yield the sine coefficients of the homogeneous solution at each time, (N-1,) or (B, N-1) for a family.
 
     The symbols come from one :func:`symbol_stream`, once per time, shared
-    by every member.
+    by every member.  Each time's coefficients are a fresh array, formed one
+    member at a time: V1 fh, then V2 gh added in place only where gh is not
+    all zero (found once per stream), so a step holds no family-sized
+    temporary.  Every value equals its :func:`_frame_coeffs` value, with the
+    same bits unless it is a zero, whose sign may differ.
     """
-    for values in symbol_stream(m, times, grid.lam, derivatives=False):
-        yield _frame_coeffs(values, fh, gh)
+    f2, g2 = np.atleast_2d(fh), np.atleast_2d(gh)
+    velocity = g2.any(axis=-1).tolist()
+    for v1, v2 in symbol_stream(m, times, grid.lam, derivatives=False):
+        c = np.empty(fh.shape)
+        for row, f, g, moving in zip(np.atleast_2d(c), f2, g2, velocity):
+            np.multiply(v1, f, out=row)
+            if moving:
+                row += v2 * g
+        yield c
 
 
 def _snapshots(m: int, grid: RadialGrid, times, fh: np.ndarray, gh: np.ndarray):
@@ -135,12 +151,20 @@ def fd_oracle(
     the t^(m+2)/((m+1)(m+2)) * lambda^2-type term, supplied for m = 1, 2.
     Returned snapshot times are the nearest step multiples of the requested
     ones.
+
+    Finite propagation speed keeps w zero past the data's last nonzero node
+    plus phi(t): the step to t + dt updates only the nodes before that node
+    plus ceil(phi(t + dt) / h) + ``FD_CONE_MARGIN``, capped at the wall, and
+    every node past them stays zero.  Data that fill the grid make that
+    window the whole grid.  Every 256 steps, a window edge that carries more
+    than ``FD_EDGE_TOL`` of the peak |w| is an AccuracyError: the cone was
+    too narrow for the solution.
     """
     times = np.asarray(times, dtype=float)
     t_final = float(times.max())
     grid.validate_horizon(params.m, params.M, t_final)
     m = params.m
-    h = grid.h
+    N, h = grid.N, grid.h
     r = grid.r
     f_s, g_s = _data_samples(params, grid, f, g, enforce_support)
     dt = FD_CFL * h / max(t_final, 1.0) ** (m / 2.0)
@@ -158,38 +182,49 @@ def fd_oracle(
         w_cur += dt**3 / 6.0 * lap
     elif m == 2:
         w_cur += dt**4 / 12.0 * lap
-    w_cur[0] = w_cur[-1] = 0.0
+    w_prev[-1] = w_cur[0] = w_cur[-1] = 0.0  # the wall node is never updated
 
     ref_norm = float(np.sqrt(np.sum(w_cur**2)))
     out_times, out_snaps = [], []
-    step = 1
     last = snap_steps[-1]
-    inner, w_next = lap[1:-1], np.empty_like(w_cur)
-    while step <= last:
+    # step s (to time (s+1) dt) updates nodes 0..k-1: the data's last nonzero node, its cone and the margin
+    data_end = int(np.flatnonzero((w_prev != 0.0) | (w_cur != 0.0)).max(initial=0))
+    reach = np.ceil(phi(m, np.arange(2, last + 2) * dt) / h).astype(int)
+    windows = np.minimum(data_end + reach + FD_CONE_MARGIN, N).tolist()
+    w_prev[windows[0] :] = w_cur[windows[0] :] = 0.0
+    w_next = np.zeros_like(w_cur)
+    for step in range(1, last + 1):
         if step in snap_steps:
             out_times.append(step * dt)
             out_snaps.append(grid.u_from_w(w_cur[1:-1]))
         t = step * dt
+        k = windows[step - 1]
         # in place, in the order of lap = (w[2:] - 2 w + w[:-2]) / h^2 and
         # w_next = 2 w - w_prev + (dt^2 t^m) lap, so every value keeps its bits
-        np.multiply(w_cur[1:-1], 2.0, out=inner)
-        np.subtract(w_cur[2:], inner, out=inner)
-        inner += w_cur[:-2]
+        inner, nxt = lap[1:k], w_next[:k]
+        np.multiply(w_cur[1:k], 2.0, out=inner)
+        np.subtract(w_cur[2 : k + 1], inner, out=inner)
+        inner += w_cur[: k - 1]
         inner /= h * h
-        np.multiply(w_cur, 2.0, out=w_next)
-        w_next -= w_prev
-        lap *= dt * dt * t**m
-        w_next += lap
-        w_next[0] = w_next[-1] = 0.0
+        np.multiply(w_cur[:k], 2.0, out=nxt)
+        nxt -= w_prev[:k]
+        lap[:k] *= dt * dt * t**m
+        nxt += lap[:k]
+        nxt[0] = 0.0
         w_prev, w_cur, w_next = w_cur, w_next, w_prev
-        step += 1
-        if step % 256 == 0:
+        if (step + 1) % 256 == 0:
             cur = float(np.sqrt(np.sum(w_cur**2)))
             if cur > 10.0 * max(ref_norm, 1e-300):
                 raise InstabilityError(
                     f"leapfrog norm grew {cur / ref_norm:.1f}x by t={t:.3f}; CFL violated?"
                 )
             ref_norm = max(ref_norm, cur)
+            peak, edge = float(np.abs(w_cur).max()), abs(float(w_cur[k - 1])) if k < N else 0.0
+            if edge > FD_EDGE_TOL * peak:
+                raise AccuracyError(
+                    f"leapfrog window edge r={r[k - 1]:.4g} carries {edge / peak:.2e} of the peak |w| "
+                    f"by t={t + dt:.3f} (> {FD_EDGE_TOL:.0e}); the cone is too narrow"
+                )
     return SpaceTimeField(
         times=np.asarray(out_times),
         grid=grid,

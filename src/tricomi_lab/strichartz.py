@@ -23,14 +23,17 @@ to its weighted integral (``homogeneous_ratio``, ``lhs_box_values``), which
 reads only the cone r <= phi(t) + M - 1, so each snapshot is formed on the
 cone's nodes alone.  The reduction is a two-stage pipeline with the same
 bits as one thread: the caller evaluates the symbols and forms each time's
-sine coefficients, and one worker thread transforms and integrates them;
+sine coefficients (the velocity term on the members with velocity data
+only), and one worker thread transforms them in place and integrates them;
 ``homogeneous_ratio`` computes the data's W^(s,1) norms on the caller while
-the worker drains.  ``sobolev_w_s1_norm`` of zero data is 0.0 without a
-transform.  The inhomogeneous probe samples each source once per march
-step, at the midpoint where the march freezes it; those samples drive the
-march and also serve the support check, the zero test and the RHS.  A grid
-on which a member's data or source is seen only at r = 0, where the r^2 of
-the weighted norms vanishes, is a GridError naming grid.N.
+the worker drains, with one multiplier per order.  ``sobolev_w_s1_norm`` of
+zero data is 0.0 without a transform.  The inhomogeneous probe samples each
+source once per march step, at the midpoint where the march freezes it;
+those samples drive the march and also serve the support check, the zero
+test and the RHS.  A grid on which a member's data or source is seen only
+at r = 0, where the r^2 of the weighted norms vanishes, is a GridError
+naming grid.N; so is a grid on which a member's data read an L2 norm more
+than ``DATA_L2_GAP`` off the one they read on the W^(s,1) grid.
 
 Also here: the dyadic partition of unity beta(tau/2^j) and the
 Littlewood-Paley band decomposition of spectral snapshots.
@@ -69,6 +72,7 @@ __all__ = [
 ]
 
 TAIL_DOMINATED_FRACTION = 0.10
+DATA_L2_GAP = 0.10  # largest relative gap homogeneous_ratio accepts between a member's data L2 on its two grids
 SOBOLEV_TAIL_TOL = 1e-8  # largest spectral tail sobolev_w_s1_norm accepts after its multiplier
 
 
@@ -82,6 +86,8 @@ def sobolev_w_s1_norm(
     s: float,
     grid: RadialGrid,
     with_error: bool = False,
+    *,
+    mult: np.ndarray | None = None,
 ):
     """L1 norm of (I - Lap)^(s/2) f for radial f, via the sine-mode multiplier.
 
@@ -90,7 +96,9 @@ def sobolev_w_s1_norm(
     on the coefficients of w = r f.  The result is then integrated as
     4 pi int |g| r^2 dr by trapezoid.  This is a quadrature approximation;
     ``with_error`` also returns a grid-refinement error estimate (value at
-    N/2 compared with value at N).
+    N/2 compared with value at N).  A caller that takes many norms of one
+    order on one grid may pass that grid's multiplier as ``mult``, formed
+    once by ``_multiplier(grid, s)``.
 
     Raises AccuracyError when the post-multiplier spectral tail carries more
     than ``SOBOLEV_TAIL_TOL`` of the energy (an under-resolved order s).
@@ -99,27 +107,31 @@ def sobolev_w_s1_norm(
         raise ParameterError("s >= 0 required")
     if s > 6:
         raise ParameterError("s <= 6 is the documented accuracy envelope")
-    val = _sobolev_value(f, s, grid, SOBOLEV_TAIL_TOL)
+    val = _sobolev_value(f(grid.r), s, _multiplier(grid, s) if mult is None else mult, grid, SOBOLEV_TAIL_TOL)
     if not with_error:
         return val
     coarse = RadialGrid(grid.r_max, grid.N // 2)
-    val_c = _sobolev_value(f, s, coarse, np.inf)
+    val_c = _sobolev_value(f(coarse.r), s, _multiplier(coarse, s), coarse, np.inf)
     return val, abs(val - val_c)
 
 
-def _sobolev_value(f, s, grid, tail_tol):
-    r = grid.r
-    samples = f(r)
+def _multiplier(grid: RadialGrid, s: float) -> np.ndarray:
+    """The order-s multiplier (1 + lambda^2)^(s/2) on the sine modes of ``grid``."""
+    return (1.0 + grid.lam**2) ** (s / 2.0)
+
+
+def _sobolev_value(samples, s, mult, grid, tail_tol):
+    """The W^(s,1) norm of the radial samples on ``grid``, given the order-s multiplier ``mult``."""
     if not np.any(samples):
         return 0.0  # zero data: no transform
-    sf = SpectralField.from_radial(grid, samples)
-    coeffs = sf.coeffs.copy()
+    r = grid.r
+    coeffs = SpectralField.from_radial(grid, samples).coeffs  # a fresh array, scaled in place
     # Smooth data reaches the rounding floor well inside the band; the
     # multiplier would amplify that floor into a fake tail, so clip it.
     floor = 1e-15 * np.abs(coeffs).max()
     coeffs[np.abs(coeffs) < floor] = 0.0
-    mult = (1.0 + grid.lam**2) ** (s / 2.0)
-    out = SpectralField(grid, coeffs * mult)
+    coeffs *= mult
+    out = SpectralField(grid, coeffs)
     tail = out.tail_energy_fraction()
     if tail > tail_tol:
         raise AccuracyError(
@@ -334,10 +346,12 @@ def homogeneous_ratio(
     t <= t_max with a decay-extrapolated tail estimate attached; RHS is the
     sum of the two W^(s,1) data norms, computed while the last snapshots are
     reduced.  Zero data yields an excluded row; data that vanish at every
-    node r > 0 of ``grid`` are a GridError naming grid.N.  The members with
-    data are solved as one batch: each snapshot time evaluates the symbols
-    once for all of them, and each snapshot is reduced at once to the
-    members' per-time integrals.
+    node r > 0 of ``grid``, or whose L2 norm from their coefficients on
+    ``grid`` is more than ``DATA_L2_GAP`` off the one from their samples on
+    the W^(s,1) grid (under-resolved), are a GridError naming grid.N.  The
+    members with data are solved as one batch: each snapshot time evaluates
+    the symbols once for all of them, and each snapshot is reduced at once
+    to the members' per-time integrals.
     """
     _check_window(params.m, params.n, q, gamma, "gamma")
     d_max = delta_bound(params.m, params.n, q, gamma)
@@ -357,6 +371,11 @@ def homogeneous_ratio(
         if not (fh.any() or gh.any()):
             raise GridError(f"grid.N={grid.N}: the data of {name!r} vanish at every node r > 0 (h={grid.h:.4g}), "
                             "so its LHS would read 0; raise grid.N")
+        gap = max(_l2_gap(grid, fh, sgrid, fs), _l2_gap(grid, gh, sgrid, gs))
+        if gap > DATA_L2_GAP:
+            raise GridError(f"grid.N={grid.N}: the L2 norm of the data of {name!r} on this grid (h={grid.h:.4g}) "
+                            f"differs by {gap:.2g} from theirs on the W^(s,1) grid, relative (more than "
+                            f"{DATA_L2_GAP:g}), so it under-resolves them; raise grid.N")
         live.append((len(rows), name, fh, gh, fs, gs))
         rows.append(None)
     if live:
@@ -365,13 +384,23 @@ def homogeneous_ratio(
         rhs = []
 
         def data_norms():  # on the caller, while the worker reduces the last times
-            rhs.extend(sobolev_w_s1_norm(lambda r: a, s_f, sgrid) + sobolev_w_s1_norm(lambda r: b, s_g, sgrid)
-                       for a, b in zip(fs, gs))
+            m_f, m_g = _multiplier(sgrid, s_f), _multiplier(sgrid, s_g)
+            rhs.extend(sobolev_w_s1_norm(lambda r: a, s_f, sgrid, mult=m_f)
+                       + sobolev_w_s1_norm(lambda r: b, s_g, sgrid, mult=m_g) for a, b in zip(fs, gs))
 
         per_t = _per_time_integrals(params, grid, times, np.array(fh), np.array(gh), spec, data_norms)
         for i, name, pt, rh in zip(idx, names, per_t.T, rhs):
             rows[i] = _ratio_row(name, pt, times, q, t_max / 10.0, rh)
     return rows
+
+
+def _l2_gap(grid: RadialGrid, coeffs: np.ndarray, sgrid: RadialGrid, samples: np.ndarray) -> float:
+    """|a - b| / b for the L2 norms a of w = r f from its sine coefficients on ``grid`` and b from its samples on ``sgrid``.
+
+    0.0 where the samples are zero.
+    """
+    want = np.sqrt(sgrid.h * np.sum((sgrid.r * samples) ** 2))
+    return float(abs(SpectralField(grid, coeffs).coeff_l2() - want) / want) if want else 0.0
 
 
 def lhs_box_values(

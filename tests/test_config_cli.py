@@ -680,6 +680,29 @@ class TestSchemaLimits:
         assert f"validation error: grid.N={N}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("N,message", [
+        (48, "the data of 'bump-w0.35' vanish at every node r > 0 (h=0.625)"),
+        (128, "the L2 norm of the data of 'dilate-1.3' on this grid (h=0.2344) differs by 0.12 from theirs on the "
+              "W^(s,1) grid, relative (more than 0.1), so it under-resolves them; raise grid.N"),
+    ])
+    def test_strichartz_under_resolved_data(self, tmp_path, capsys, N, message):
+        # at N = 128 a member the grid under-resolves read as a ratio and exited 0; at N = 48 the
+        # narrowest member vanishes at every node r > 0, which the earlier check names
+        edits = {"grid.r_max": 30.0, "grid.N": N, "strichartz.kind": "homogeneous"}
+        assert self._run(tmp_path, "verify-strichartz", edits) == 2
+        assert f"validation error: grid.N={N}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid,t_max", [
+        ({"r_max": 30.0, "N": 256}, 10.0),
+        ({"r_max": 170.0, "N": 4096, "transform": "fft"}, 25.0),  # the benchmark's strichartz pass
+    ])
+    def test_strichartz_resolved_data(self, tmp_path, grid, t_max):
+        edits = {"grid": grid, "strichartz.kind": "homogeneous", "strichartz.t_max": t_max}
+        assert self._run(tmp_path, "verify-strichartz", edits) == 0
+        rows = (tmp_path / "out" / "ratios.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+
     def test_strichartz_forced_probe_on_a_finer_grid(self, tmp_path):
         edits = {"grid.r_max": 30.0, "grid.N": 48, "strichartz.kind": "inhomogeneous"}
         assert self._run(tmp_path, "verify-strichartz", edits) == 0

@@ -1,13 +1,20 @@
 """Linear propagator: spectral solver vs oracles, decay fits, weighted norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tricomi_lab.errors import GridError, ParameterError, SupportError
+import tricomi_lab.linear
+from tricomi_lab.errors import AccuracyError, GridError, ParameterError, SupportError
 from tricomi_lab.exponents import ModelParams
 from tricomi_lab.geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField, origin_value
 from tricomi_lab.linear import (
+    _coeff_stream,
+    _data_coeffs,
+    _frame_coeffs,
+    _radial_field,
     _weighted_integral,
     decay_slope,
     fd_oracle,
@@ -15,7 +22,8 @@ from tricomi_lab.linear import (
     weighted_field_norm,
 )
 from tricomi_lab.profiles import bump
-from tricomi_lab.symbols import evolve_mode
+from tricomi_lab.strichartz import standard_family
+from tricomi_lab.symbols import evolve_mode, symbol_stream
 
 PARAMS = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
 ZERO = staticmethod(lambda r: np.zeros_like(np.asarray(r, dtype=float)))
@@ -100,6 +108,25 @@ class TestFdOracle:
         expected = amp * f(grid.r)
         err = np.abs(fld.u[0] - expected).max()
         assert err < 1e-5
+
+    def test_window_matches_full_grid_leapfrog(self, monkeypatch):
+        # the cone's window against a margin that makes it the whole grid, as every step was before;
+        # the leapfrog's values past the window read below 1e-25 of the peak, and rounding-level
+        # differences of the tiny values ahead of the front leave about 3e-12 of each snapshot's peak
+        grid = RadialGrid(25.0, 2048)
+        times = [2.0, 6.0, 10.0]
+        cone = fd_oracle(PARAMS, bump(0.8), bump(0.5, 0.3), times, grid)
+        monkeypatch.setattr(tricomi_lab.linear, "FD_CONE_MARGIN", grid.N)
+        full = fd_oracle(PARAMS, bump(0.8), bump(0.5, 0.3), times, grid)
+        assert np.array_equal(cone.times, full.times)
+        for u, want in zip(cone.u, full.u):
+            assert np.abs(u - want).max() < 1e-10 * np.abs(want).max()
+
+    def test_too_narrow_cone_raises(self, monkeypatch):
+        # a window that grows at half the phase phi(t) falls behind the wave, and its edge check says so
+        monkeypatch.setattr(tricomi_lab.linear, "phi", lambda m, t: 0.5 * phi(m, t))
+        with pytest.raises(AccuracyError, match=r"window edge r=.* the cone is too narrow"):
+            fd_oracle(PARAMS, bump(0.8), zero, [10.0], RadialGrid(25.0, 2048))
 
     def test_refinement_order_two(self):
         params = PARAMS
@@ -256,9 +283,79 @@ class TestGridInvariants:
             assert w.shape == (3, min(max(k - 1, 4), grid.N - 1))
             assert grid.u_from_w(w, k).tobytes() == full[:, :k].tobytes()
 
+    def test_inverse_leaves_its_input_by_default(self):
+        grid = RadialGrid(12.0, 64)
+        coeffs = np.random.default_rng(7).standard_normal((3, grid.N - 1))
+        field = SpectralField(grid, coeffs.copy())
+        for k in (None, 5):
+            kept = coeffs.copy()
+            want = grid.inverse(coeffs, k)
+            assert coeffs.tobytes() == kept.tobytes()
+            assert grid.inverse(kept, k, overwrite_x=True).tobytes() == want.tobytes()
+        for call in (field.to_radial, field.grid_l2):
+            call()
+            assert field.coeffs.tobytes() == coeffs.tobytes()
+
+    def test_radial_field_consumes_its_coefficients(self):
+        grid = RadialGrid(12.0, 64)
+        coeffs = np.random.default_rng(9).standard_normal((3, grid.N - 1))
+        want = SpectralField(grid, coeffs).to_radial()
+        c = coeffs.copy()
+        assert _radial_field(grid, c).tobytes() == want.tobytes()
+        assert np.array_equal(c, grid.inverse(coeffs))  # it holds the interior samples
+
     def test_snapshot_times_must_increase(self):
         grid = RadialGrid(12.0, 128)
         with pytest.raises(ParameterError):
             SpaceTimeField(
                 times=np.array([2.0, 1.0]), grid=grid, u=np.zeros((2, 129)), m=1, M=2.0
             )
+
+
+class TestCoeffStream:
+    """_coeff_stream adds the velocity term to the members that carry velocity data only."""
+
+    GRID = RadialGrid(170.0, 4096)  # the benchmark's strichartz grid
+    TIMES = np.geomspace(0.1, 25.0, 9)
+
+    def _family(self, velocity_rows):
+        fam = standard_family(2.0, 1)
+        coeffs = [_data_coeffs(PARAMS, self.GRID, f, fam[5][2] if b in velocity_rows else zero)
+                  for b, (_, f, _) in enumerate(fam)]
+        return np.array([c[0] for c in coeffs]), np.array([c[1] for c in coeffs])
+
+    def _want(self, fh, gh):
+        return [_frame_coeffs(v, fh, gh) for v in symbol_stream(1, self.TIMES, self.GRID.lam, derivatives=False)]
+
+    @pytest.mark.parametrize("velocity_rows", [(), (5, 7), tuple(range(8))])
+    def test_family_equals_frame_coeffs(self, velocity_rows):
+        fh, gh = self._family(velocity_rows)
+        assert np.flatnonzero(gh.any(axis=1)).tolist() == list(velocity_rows)
+        got = list(_coeff_stream(1, self.GRID, self.TIMES, fh, gh))
+        assert len(got) == self.TIMES.size
+        for c, want in zip(got, self._want(fh, gh)):
+            assert c.shape == (8, self.GRID.N - 1) and c.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("g", [zero, bump(0.5, 0.3)])
+    def test_one_field_equals_frame_coeffs(self, g):
+        fh, gh = _data_coeffs(PARAMS, self.GRID, bump(0.8), g)
+        got = list(_coeff_stream(1, self.GRID, self.TIMES, fh, gh))
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in self._want(fh, gh)]
+
+    def test_zero_velocity_makes_no_transform(self, monkeypatch):
+        inner, seen = RadialGrid.forward, []
+        monkeypatch.setattr(RadialGrid, "forward", lambda g, w: seen.append(w.any()) or inner(g, w))
+        fh, gh = _data_coeffs(PARAMS, self.GRID, bump(0.8), zero)
+        assert seen == [True] and fh.any() and gh.tobytes() == np.zeros(self.GRID.N - 1).tobytes()
+
+    def test_step_holds_no_family_sized_temporary(self):
+        fh, gh = self._family((5, 7))
+        stream = _coeff_stream(1, self.GRID, self.TIMES, fh, gh)
+        next(stream)  # evaluates the symbols of the first two times in one kernel call
+        tracemalloc.start()
+        try:
+            c = next(stream)  # the second time's symbols are in hand
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * c.nbytes
