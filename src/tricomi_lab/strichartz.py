@@ -26,12 +26,13 @@ bits as one thread: the caller evaluates the symbols and forms each time's
 sine coefficients (the velocity term on the members with velocity data
 only), and one worker thread transforms them in place and integrates them;
 ``homogeneous_ratio`` computes the data's W^(s,1) norms on the caller while
-the worker drains, with one multiplier per order.  ``sobolev_w_s1_norm`` of
-zero data is 0.0 without a transform.  The inhomogeneous probe samples each
-source once per march step, at the midpoint where the march freezes it;
-those samples drive the march and also serve the support check, the zero
-test and the RHS.  A grid on which a member's data or source is seen only
-at r = 0, where the r^2 of the weighted norms vanishes, is a GridError
+the worker drains.  ``sobolev_w_s1_norm`` forms each order's multiplier
+once per grid (cached) and scales the coefficients it owns in place; of
+zero data it is 0.0 without a transform.  The inhomogeneous probe samples
+each source once per march step, at the midpoint where the march freezes
+it; those samples drive the march and also serve the support check, the
+zero test and the RHS.  A grid on which a member's data or source is seen
+only at r = 0, where the r^2 of the weighted norms vanishes, is a GridError
 naming grid.N; so is a grid on which a member's data read an L2 norm more
 than ``DATA_L2_GAP`` off the one they read on the W^(s,1) grid.
 
@@ -42,6 +43,7 @@ Littlewood-Paley band decomposition of spectral snapshots.
 from __future__ import annotations
 
 import contextvars
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -50,7 +52,7 @@ import numpy as np
 from .errors import AccuracyError, GridError, ParameterError, SupportError, TruncatedBoxError, WindowError
 from .exponents import ModelParams, q_bounds, strichartz_gamma_bound
 from .geometry import WeightSpec, finite_speed_radius
-from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField
+from .grids import SUPPORT_REL_TOL, RadialGrid, SpectralField, _frozen
 from .linear import _coeff_stream, _cone_nodes, _data_coeffs, _radial_field, _weighted_integral
 from .profiles import annular_bump, bump, dilate, smooth_ramp
 from .semilinear import BLOWUP_THRESHOLD, _march, _snap, _steps
@@ -86,8 +88,6 @@ def sobolev_w_s1_norm(
     s: float,
     grid: RadialGrid,
     with_error: bool = False,
-    *,
-    mult: np.ndarray | None = None,
 ):
     """L1 norm of (I - Lap)^(s/2) f for radial f, via the sine-mode multiplier.
 
@@ -96,9 +96,7 @@ def sobolev_w_s1_norm(
     on the coefficients of w = r f.  The result is then integrated as
     4 pi int |g| r^2 dr by trapezoid.  This is a quadrature approximation;
     ``with_error`` also returns a grid-refinement error estimate (value at
-    N/2 compared with value at N).  A caller that takes many norms of one
-    order on one grid may pass that grid's multiplier as ``mult``, formed
-    once by ``_multiplier(grid, s)``.
+    N/2 compared with value at N).
 
     Raises AccuracyError when the post-multiplier spectral tail carries more
     than ``SOBOLEV_TAIL_TOL`` of the energy (an under-resolved order s).
@@ -107,30 +105,31 @@ def sobolev_w_s1_norm(
         raise ParameterError("s >= 0 required")
     if s > 6:
         raise ParameterError("s <= 6 is the documented accuracy envelope")
-    val = _sobolev_value(f(grid.r), s, _multiplier(grid, s) if mult is None else mult, grid, SOBOLEV_TAIL_TOL)
+    val = _sobolev_value(f, s, grid, SOBOLEV_TAIL_TOL)
     if not with_error:
         return val
     coarse = RadialGrid(grid.r_max, grid.N // 2)
-    val_c = _sobolev_value(f(coarse.r), s, _multiplier(coarse, s), coarse, np.inf)
+    val_c = _sobolev_value(f, s, coarse, np.inf)
     return val, abs(val - val_c)
 
 
+@functools.lru_cache(maxsize=8)
 def _multiplier(grid: RadialGrid, s: float) -> np.ndarray:
-    """The order-s multiplier (1 + lambda^2)^(s/2) on the sine modes of ``grid``."""
-    return (1.0 + grid.lam**2) ** (s / 2.0)
+    """The order-s multiplier (1 + lambda^2)^(s/2) on the sine modes of ``grid``, formed once per (grid, s)."""
+    return _frozen((1.0 + grid.lam**2) ** (s / 2.0))
 
 
-def _sobolev_value(samples, s, mult, grid, tail_tol):
-    """The W^(s,1) norm of the radial samples on ``grid``, given the order-s multiplier ``mult``."""
+def _sobolev_value(f, s, grid, tail_tol):
+    r = grid.r
+    samples = f(r)
     if not np.any(samples):
         return 0.0  # zero data: no transform
-    r = grid.r
     coeffs = SpectralField.from_radial(grid, samples).coeffs  # a fresh array, scaled in place
     # Smooth data reaches the rounding floor well inside the band; the
     # multiplier would amplify that floor into a fake tail, so clip it.
     floor = 1e-15 * np.abs(coeffs).max()
     coeffs[np.abs(coeffs) < floor] = 0.0
-    coeffs *= mult
+    coeffs *= _multiplier(grid, s)
     out = SpectralField(grid, coeffs)
     tail = out.tail_energy_fraction()
     if tail > tail_tol:
@@ -384,9 +383,8 @@ def homogeneous_ratio(
         rhs = []
 
         def data_norms():  # on the caller, while the worker reduces the last times
-            m_f, m_g = _multiplier(sgrid, s_f), _multiplier(sgrid, s_g)
-            rhs.extend(sobolev_w_s1_norm(lambda r: a, s_f, sgrid, mult=m_f)
-                       + sobolev_w_s1_norm(lambda r: b, s_g, sgrid, mult=m_g) for a, b in zip(fs, gs))
+            rhs.extend(sobolev_w_s1_norm(lambda r: a, s_f, sgrid) + sobolev_w_s1_norm(lambda r: b, s_g, sgrid)
+                       for a, b in zip(fs, gs))
 
         per_t = _per_time_integrals(params, grid, times, np.array(fh), np.array(gh), spec, data_norms)
         for i, name, pt, rh in zip(idx, names, per_t.T, rhs):

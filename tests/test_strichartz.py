@@ -125,14 +125,6 @@ class TestSobolevNorm:
         with pytest.raises(ParameterError):
             sobolev_w_s1_norm(bump(0.6), 7.0, default_sobolev_grid(2.0))
 
-    def test_given_multiplier_keeps_the_bits(self):
-        grid = default_sobolev_grid(2.0)
-        mult = tricomi_lab.strichartz._multiplier(grid, 2.2)
-        kept = mult.copy()
-        for f in (bump(0.6), bump(0.35), dilate(bump(0.6), 1.3, 1)):
-            assert sobolev_w_s1_norm(f, 2.2, grid, mult=mult) == sobolev_w_s1_norm(f, 2.2, grid)
-        assert mult.tobytes() == kept.tobytes()
-
 
 class TestHomogeneousRatio:
     def test_window_violations_named(self):
