@@ -152,11 +152,6 @@ class SpectralField:
         """Radial samples of u = w/r on all nodes, origin by one-sided limit."""
         return self.grid.u_from_w(self.grid.inverse(self.coeffs))
 
-    def grid_l2(self) -> float:
-        """L2 of w from grid samples (trapezoid; w vanishes at both ends)."""
-        w = self.grid.inverse(self.coeffs)
-        return float(np.sqrt(self.grid.h * np.sum(w * w)))
-
     def coeff_l2(self) -> float:
         """L2 of w from coefficients (Parseval for the sine basis)."""
         return float(np.sqrt(self.grid.r_max / 2.0 * np.sum(self.coeffs**2)))

@@ -198,6 +198,18 @@ class TestGeometrySymbolsCommands:
             want.append(",".join(cli._fmt(x) for x in cells))
         assert rows == want
 
+    def test_symbols_rows_equal_per_point_calls_far(self, capsys):
+        # m = 4 out to w = 1e4: most points take the asymptotic branch, and the envelope's exponent is -1/3
+        assert main(["symbols", "--m", "4", "--grid", "10000:512"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        want = []
+        for w in np.geomspace(1.0, 1e4, 512):
+            t = phi_inverse(4, w)
+            v1, v2 = v1_symbol(4, t, 1.0), v2_symbol(4, t, 1.0)
+            cells = [t, 1.0, v1.real, v1.imag, v2.real, v2.imag, float(amplitude_envelope_bound(4, t, 1.0))]
+            want.append(",".join(cli._fmt(x) for x in cells))
+        assert rows == want
+
 
 _NON_FINITE = [(kind(x), cell) for kind in (float, np.float64, np.float32)
                for x, cell in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"))]

@@ -224,6 +224,15 @@ class TestTimeMarch:
             )
         assert exc.value.name == "snapshot_times"
 
+    def test_tail_check_reads_a_growing_tail(self):
+        # the sup's median over t >= horizon/3 against 1.05 of its median over [horizon/10, horizon/3)
+        horizon = 9.0
+        t = np.linspace(0.0, horizon, 91)
+        flat = [(ti, 1.0) for ti in t]
+        grown = [(ti, 1.1 if ti >= horizon / 3.0 else 1.0) for ti in t]  # 10% higher over the last two thirds
+        assert semilinear._tail_nonincreasing(flat, horizon) is True
+        assert semilinear._tail_nonincreasing(grown, horizon) is False
+
 
 class TestMarchFamily:
     def test_stopped_member_leaves_the_others_bits(self):

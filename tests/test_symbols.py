@@ -40,6 +40,48 @@ def kernel_j(nu, w):
     return _hyp0f1_kernel((nu,), w[None])[0, 0] * (0.5 * w) ** nu / math.gamma(nu + 1.0)
 
 
+def former_even_series(a, z):
+    """The former scalar loop of ``_kummer_confluent_even``, in complex arithmetic, one z at a time."""
+    x = z * z / 16.0
+    c = a + 0.5
+    s = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(2000):
+        term *= x / ((c + k) * (k + 1.0))
+        s += term
+        if abs(term) <= 1e-17 * abs(s):
+            break
+    return np.exp(z / 2.0) * s
+
+
+def former_components(a, b, z):
+    """The values of the former ``asymptotic_components``, which summed the minus component on its own."""
+    s_plus, _ = symbols._asym_sum(b - a, 1.0 - a, z)
+    s_minus, _ = symbols._asym_sum(a, a - b + 1.0, -z)
+    pre_plus = math.gamma(b) * symbols._rgamma(a) * z ** (a - b)
+    pre_minus = math.gamma(b) * symbols._rgamma(b - a) * (-z) ** (-a)
+    return pre_plus * s_plus, pre_minus * s_minus
+
+
+def symbol_families(m):
+    """The parameters a of M(a, 2a; z) in V1 and V2."""
+    return m / (2.0 * (m + 2.0)), (m + 4.0) / (2.0 * (m + 2.0))
+
+
+def former_symbols(m, t, lam):
+    """(V1, V2) of the Kummer route at one t, as the former scalar code formed them."""
+    z = 2j * (phi(m, t) * lam)
+
+    def kummer(a):
+        if abs(z) <= Z_SWITCH:
+            return former_even_series(a, z)
+        a_plus, a_minus = former_components(a, 2.0 * a, z)
+        return np.exp(z) * a_plus + a_minus
+
+    a1, a2 = symbol_families(m)
+    return np.exp(-z / 2.0) * kummer(a1), t * np.exp(-z / 2.0) * kummer(a2)
+
+
 class TestBesselRoute:
     @pytest.mark.parametrize("nu", [-1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, -0.25, 1.25])
     def test_against_scipy(self, nu):
@@ -204,6 +246,21 @@ class TestKummer:
             series = _kummer_confluent_even(a, z)
             assert abs(asym - series) < 1e-8
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_even_series_keeps_its_bits(self, m):
+        # one batch against the former scalar loop, element by element, on |z| <= Z_SWITCH and at both zeros of Re z
+        ws = np.append(np.geomspace(1e-6, 15.0, 300), 15.0).tolist()
+        for a in symbol_families(m):
+            for re in (0.0, -0.0):
+                zs = [complex(re, 2.0 * w) for w in ws]
+                got = symbols._kummer_confluent_even(a, np.array(zs))
+                assert [repr(complex(v)) for v in got] == [repr(complex(former_even_series(a, z))) for z in zs]
+
+    def test_off_axis_rejected(self):
+        for z in (1.0 + 1j, -1j, np.full((2, 2), 1j)):
+            with pytest.raises(ParameterError, match="imaginary axis"):
+                kummer_M(0.3, z)
+
     def test_symbol_family_matches_series_at_paper_point(self):
         # V1 = e^(-z/2) M(m/(2(m+2)), m/(m+2); z) at phi(t) lam = 0.7, m = 1
         m, lam = 1, 1.0
@@ -267,6 +324,18 @@ class TestAsymptoticComponents:
                 for z in (2j * w, -2j * w):
                     assert repr(symbols._asym_sum(c1, c2, z)) == repr(self._three_abs_sum(c1, c2, z))  # bits, -0.0 too
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_conjugate_minus_sum_keeps_its_bits(self, m):
+        # b = 2a on the imaginary axis: the minus sum, error included, is the plus sum's conjugate, -0.0 too
+        for a in symbol_families(m):
+            b = 2.0 * a
+            for w in np.geomspace(15.0, 1e7, 300).tolist():
+                for re in (0.0, -0.0):
+                    z = complex(re, 2.0 * w)
+                    s, err = symbols._asym_sum(b - a, 1.0 - a, z)
+                    assert repr((s.conjugate(), err)) == repr(symbols._asym_sum(a, a - b + 1.0, -z))
+                    assert repr(asymptotic_components(a, b, z)) == repr(former_components(a, b, z))
+
 
 class TestSymbols:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -296,6 +365,30 @@ class TestSymbols:
                     want += [complex(v1[0]), complex(v2[0])]
                     got += [v1_symbol(m, t, lam, "bessel"), v2_symbol(m, t, lam, "bessel")]
         assert got == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_kummer_batch_keeps_former_bits(self, m):
+        # one batch per symbol against the former per-point code, whose complex products were scalar ones
+        ts = [phi_inverse(m, w / 0.37) for w in np.concatenate([[0.0, 15.0], np.geomspace(1e-6, 1e5, 400)]).tolist()]
+        got = zip(v1_symbol(m, np.array(ts), 0.37), v2_symbol(m, np.array(ts), 0.37))
+        assert [repr(pair) for pair in got] == [repr(former_symbols(m, t, 0.37)) for t in ts]
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_scalar_call_is_its_batch_element(self, m):
+        ts = phi_inverse(m, np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 80)]))
+        for sym in (v1_symbol, v2_symbol):
+            assert [repr(sym(m, t, 0.37)) for t in ts.tolist()] == [repr(v) for v in sym(m, ts, 0.37)]
+        zs = 2j * np.geomspace(1e-3, 1e4, 80)
+        for a in symbol_families(m):
+            assert [repr(kummer_M(a, z)) for z in zs.tolist()] == [repr(v) for v in kummer_M(a, zs)]
+
+    def test_array_t_checked(self):
+        with pytest.raises(ParameterError, match="1-D array on the Kummer route"):
+            v1_symbol(1, np.ones((2, 2)), 1.0)
+        with pytest.raises(ParameterError, match="1-D array on the Kummer route"):
+            v2_symbol(1, np.ones(3), 1.0, "bessel")
+        with pytest.raises(ParameterError, match="t >= 0"):
+            v1_symbol(1, np.array([1.0, -1.0]), 1.0)
 
     def test_kummer_route_real_after_assembly(self):
         for m in (1, 2):

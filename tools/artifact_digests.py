@@ -8,8 +8,10 @@ with a given ``t_start`` that writes its field), and a small homogeneous
 ``verify-strichartz`` whose last snapshot's cone r <= phi(t_max) + M - 1 ends
 within 4 h of the grid's wall (at node 508 of 512), an m=3 ``check-geometry`` with a
 given ``nu`` and ``delta``, two ``check-geometry`` runs at ``nu = 0`` (m=1 and m=2, where
-every angle of the shifted-cone fan gives the same ratio) and a 256-point m=1 ``symbols``
-dump (exponent 2/3 in ``phi_inverse``), through ``parse_config`` ->
+every angle of the shifted-cone fan gives the same ratio), a 256-point m=1 ``symbols``
+dump (exponent 2/3 in ``phi_inverse``) and a 512-point m=4 dump out to w = 1e4 (mostly
+the Kummer asymptotic branch; exponents 1/3 in ``phi_inverse`` and -1/3 in the
+envelope), through ``parse_config`` ->
 ``run_scenario`` in temporary directories, and prints one sorted JSON object.
 Every march horizon is n steps of exactly horizon / n.  Two checkouts whose
 outputs are byte-identical print the same text:
@@ -73,6 +75,7 @@ for m, T0 in ((1, 0.3), (2, 0.7)):
     configs[f"geometry-nu0-m{m}"] = {"scenario": "check-geometry", "model": {"m": m, "M": 1.5}, "seed": 3,
                                      "geometry": {"T0": T0, "nu": 0.0}}
 configs["symbols-m1"] = {"scenario": "symbols", "model": {"m": 1}, "symbols": {"grid": "100.000:256"}}
+configs["symbols-m4"] = {"scenario": "symbols", "model": {"m": 4}, "symbols": {"grid": "10000:512"}}
 parser = argparse.ArgumentParser(description="Print the manifest output checksums of a fixed set of configs.")
 parser.add_argument("--keep", metavar="DIR", help="keep each config's run directory as DIR/<name>/")
 args = parser.parse_args()
