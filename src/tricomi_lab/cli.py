@@ -227,12 +227,13 @@ def _scenario_symbols(cfg: RunConfig) -> dict[str, str]:
             raise ParameterError(f"bad symbols.grid {grid_spec!r}: the time phi_inverse(m={m}, WMAX) overflows")
     lam = 1.0
     ws = np.geomspace(max(w_max, 1.0) * 1e-4, w_max, n_pts)
-    # phi_inverse and the envelope once per point: a scalar power takes libm's pow, an array
-    # power numpy's own loop, and the two differ in the last bit at some points
-    ts = np.array([phi_inverse(m, w / lam) for w in ws])
-    v1, v2 = v1_symbol(m, ts, lam), v2_symbol(m, ts, lam)
-    rows = [[t, lam, a.real, a.imag, b.real, b.imag, float(amplitude_envelope_bound(m, t, lam))]
-            for t, a, b in zip(ts.tolist(), v1.tolist(), v2.tolist())]
+    rows = []
+    for w in ws:
+        t = phi_inverse(m, w / lam)
+        v1 = v1_symbol(m, t, lam)
+        v2 = v2_symbol(m, t, lam)
+        rows.append([t, lam, v1.real, v1.imag, v2.real, v2.imag,
+                     float(amplitude_envelope_bound(m, t, lam))])
     return {"symbols.csv": _csv("t,lambda,re_v1,im_v1,re_v2,im_v2,envelope_bound", rows)}
 
 

@@ -24,9 +24,8 @@ with Lambda_nu(0) = 1 and large-w modulus of V1 ~ w^(-m/(2(m+2))).
 Three independent evaluation routes are provided and cross-validated by the
 tests: direct ODE integration (power series start + adaptive high-order
 explicit integration), the Kummer route (M(a, 2a; z) only, the symbols'
-family, over an array of times: the stabilized even series for |z| <= 30,
-all such points at once, exponential two-component asymptotics beyond, one
-point at a time, overlap-checked on |z| in [25, 40]), and the Bessel
+family: the stabilized even series for |z| <= 30, exponential two-component
+asymptotics beyond, overlap-checked on |z| in [25, 40]), and the Bessel
 route, Lambda_nu itself (a 30-term series with no fractional power up to
 W_SWITCH = 12.25, Hankel's expansion beyond, both good to about 1e-12).
 The kernel takes ascending rows w = phi(t) lambda only and splits each at
@@ -235,50 +234,45 @@ def _kernel_part(branch, nus: tuple, pieces: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b elementwise, formed from real parts as numpy's scalar complex product forms it.
+@functools.lru_cache(maxsize=None)
+def _even_denominators(a: float) -> tuple:
+    """(c + k)(k + 1) for k < 200, c = a + 1/2: the even series' term ratios without x, formed once per a.
 
-    numpy's complex array multiply may fuse a multiply and an add, and then
-    moves the last bit of about a quarter of the components; a real ``a``
-    counts as a + 0i, as it does in a scalar product.
+    The series stops within 45 terms up to |z| = 40; kummer_M sends it |z| <= Z_SWITCH only.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _kummer_confluent_even(a: float, z) -> np.ndarray:
-    """M(a, 2a; z) for each z on the imaginary axis, by Kummer's second transformation (DLMF 13.6.9):
-
-        M(a, 2a; z) = e^(z/2) sum_k (z^2/16)^k / ((a + 1/2)_k k!).
-
-    On the imaginary axis the summand is real, x = -(Im z)^2 / 16, so the sum
-    runs in real arithmetic and its cancellation grows only like e^(|z|/2),
-    not e^|z| as for the raw Maclaurin series.  Every element stops at its
-    own first term below 1e-17 of its sum: the live set shrinks as they do.
-    """
-    z = np.asarray(z, dtype=complex)
-    x = (-(z.imag * z.imag) / 16.0).reshape(-1)
     c = a + 0.5
-    s, term, live = np.ones_like(x), np.ones_like(x), np.arange(x.size)
-    for k in range(2000):
-        term *= x / ((c + k) * (k + 1.0))
-        s[live] += term
-        going = ~(np.abs(term) <= 1e-17 * np.abs(s[live]))
-        if not going.any():
+    return tuple((c + k) * (k + 1.0) for k in range(200))
+
+
+def _kummer_confluent_even(a: float, z: complex) -> complex:
+    # Kummer's second transformation for b = 2a (DLMF 13.6.9):
+    #   M(a, 2a; z) = e^(z/2) * sum_k (z^2/16)^k / ((a + 1/2)_k k!).
+    # On the imaginary axis the summand is real, x = -(Im z)^2 / 16, so the sum
+    # runs in real arithmetic (the bits of the same sum in complex arithmetic,
+    # whose imaginary parts stay zero) and its cancellation grows only like
+    # e^(|z|/2) instead of e^|z| for the raw Maclaurin series.
+    x = -(z.imag * z.imag) / 16.0
+    s = term = 1.0
+    for d in _even_denominators(a):
+        term *= x / d
+        s += term
+        if abs(term) <= 1e-17 * abs(s):
             break
-        live, term, x = live[going], term[going], x[going]
-    return _cmul(np.exp(z / 2.0), s.reshape(z.shape))
+    return np.exp(z / 2.0) * complex(s, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _asym_factors(c1: float, c2: float) -> tuple:
+    """(c1 + k, c2 + k, k + 1) for k < 60: the asymptotic sum's term factors, formed once per (c1, c2)."""
+    return tuple((c1 + k, c2 + k, k + 1.0) for k in range(60))
 
 
 def _asym_sum(c1: float, c2: float, z: complex) -> tuple[complex, float]:
     """Asymptotic sum 1 + sum_k (c1)_k (c2)_k / (k! z^k), truncated at the
     smallest term; returns (value, size of first neglected term)."""
     s, term, size = 1.0 + 0.0j, 1.0 + 0.0j, 1.0  # size is abs(term), taken once per step
-    for k in range(60):
-        term_next = term * (c1 + k) * (c2 + k) / ((k + 1.0) * z)
+    for p1, p2, k1 in _asym_factors(c1, c2):
+        term_next = term * p1 * p2 / (k1 * z)
         size_next = abs(term_next)
         if size_next >= size:
             return s, size_next
@@ -296,15 +290,14 @@ def asymptotic_components(a: float, b: float, z: complex, rtol: float = 1e-7):
 
     with |A_plus| ~ |z|^(a-b) and |A_minus| ~ |z|^(-a) up to constants; these
     are the algebraic envelopes of the oscillatory split of the symbols.
-    Valid on -pi/2 < arg z < 3pi/2 (our z sits on the upper imaginary axis).
-    For b = 2a both sums share (c1, c2) = (a, 1 - a), and on the imaginary
-    axis -z = conj(z), so the minus sum is the conjugate of the plus sum.
+    Served for the symbols' family only, b = 2a with z on the closed upper
+    imaginary axis: there both sums share (c1, c2) = (a, 1 - a) and
+    -z = conj(z), so the minus sum is the conjugate of the plus sum.
     """
+    if b != 2.0 * a or z.real != 0.0 or z.imag < 0.0:
+        raise ParameterError(f"b = 2a and z on the closed upper imaginary axis required, got a={a}, b={b}, z={z}")
     s_plus, err_p = _asym_sum(b - a, 1.0 - a, z)
-    if b == 2.0 * a and z.real == 0.0:
-        s_minus, err_m = s_plus.conjugate(), err_p
-    else:
-        s_minus, err_m = _asym_sum(a, a - b + 1.0, -z)
+    s_minus, err_m = s_plus.conjugate(), err_p
     pre_plus = math.gamma(b) * _rgamma(a) * z ** (a - b)
     pre_minus = math.gamma(b) * _rgamma(b - a) * (-z) ** (-a)
     a_plus, a_minus = pre_plus * s_plus, pre_minus * s_minus
@@ -318,31 +311,27 @@ def asymptotic_components(a: float, b: float, z: complex, rtol: float = 1e-7):
     return a_plus, a_minus
 
 
-def kummer_M(a: float, z, rtol: float = 1e-7):
+def kummer_M(a: float, z: complex, rtol: float = 1e-7) -> complex:
     """Confluent hypergeometric M(a, 2a; z) for z on the closed upper imaginary axis.
 
-    Both symbols have b = 2a, and this is the only family served.  ``z`` is a
-    scalar (a complex comes back) or a 1-D array (one value per element).
-    The points with |z| <= Z_SWITCH take the even series together; each
-    other point takes :func:`asymptotic_components` on its own, in order.
-    If the asymptotics cannot meet ``rtol``, AccuracyError is raised rather
-    than a silently degraded value returned.
+    Both symbols have b = 2a, and this is the only family served: the
+    cancellation-stabilized even series below |z| = Z_SWITCH, and the
+    two-component exponential asymptotics :func:`asymptotic_components`
+    above.  The achieved accuracy is tracked; if it cannot meet ``rtol`` an
+    AccuracyError is raised rather than returning a silently degraded value.
+    A z off the axis raises ParameterError: both branches sum in the axis's
+    symmetries (a real even series, a conjugate minus sum).
     """
     b = 2.0 * a
     if b <= 0 and b == round(b):
         raise ParameterError(f"2a must not be a nonpositive integer, got a={a}")
-    z = np.asarray(z, dtype=complex)
-    if z.ndim > 1 or (z.real != 0.0).any() or (z.imag < 0.0).any():
-        raise ParameterError("z must be a scalar or a 1-D array on the closed upper imaginary axis")
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    near = flat.imag <= Z_SWITCH
-    out[near] = _kummer_confluent_even(a, flat[near])
-    for i in np.flatnonzero(~near).tolist():
-        zi = complex(flat[i])
-        a_plus, a_minus = asymptotic_components(a, b, zi, rtol)
-        out[i] = np.exp(zi) * a_plus + a_minus
-    return out if z.ndim else out[0]
+    z = complex(z)
+    if z.real != 0.0 or z.imag < 0.0:
+        raise ParameterError(f"z must lie on the closed upper imaginary axis, got {z}")
+    if z.imag <= Z_SWITCH:  # = abs(z) on the axis
+        return _kummer_confluent_even(a, z)
+    a_plus, a_minus = asymptotic_components(a, b, z, rtol)
+    return np.exp(z) * a_plus + a_minus
 
 
 # ---------------------------------------------------------------------------
@@ -350,54 +339,38 @@ def kummer_M(a: float, z, rtol: float = 1e-7):
 # ---------------------------------------------------------------------------
 
 
-def _symbol_arg(m: int, t, lam: float, route: str):
-    """The argument w = phi(t) lambda of V1 and V2, after the checks they share: a float, or an array for a 1-D t."""
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any() or lam < 0:
+def _symbol_arg(m: int, t: float, lam: float, route: str) -> float:
+    """The argument w = phi(t) lambda of V1 and V2, after the checks they share."""
+    if t < 0 or lam < 0:
         raise ParameterError("t >= 0 and lambda >= 0 required")
     if m < 1:
         raise ParameterError("symbol evaluation requires m >= 1")
     if route not in ("kummer", "bessel"):
         raise ParameterError(f"unknown route {route!r}")
-    if t.ndim > 1 or (t.ndim and route == "bessel"):
-        raise ParameterError("t must be a scalar, or a 1-D array on the Kummer route")
     return phi(m, t) * lam
 
 
-def _kummer_symbol(a: float, w, t=None):
-    """e^(-z/2) M(a, 2a; z) at z = 2iw, times t first when t is given (V2 = (t e^(-z/2)) M).
-
-    A complex for a scalar w, else one per element; every product is taken
-    per element (:func:`_cmul`), so an element has the bits of its own call.
-    """
-    z = 2j * np.atleast_1d(w)
-    e = np.exp(-z / 2.0)
-    if t is not None:
-        e = _cmul(np.asarray(t, dtype=float).reshape(-1), e)
-    v = _cmul(e, kummer_M(a, z))
-    return v if np.ndim(w) else v[0]
-
-
-def v1_symbol(m: int, t, lam: float, route: str = "kummer"):
+def v1_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
     """V1(t, lambda): the data-to-solution symbol, V1(0, .) = 1.
 
     ``route`` selects the evaluation path: "kummer" (complex confluent
-    hypergeometric, a scalar t or a 1-D array of them) or "bessel" (one row
-    of the solvers' :func:`symbol_matrix`, a scalar t).  Both agree to
-    roughly 1e-7 relative; the ODE route is :func:`evolve_mode`.
+    hypergeometric) or "bessel" (one row of the solvers' :func:`symbol_matrix`).
+    Both agree to roughly 1e-7 relative; the ODE route is :func:`evolve_mode`.
     """
     w = _symbol_arg(m, t, lam, route)
     if route == "kummer":
-        return _kummer_symbol(m / (2.0 * (m + 2.0)), w)
+        z = 2j * w
+        return np.exp(-z / 2.0) * kummer_M(m / (2.0 * (m + 2.0)), z)
     v1, _ = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
     return complex(v1[0])
 
 
-def v2_symbol(m: int, t, lam: float, route: str = "kummer"):
-    """V2(t, lambda): the velocity-to-solution symbol, d/dt V2(0, .) = 1; t as for :func:`v1_symbol`."""
+def v2_symbol(m: int, t: float, lam: float, route: str = "kummer") -> complex:
+    """V2(t, lambda): the velocity-to-solution symbol, d/dt V2(0, .) = 1."""
     w = _symbol_arg(m, t, lam, route)
     if route == "kummer":
-        return _kummer_symbol((m + 4.0) / (2.0 * (m + 2.0)), w, t)
+        z = 2j * w
+        return t * np.exp(-z / 2.0) * kummer_M((m + 4.0) / (2.0 * (m + 2.0)), z)
     _, v2 = symbol_matrix(m, t, np.array([lam], dtype=float), derivatives=False)
     return complex(v2[0])
 

@@ -210,6 +210,23 @@ class TestGeometrySymbolsCommands:
             want.append(",".join(cli._fmt(x) for x in cells))
         assert rows == want
 
+    def test_symbols_dump_under_the_benchmark_tracer(self, tmp_path, monkeypatch):
+        # perfbench/layers.py wraps cli.v1_symbol and cli.v2_symbol and reads each call's t and lambda as floats
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from layers import Tracer
+
+        cfg = parse_config(json.dumps({"scenario": "symbols", "model": {"m": 2}, "symbols": {"grid": "100.000:64"},
+                                       "output_dir": str(tmp_path / "out")}))
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert cli.run_scenario(cfg) == 0
+        finally:
+            tracer.remove()
+        assert not [name for name in tracer.missing if name.startswith("tricomi_lab.cli.v")]
+        assert sum(span[0] == "symbols.v_symbol" for span in tracer.spans) == 2 * 64
+        assert len(tracer.scalar_points) == 64
+
 
 _NON_FINITE = [(kind(x), cell) for kind in (float, np.float64, np.float32)
                for x, cell in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"))]
