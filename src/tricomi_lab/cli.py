@@ -74,7 +74,9 @@ EXPONENT_HEADER = "m,n,p,p_crit,p_conf,p_strauss,q_min,q0,mu_m,alpha_m,gamma_lo,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):  # first, as most cells are; nan and inf print as Python floats do
+    if isinstance(x, float):  # first, as most cells are; np.float64 too, formatted as a Python float
+        return "%.17g" % x
+    if isinstance(x, np.floating):  # nan and inf print as Python floats do
         return f"{x:.17g}"
     if x is None:
         return ""

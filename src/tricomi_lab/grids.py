@@ -8,14 +8,24 @@ reaches it) the sine modes sin(lambda_k r), lambda_k = k pi / r_max,
 diagonalize the spatial operator exactly, so each coefficient evolves under
 the scalar mode ODE handled by :mod:`tricomi_lab.symbols`.
 
-Both directions of the sine transform are one fast DST-I
-(``scipy.fft.dst(type=1)``), deterministic on a fixed install.  ``scipy.fft``
-is imported at the first transform, not with the package.  The
-transforms, ``RadialGrid.u_from_w`` (w = r u back to u, the one conversion
-of the spectral solvers and the FD oracle), ``SpectralField.to_radial`` and
-``origin_value`` act on the last axis, so a family of B fields stacked as
-(B, N-1) coefficients goes through them in one call, each row bit-identical
-to its own 1-D call.
+Both directions of the sine transform are one DST-I, deterministic on a
+fixed install.  Up to N = ``SPLIT_ABOVE_N``, and for odd N, it is scipy's
+pocketfft DST-I itself, with the bits of ``scipy.fft.dst(type=1)``.  Above
+it, for even N, it is split once per halving: the odd-indexed samples go
+through a DST-II of N/2 points, the even-indexed ones through a DST-I of
+N/2 - 1 points (split again while above the threshold), and the modes past
+N/2 come by reflection from the same two, only when asked for.  pocketfft
+forms a DST-I of N - 1 points from a real FFT of 2N points, so the split does
+less work; at N = 2048 its extra calls and array passes cost more than they
+save, hence the threshold.  A prefix of the outputs runs the same operations
+as the full transform, so it keeps its bits.  ``scipy.fftpack`` (and with it
+``scipy.fft``) is imported at the first transform, not with the package.
+
+The transforms, ``RadialGrid.u_from_w`` (w = r u back to u, the one
+conversion of the spectral solvers and the FD oracle),
+``SpectralField.to_radial`` and ``origin_value`` act on the last axis, so a
+family of B fields stacked as (B, N-1) coefficients goes through them in one
+call, each row bit-identical to its own 1-D call.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ __all__ = ["RadialGrid", "SpectralField", "SpaceTimeField", "origin_value"]
 
 SUPPORT_REL_TOL = 1e-12  # largest sample past a support radius, relative to the peak
 TAIL_TOP_FRACTION = 0.1  # share of the highest modes whose energy counts as the spectral tail
+# Largest N whose DST-I is scipy's own.  On a 2-vCPU Xeon the split took 0.72-0.96x of
+# scipy's time for N = 4096..16384 on 1 to 8 rows, but one split level at N = 2048 took
+# 1.19-1.35x of the unsplit time on one row, the march's shape.
+SPLIT_ABOVE_N = 2048
 
 
 @dataclass(frozen=True)
@@ -67,29 +81,28 @@ class RadialGrid:
     def forward(self, w_interior: np.ndarray) -> np.ndarray:
         """Sine coefficients c with w_j = sum_k c_k sin(pi j k / N), along the last axis.
 
-        The DST's fresh output is divided by N in place; ``w_interior`` is not changed.
+        One DST-I (:func:`_dst1`: scipy's up to ``SPLIT_ABOVE_N``, the radix-2
+        split above it); its fresh output is divided by N in place, and
+        ``w_interior`` is not changed.
         """
-        from scipy.fft import dst  # imported here: the flag subcommands make no transform
-
-        c = dst(w_interior, type=1)
+        c = _dst1(w_interior, self.N - 1)
         c /= self.N
         return c
 
     def inverse(self, coeffs: np.ndarray, nodes: int | None = None, overwrite_x: bool = False) -> np.ndarray:
         """Interior samples w_j from sine coefficients, along the last axis.
 
-        With ``nodes``, only the first max(nodes - 1, 4) samples, the ones
-        ``u_from_w(w, nodes)`` reads, each with the same bits.  ``coeffs`` is
-        left as it was, unless ``overwrite_x``: then the DST writes its
-        samples into ``coeffs`` where it can, for a caller that owns it and
-        needs it no more.  The samples are halved in place either way, with
-        the same bits.
+        With ``nodes``, only the first max(nodes - 1, 4) samples (at most
+        N - 1), the ones ``u_from_w(w, nodes)`` reads, each with the same
+        bits: above ``SPLIT_ABOVE_N`` the split forms the reflected half,
+        past N/2, only for a prefix that reaches it.  ``coeffs`` is left as
+        it was, unless ``overwrite_x``: then scipy's DST writes its samples
+        into ``coeffs`` where it can, for a caller that owns it and needs it
+        no more (the split never does).  The samples are halved in place
+        either way, with the same bits.
         """
-        from scipy.fft import dst  # imported here: the flag subcommands make no transform
-
-        w = dst(coeffs, type=1, overwrite_x=overwrite_x)
-        if nodes is not None:
-            w = w[..., : max(nodes - 1, 4)]
+        j = self.N - 1 if nodes is None else min(max(nodes - 1, 4), self.N - 1)
+        w = _dst1(coeffs, j, overwrite_x)
         w /= 2.0
         return w
 
@@ -120,6 +133,39 @@ class RadialGrid:
                 f"grid.r_max={self.r_max} too small for t_final={t_final}: "
                 f"support radius + 2h = {needed:.3f}"
             )
+
+
+def _dst1(x: np.ndarray, j: int, overwrite_x: bool = False) -> np.ndarray:
+    """The first ``j`` outputs of ``scipy.fft.dst(x, type=1)`` along the last axis (1 <= j <= n - 1).
+
+    With n - 1 samples x_1..x_(n-1), n even and above ``SPLIT_ABOVE_N``, the
+    odd-indexed samples give o_k by a DST-II of n/2 points and the
+    even-indexed ones e_k by a DST-I of n/2 - 1 points (this function again);
+    then w_k = o_k + e_k for k < n/2, w_(n/2) = o_(n/2) and
+    w_(n-k) = o_k - e_k.  The last are formed only when ``j`` > n/2.  Every
+    output is formed by the same operations whatever ``j`` is.  Otherwise
+    the transform is scipy's, which may write into ``x`` if ``overwrite_x``.
+    """
+    # scipy.fftpack.dst is the pocketfft transform that scipy.fft.dst dispatches to, bit for bit,
+    # less that dispatch: about 4 us a call held under the GIL, which the strichartz pipeline's
+    # two threads share.  Imported here: the flag subcommands make no transform.
+    from scipy.fftpack import dst
+
+    n = x.shape[-1] + 1
+    if n <= SPLIT_ABOVE_N or n % 2:
+        return dst(x, type=1, overwrite_x=overwrite_x)[..., :j]
+    h = n // 2
+    a = min(j, h - 1)
+    o = dst(x[..., 0::2], type=2)
+    e = _dst1(x[..., 1::2], a)
+    if j <= h:  # no reflected half: w_k = o_k + e_k, formed in o
+        o[..., :a] += e
+        return o[..., :j]
+    w = np.empty(x.shape[:-1] + (j,))
+    np.add(o[..., :a], e, out=w[..., :a])
+    w[..., h - 1] = o[..., h - 1]
+    np.subtract(o[..., n - j - 1 : h - 1], e[..., n - j - 1 :], out=w[..., j - 1 : h - 1 : -1])  # k = h-1 .. n-j
+    return w
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

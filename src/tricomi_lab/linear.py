@@ -110,7 +110,7 @@ def _radial_field(grid: RadialGrid, c: np.ndarray, nodes: int | None = None) -> 
     """The radial field with sine coefficients c: (N-1,) gives (N+1,) samples, (B, N-1) gives (B, N+1).
 
     With ``nodes``, only the first ``nodes`` samples of each, with the same bits.
-    It consumes ``c``: the inverse DST writes its samples into it.
+    It consumes ``c``: the inverse DST may write its samples into it.
     """
     return grid.u_from_w(grid.inverse(c, nodes, overwrite_x=True), nodes)
 

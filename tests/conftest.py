@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tricomi_lab.grids as grids
 import tricomi_lab.symbols as symbols
 
 
@@ -45,3 +46,24 @@ def nan_in_kernel(monkeypatch):
         return calls
 
     return install
+
+
+SMALL_SPLIT = 16
+
+
+@pytest.fixture
+def small_split(monkeypatch):
+    """Lower ``grids.SPLIT_ABOVE_N`` to 16, so that small grids run the radix-2 split DST-I.
+
+    Returns the list of the point counts n that were split, which it fills."""
+    split, inner = [], grids._dst1
+
+    def recorded(x, j, overwrite_x=False):
+        n = x.shape[-1] + 1
+        if n > SMALL_SPLIT and n % 2 == 0:
+            split.append(n)
+        return inner(x, j, overwrite_x)
+
+    monkeypatch.setattr(grids, "SPLIT_ABOVE_N", SMALL_SPLIT)
+    monkeypatch.setattr(grids, "_dst1", recorded)
+    return split

@@ -238,6 +238,8 @@ class TestCsvCells:
         (7, "7"), (np.int64(-3), "-3"), (0.1, "0.10000000000000001"), (-0.0, "-0"),
         (np.float64(1.0 / 3.0), "0.33333333333333331"), (np.float32(0.1), "0.10000000149011612"),
         *_NON_FINITE, ("hom:bump-w0.5", "hom:bump-w0.5"),
+        (np.float64(-0.0), "-0"), (1e17, "1e+17"), (5e-324, "4.9406564584124654e-324"), (np.int32(12), "12"),
+        (np.float64(-2.5e-300), "-2.5e-300"), (10**18, "1000000000000000000"),
     ], ids=repr)
     def test_every_branch_pins_its_string(self, value, cell):
         assert cli._fmt(value) == cell

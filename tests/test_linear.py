@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tricomi_lab.linear
+from tricomi_lab import grids
 from tricomi_lab.errors import AccuracyError, GridError, ParameterError, SupportError
 from tricomi_lab.exponents import ModelParams
 from tricomi_lab.geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
@@ -296,6 +297,14 @@ class TestGridInvariants:
             assert w.shape == (3, min(max(k - 1, 4), grid.N - 1))
             assert grid.u_from_w(w, k).tobytes() == full[:, :k].tobytes()
 
+    def test_family_rows_through_the_split(self, small_split):
+        self.test_family_rows_equal_single_calls()
+        assert 2048 in small_split and 32 in small_split
+
+    def test_inverse_to_nodes_through_the_split(self, small_split):
+        self.test_inverse_to_nodes_equals_full_inverse()
+        assert 64 in small_split and 32 in small_split
+
     def test_inverse_leaves_its_input_by_default(self):
         grid = RadialGrid(12.0, 64)
         coeffs = np.random.default_rng(7).standard_normal((3, grid.N - 1))
@@ -322,6 +331,60 @@ class TestGridInvariants:
             SpaceTimeField(
                 times=np.array([2.0, 1.0]), grid=grid, u=np.zeros((2, 129)), m=1, M=2.0
             )
+
+
+class TestSplitDst1:
+    """grids._dst1: scipy's DST-I up to SPLIT_ABOVE_N and for odd N, a radix-2 split above it."""
+
+    @staticmethod
+    def _data(N, rows):
+        shape = (N - 1,) if rows == 1 else (rows, N - 1)
+        return np.random.default_rng(N + rows).standard_normal(shape)
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("N", [4096, 4100, 16384])  # 4100: the second level splits 2050 into odd 1025
+    def test_close_to_scipy(self, N, rows):
+        from scipy.fft import dst
+
+        x = self._data(N, rows)
+        want, got = dst(x, type=1), grids._dst1(x, N - 1)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert not np.array_equal(got, want)  # the split ran, and rounded differently somewhere
+
+    @pytest.mark.parametrize("N", [4096, 4100])
+    def test_prefix_keeps_the_full_bits(self, N):
+        x = self._data(N, 8)
+        full = grids._dst1(x, N - 1)
+        for j in (4, 70, N // 2 - 1, N // 2, N // 2 + 1, N - 1):
+            got = grids._dst1(x, j)
+            assert got.shape == (8, j) and got.tobytes() == full[:, :j].tobytes()
+        grid = RadialGrid(12.0, N)
+        w = grid.inverse(x, N + 1)  # one more node than the N - 1 outputs: clamped
+        assert w.shape == (8, N - 1) and w.tobytes() == grid.inverse(x).tobytes()
+        assert grid.u_from_w(w, N + 1).tobytes() == grid.u_from_w(grid.inverse(x)).tobytes()
+
+    @pytest.mark.parametrize("N", [4096, 4100])
+    def test_family_rows_equal_1d_calls(self, N):
+        x = self._data(N, 8)
+        for j in (70, N - 1):
+            family = grids._dst1(x, j)
+            assert all(row.tobytes() == grids._dst1(xb, j).tobytes() for xb, row in zip(x, family))
+
+    @pytest.mark.parametrize("N", [2048, 4097])
+    def test_scipy_bits_at_the_threshold_and_odd(self, N):
+        from scipy.fft import dst
+
+        grid, x = RadialGrid(12.0, N), self._data(N, 3)
+        assert grid.forward(x).tobytes() == (dst(x, type=1) / N).tobytes()
+        assert grid.inverse(x).tobytes() == (dst(x, type=1) / 2.0).tobytes()
+        assert grid.inverse(x, 70).tobytes() == (dst(x, type=1)[:, :69] / 2.0).tobytes()
+
+    def test_split_leaves_its_input(self):
+        grid, x = RadialGrid(12.0, 4096), self._data(4096, 8)
+        kept = x.copy()
+        w = grid.inverse(x, overwrite_x=True)
+        assert x.tobytes() == kept.tobytes() and w.tobytes() == grid.inverse(kept).tobytes()
 
 
 class TestCoeffStream:

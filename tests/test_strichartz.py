@@ -433,6 +433,10 @@ class TestConePrefix:
         assert captured[0].tobytes() == want.tobytes()
         assert captured[1].tobytes() == want[:, 0].tobytes() and captured[2].tobytes() == want[:, 7].tobytes()
 
+    def test_per_time_integrals_through_the_split(self, monkeypatch, small_split):
+        self.test_per_time_integrals_equal_full_snapshots(monkeypatch)
+        assert 1024 in small_split and 32 in small_split
+
 
 class TestPipeline:
     """_per_time_integrals: symbols and coefficients on the caller, transforms and integrals on one worker."""
@@ -455,6 +459,11 @@ class TestPipeline:
         want = np.array([_weighted_integral(u, r, float(t), 1, self.SPEC) for t, u in zip(times, snaps)])
         got = self._integrals(times)
         assert got.shape == (count, 8) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [72, 37, 1])
+    def test_one_thread_reduction_through_the_split(self, count, small_split):
+        self.test_equals_one_thread_reduction(count)
+        assert 1024 in small_split and 32 in small_split
 
     def _patch_worker(self, monkeypatch, errors=None, wait=None):
         """Patch the worker's reduction to record (thread, time); at a t in ``errors`` it waits, then raises."""

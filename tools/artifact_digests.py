@@ -11,7 +11,9 @@ given ``nu`` and ``delta``, two ``check-geometry`` runs at ``nu = 0`` (m=1 and m
 every angle of the shifted-cone fan gives the same ratio), a 256-point m=1 ``symbols``
 dump (exponent 2/3 in ``phi_inverse``) and a 512-point m=4 dump out to w = 1e4 (mostly
 the Kummer asymptotic branch; exponents 1/3 in ``phi_inverse`` and -1/3 in the
-envelope), through ``parse_config`` ->
+envelope), and a ``solve-linear`` at N = 4096 that writes its field (every
+transform there takes the split DST-I above ``grids.SPLIT_ABOVE_N``, outputs
+past N/2 included), through ``parse_config`` ->
 ``run_scenario`` in temporary directories, and prints one sorted JSON object.
 Every march horizon is n steps of exactly horizon / n.  Two checkouts whose
 outputs are byte-identical print the same text:
@@ -76,6 +78,11 @@ for m, T0 in ((1, 0.3), (2, 0.7)):
                                      "geometry": {"T0": T0, "nu": 0.0}}
 configs["symbols-m1"] = {"scenario": "symbols", "model": {"m": 1}, "symbols": {"grid": "100.000:256"}}
 configs["symbols-m4"] = {"scenario": "symbols", "model": {"m": 4}, "symbols": {"grid": "10000:512"}}
+configs["linear-N4096"] = {
+    "scenario": "solve-linear", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 40.0, "N": 4096},
+    "linear": {"t_final": 8.0, "snapshots": 4, "field_r_points": 64, "data": {"profile": "bump", "amplitude": 1.0}},
+}
 parser = argparse.ArgumentParser(description="Print the manifest output checksums of a fixed set of configs.")
 parser.add_argument("--keep", metavar="DIR", help="keep each config's run directory as DIR/<name>/")
 args = parser.parse_args()
