@@ -173,14 +173,16 @@ def bisect_max_delta(m: int, M: float, T0: float) -> float:
 
 
 def _max_delta(ph, rr, M: float) -> float:
-    """Sampled minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2): the largest delta that holds.  Where
-    (phi+M)^2 rounds to phi^2 (m >= 10 at T_HI) the ratio reads 0/0: an AccuracyError."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Sampled minimum of (phi^2 - r^2) / ((phi+M)^2 - r^2): the largest delta that holds.  The ratio is
+    positive on the cone, so a sample that is not positive and finite is an AccuracyError: where (phi+M)^2
+    rounds to phi^2 (m >= 10 at T_HI) it reads 0/0, and where (phi+M)^2 overflows (M > 1e154) it reads 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = (ph**2 - rr**2) / ((ph + M) ** 2 - rr**2)
-    if not np.isfinite(ratio).all():
-        raise AccuracyError(f"the sampled ratio (phi^2 - r^2) / ((phi+M)^2 - r^2) is not finite: at phi(T_HI="
-                            f"{T_HI:g}) = {float(ph.max()):.3g}, (phi+M)^2 - r^2 loses M={M} to rounding")
-    return float(ratio.min())
+    delta = float(ratio.min())
+    if not (np.isfinite(ratio).all() and delta > 0.0):
+        raise AccuracyError(f"the sampled ratio (phi^2 - r^2) / ((phi+M)^2 - r^2) is not positive and finite: at "
+                            f"phi(T_HI={T_HI:g}) = {float(ph.max()):.3g}, (phi+M)^2 - r^2 loses M={M} to rounding")
+    return delta
 
 
 @dataclass(frozen=True)
@@ -223,9 +225,10 @@ def verify_shifted_cone_bounds(
     cos_theta = np.cos(np.linspace(0.0, np.pi, n_angle)[[0, -1]])[:, None, None]
     x_sq = nu * nu + rho**2 + 2.0 * nu * rho * cos_theta
     den = (ph + M) ** 2 - x_sq
+    if not (den > 0.0).all():  # |x| < phi + M - 1/3 for every nu in range: only rounding gets here
+        raise AccuracyError(f"the sampled ratio (phi^2 - rho^2) / ((phi+M)^2 - |x|^2) has a denominator <= 0: at "
+                            f"nu={nu:.6g}, (phi+M)^2 - |x|^2 loses M={M} to rounding")
     ratio = (ph**2 - rho**2) / den
-    if (den <= 0.0).any():
-        raise ParameterError("sampled point escaped the weight's positivity region")
     c_lower = float(ratio.min())
     C_upper = float(ratio.max())
     if not (0.0 < c_lower <= C_upper < np.inf):

@@ -24,7 +24,8 @@ reads only the cone r <= phi(t) + M - 1, so each snapshot is formed on the
 cone's nodes alone.  The reduction is a two-stage pipeline with the same
 bits as one thread: the caller evaluates the symbols and forms each time's
 sine coefficients (the velocity term on the members with velocity data
-only), and one worker thread transforms them in place and integrates them;
+only) and puts them on a queue of depth 1, from which one worker thread
+takes them, transforms them in place and integrates them;
 ``homogeneous_ratio`` computes the data's W^(s,1) norms on the caller while
 the worker drains.  ``sobolev_w_s1_norm`` forms each order's multiplier
 once per grid (cached) and scales the coefficients it owns in place; of
@@ -249,53 +250,39 @@ def _per_time_integrals(
 
 
 def _pipeline(items, consume, after=None) -> None:
-    """consume(*item) for each tuple ``items`` yields, in one worker thread fed through a handoff of depth 1.
+    """consume(*item) for each tuple ``items`` yields, in one worker thread fed through a queue of depth 1.
 
-    The caller draws the items, hands each off, then runs after() (if given)
-    while the worker drains.  The worker runs under a copy of the caller's
-    context, so it sees the caller's ``np.errstate`` and ContextVars, and it
-    is joined before this returns or raises.  Once the worker fails, the
-    caller hands off nothing more.  A worker error wins over the caller's,
-    as it comes earlier in serial order; an error of the caller's alone is
+    The caller draws the items and puts each on the queue, then runs after()
+    (if given) while the worker drains.  The worker runs under a copy of the
+    caller's context, so it sees the caller's ``np.errstate`` and ContextVars,
+    and it is joined before this returns or raises.  Once the worker fails it
+    only drains the queue, and the caller puts nothing more after the put
+    that finds the failure.  A worker error wins over the caller's, as it
+    comes earlier in serial order; an error of the caller's alone is
     re-raised unchanged.
     """
-    cond = threading.Condition()
-    slot, failed = [], []  # the item handed off and not yet taken; the worker's error
+    import queue  # at the first pass, not with the package: the flag subcommands never load it
+
+    handoff, failed = queue.Queue(maxsize=1), []  # failed: the worker's error
 
     def work():
-        try:
-            while True:
-                with cond:
-                    while not slot:
-                        cond.wait()
-                    item = slot.pop()
-                    cond.notify()
-                if item is None:  # the caller's last handoff
-                    return
-                consume(*item)
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            with cond:
-                failed.append(exc)
-                cond.notify()
-
-    def hand_off(item) -> bool:
-        with cond:
-            while slot and not failed:
-                cond.wait()
+        while (item := handoff.get()) is not None:  # None: the caller's last put
             if not failed:
-                slot.append(item)
-                cond.notify()
-            return not failed
+                try:
+                    consume(*item)
+                except BaseException as exc:  # handed to the caller, which re-raises it
+                    failed.append(exc)
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     thread.start()
     try:
         try:
             for item in items:
-                if not hand_off(item):
+                handoff.put(item)
+                if failed:
                     break
         finally:
-            hand_off(None)
+            handoff.put(None)
         if after is not None:
             after()
     finally:

@@ -759,13 +759,16 @@ class TestSchemaLimits:
         assert main(["check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5", "--nu", "100"]) == 2
         assert "geometry.nu: nu out of range: need 0 <= nu <=" in capsys.readouterr().err
 
-    def test_geometry_weight_lost_to_rounding_exits_3(self, capsys):
-        # phi(1e3) = 1.7e17 at m = 10, so (phi+M)^2 - r^2 loses M and the sampled ratio reads 0/0
+    @pytest.mark.parametrize("m, M", [(10, 2.0), (1, 1e16), (1, 1e20), (1, 1e40), (1, 1e100), (1, 1e160), (1, 1e300)])
+    def test_geometry_weight_lost_to_rounding_exits_3(self, capsys, m, M):
+        # phi(1e3) = 1.7e17 at m = 10, so (phi+M)^2 - r^2 loses M and the sampled ratio reads 0/0; at
+        # M >= 1e16 the shifted weight (phi+M)^2 - |x|^2 at nu = M - 1 + ... rounds to 0 or below, and
+        # above 1e154 (phi+M)^2 overflows, so the unshifted ratio reads 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["check-geometry", "--m", "10", "--M", "2", "--T0", "0.5"]) == 3
+            assert main(["check-geometry", "--m", str(m), "--M", repr(M), "--T0", "0.5"]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("numerical failure: the sampled ratio") and "loses M=2.0" in err
+        assert out == "" and err.startswith("numerical failure: the sampled ratio") and f"loses M={M}" in err
 
     @pytest.mark.parametrize(
         "scenario,edits,message",

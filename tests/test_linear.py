@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricomi_lab.linear
 from tricomi_lab import grids
@@ -22,7 +24,7 @@ from tricomi_lab.linear import (
     solve_linear,
     weighted_field_norm,
 )
-from tricomi_lab.profiles import bump
+from tricomi_lab.profiles import annular_bump, bump
 from tricomi_lab.strichartz import standard_family
 from tricomi_lab.symbols import evolve_mode, symbol_stream
 
@@ -79,6 +81,27 @@ class TestSpectralSolver:
         with pytest.raises(SupportError):
             solve_linear(PARAMS, wide, zero, [1.0], grid)
         solve_linear(PARAMS, wide, zero, [1.0], grid, enforce_support=False)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        mu=st.sampled_from([0.25, 4.0, 16.0]),
+        N=st.sampled_from([1024, 2048]),
+        width=st.floats(0.3, 1.0),
+        velocity=st.floats(-2.0, 2.0),
+        times=st.lists(st.floats(0.05, 3.0), min_size=4, max_size=4, unique=True),
+    )
+    def test_scaling_oracle(self, m, mu, N, width, velocity, times):
+        # u_mu(t, r) = u(mu t, s r), s = mu^((m+2)/2), solves the same equation with data f(s r), mu g(s r)
+        # in the ball of radius (M-1)/s; on the grid R/s its nodes are the unscaled ones times 1/s.  A power
+        # of 4 for mu makes s a power of two, so every scaling is exact and each node keeps its bits
+        s, R, M = mu ** ((m + 2) / 2), 40.0, 2.0
+        f, g = bump(width), annular_bump(0.4, 0.3, velocity)
+        times = np.sort(times)
+        want = solve_linear(ModelParams(m, 3, 2.0, M=M), f, g, times, RadialGrid(R, N)).u
+        got = solve_linear(ModelParams(m, 3, 2.0, M=1.0 + (M - 1.0) / s), lambda r: f(s * r),
+                           lambda r: mu * g(s * r), times / mu, RadialGrid(R / s, N)).u
+        assert np.array_equal(got, want) and np.abs(want).max() > 0.0
 
 
 class TestFdOracle:

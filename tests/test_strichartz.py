@@ -581,6 +581,17 @@ class TestPipeline:
         assert len(drawn) == 3  # nothing drawn after the refused handoff
         assert threading.active_count() == threads
 
+    def test_worker_only_drains_once_it_fails(self, monkeypatch):
+        # times 1 and 2 are handed off while the worker fails on time 0; it takes them off the queue
+        # so that the caller's puts return, but reduces neither
+        times = _time_grid(10.0)
+        drawn_2 = threading.Event()
+        error = SupportError("worker at time 0")
+        seen = self._patch_worker(monkeypatch, {float(times[0]): error}, drawn_2)
+        self._patch_producer(monkeypatch, drawn_at=2, event=drawn_2)
+        assert self._outcome(times) is error
+        assert [t for _, t in seen] == [float(times[0])]
+
     def test_producer_error_alone_reaches_caller(self, monkeypatch):
         times = _time_grid(10.0)
         threads = threading.active_count()

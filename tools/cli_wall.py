@@ -2,8 +2,12 @@
 
 Times ``python -m tricomi_lab.cli`` from spawn to exit, 5 runs each after one
 untimed run, for README.md's first example of each flag subcommand
-(exponents, check-geometry, symbols) and for ``solve-semilinear`` on the
-benchmark's ``march`` config at seed 1, written into a temporary directory.
+(exponents, check-geometry, symbols) and for the benchmark's ``march``,
+``picard`` and ``strichartz`` configs at seed 1 (``solve-semilinear`` twice,
+``verify-strichartz``), written into a temporary directory.  The untimed run
+writes the bytecode caches under ``-X pycache_prefix`` in that directory, not
+in the checkout, and ``PYTHONDONTWRITEBYTECODE`` is dropped from the children's
+environment, so the timed runs import from the caches rather than compile.
 The values are raw seconds, not scaled by a calibration; each child runs with
 one BLAS/OpenMP thread, as the benchmark does:
 
@@ -29,8 +33,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-       **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+env |= {"PYTHONPATH": str(ROOT / "src"),
+        **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
 readme = (ROOT / "README.md").read_text()
 commands = {}
 for sub in ("exponents", "check-geometry", "symbols"):
@@ -38,8 +43,8 @@ for sub in ("exponents", "check-geometry", "symbols"):
     commands[line] = shlex.split(line)
 
 
-def median_wall(argv: list[str]) -> float:
-    cmd = [sys.executable, "-m", "tricomi_lab.cli", *argv]
+def median_wall(argv: list[str], tmp: str) -> float:
+    cmd = [sys.executable, "-X", f"pycache_prefix={tmp}/pycache", "-m", "tricomi_lab.cli", *argv]
     subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)  # writes the bytecode caches
     walls = []
     for _ in range(RUNS):
@@ -49,10 +54,11 @@ def median_wall(argv: list[str]) -> float:
     return round(statistics.median(walls), 4)
 
 
-walls = {line: median_wall(argv) for line, argv in commands.items()}
 with tempfile.TemporaryDirectory() as tmp:
-    (march,) = WORKLOADS["march"](np.random.default_rng(1))
-    config = Path(tmp) / "march.json"
-    config.write_text(json.dumps({**march, "output_dir": str(Path(tmp) / "out")}))
-    walls["solve-semilinear march seed 1"] = median_wall(["solve-semilinear", "--config", str(config)])
+    walls = {line: median_wall(argv, tmp) for line, argv in commands.items()}
+    for name in ("march", "picard", "strichartz"):
+        (cfg,) = WORKLOADS[name](np.random.default_rng(1))
+        config = Path(tmp) / f"{name}.json"
+        config.write_text(json.dumps({**cfg, "output_dir": str(Path(tmp) / name)}))
+        walls[f"{cfg['scenario']} {name} seed 1"] = median_wall([cfg["scenario"], "--config", str(config)], tmp)
 print(json.dumps(walls, indent=1))
