@@ -212,7 +212,10 @@ def verify_shifted_cone_bounds(
     no angle, and |x|^2 = nu^2 + rho^2 + (2 nu rho) cos(theta), 2 nu rho >= 0,
     rounds non-decreasing in cos(theta), so the ratio's min is at theta = pi and
     its max and smallest denominator at theta = 0 (n_angle = 1: both ends are 0).
-    Asserts nothing; returns the sampled min and max of the ratio.
+    Asserts nothing; returns the sampled min and max of the ratio.  A
+    denominator (phi+M)^2 - |x|^2 that is not positive, or whose rounding bound
+    eps ((phi+M)^2 + |x|^2) / ((phi+M)^2 - |x|^2) exceeds 1e-6 at some sample
+    (M above about 4e9 at m = 1), is an AccuracyError.
     """
     if not (0.0 < T0 < 1.0):
         raise ParameterError(f"T0 in (0, 1) required, got {T0}")
@@ -224,10 +227,18 @@ def verify_shifted_cone_bounds(
     # the fan's two end angles first, (2, n_t, n_r): the inner loops run over whole (t, r) planes
     cos_theta = np.cos(np.linspace(0.0, np.pi, n_angle)[[0, -1]])[:, None, None]
     x_sq = nu * nu + rho**2 + 2.0 * nu * rho * cos_theta
-    den = (ph + M) ** 2 - x_sq
+    apex = (ph + M) ** 2
+    den = apex - x_sq
     if not (den > 0.0).all():  # |x| < phi + M - 1/3 for every nu in range: only rounding gets here
         raise AccuracyError(f"the sampled ratio (phi^2 - rho^2) / ((phi+M)^2 - |x|^2) has a denominator <= 0: at "
                             f"nu={nu:.6g}, (phi+M)^2 - |x|^2 loses M={M} to rounding")
+    # each of (phi+M)^2 and |x|^2 is off by about eps of itself, which the difference magnifies
+    magnified = apex + x_sq
+    magnified /= den
+    rounding = np.finfo(float).eps * float(magnified.max())
+    if rounding > 1e-6:
+        raise AccuracyError(f"the sampled ratio (phi^2 - rho^2) / ((phi+M)^2 - |x|^2) has a denominator off by up to "
+                            f"{rounding:.1e} of itself: at nu={nu:.6g}, (phi+M)^2 - |x|^2 loses M={M} to rounding")
     ratio = (ph**2 - rho**2) / den
     c_lower = float(ratio.min())
     C_upper = float(ratio.max())

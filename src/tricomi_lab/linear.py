@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, InstabilityError, ParameterError
 from .exponents import ModelParams
-from .geometry import WeightSpec, characteristic_weight, finite_speed_radius, phi
+from .geometry import WeightSpec, finite_speed_radius, phi
 from .grids import RadialGrid, SpaceTimeField, SpectralField, check_support
 from .symbols import symbol_stream
 
@@ -289,9 +289,12 @@ def _weighted_integral(u: np.ndarray, r: np.ndarray, t: float, m: int, spec: Wei
     them, taken as a slice: the rows stay C-ordered and each is summed in the
     same order as a single snapshot.  ``u`` may hold just that prefix (as the
     Strichartz probes build their snapshots) or any longer one; the value is
-    the same.
+    the same.  phi(t) is evaluated once, for the prefix (phi + M - 1, as
+    ``finite_speed_radius`` forms it) and for the weight ((phi + M)^2 - r^2,
+    as ``characteristic_weight`` forms it), with the bits of those calls.
     """
-    k = _cone_nodes(r, m, spec.M, t)
+    ph = phi(m, t)
+    k = int(np.searchsorted(r, ph + spec.M - 1.0, side="right"))
     rr = r[:k]
-    weight = characteristic_weight(m, spec.M, t, rr) ** (spec.gamma * spec.q)
+    weight = ((ph + spec.M) ** 2 - rr * rr) ** (spec.gamma * spec.q)
     return 4.0 * np.pi * np.trapezoid(weight * np.abs(u[..., :k]) ** spec.q * rr * rr, rr)

@@ -52,7 +52,7 @@ from .errors import InstabilityError, ParameterError, PicardDivergenceError, Tri
 from .exponents import ModelParams, gamma_interval, gamma_window_formula, p_conf, p_crit
 from .geometry import WeightSpec, phi
 from .grids import RadialGrid, SpaceTimeField
-from .linear import _data_coeffs, _frame_coeffs, _radial_field, _weighted_integral
+from .linear import _cone_nodes, _data_coeffs, _frame_coeffs, _radial_field, _weighted_integral
 from .profiles import smooth_ramp
 from .symbols import symbol_stream
 
@@ -187,7 +187,12 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
     ``source(i, t_mid, u_mid, live)`` gets step i's midpoint field of the
     members still marching, whose indices are the list ``live``, and returns
     their radial source samples frozen over the step (None for source-free).
-    It is not called once every member has stopped.
+    It is not called once every member has stopped.  In a family, a member
+    whose source is zero on nodes 1..N-1 (a first Picard iterate, a zero
+    Strichartz source) gets no transform and keeps its coordinates, and a
+    step where no member has a source makes no forward transform.  Every
+    coordinate keeps its value; only an exactly-zero one may differ in sign
+    from what adding the zero impulse would give.
 
     Returns (hists, t_stops, kept): hists[b] lists member b's (t_mid, sup|u|)
     per step, ending at its crossing; t_stops[b] is its stopping midpoint
@@ -222,8 +227,15 @@ def _march(m, grid, steps, cv, cd, source=None, threshold=np.inf, keep=()):
             alpha, beta, um = alpha[ok], beta[ok], um[ok]
         src = source(i, tm, um, live) if source is not None else None
         if src is not None:
-            impulse = (t_end[i + 1] - t_end[i]) * grid.forward(r_int * src[..., 1 : grid.N])
-            alpha, beta = alpha - v2 * impulse, beta + v1 * impulse
+            step = t_end[i + 1] - t_end[i]
+            if src.ndim == 1 or (moving := src[:, 1 : grid.N].any(axis=1)).all():
+                impulse = step * grid.forward(r_int * src[..., 1 : grid.N])
+                alpha, beta = alpha - v2 * impulse, beta + v1 * impulse
+            elif moving.any():  # members without a source keep their coordinates
+                impulse = step * grid.forward(r_int * src[moving, 1 : grid.N])
+                alpha, beta = alpha.copy(), beta.copy()
+                alpha[moving] -= v2 * impulse
+                beta[moving] += v1 * impulse
         if i + 1 in keep:
             kept.append((t_end[i + 1], _radial_field(grid, _frame_coeffs(next(kept_values), alpha, beta))))
     return hists, t_stops, kept
@@ -314,9 +326,12 @@ def picard_solve(
     Iterates march _PICARD_BLOCK at a time as the rows of one family: row 0
     takes its source from the previous block's last iterate (zero in the
     first block), row j from row j-1's midpoint in the same step, so every
-    step's symbols serve the whole block.  Each step is reduced at once to
-    its per-time integrals of M_k and N_k.  The results are bit-identical to
-    marching one iterate at a time.
+    step's symbols serve the whole block.  Each step in [T0/2, horizon] is
+    reduced at once to its per-time integrals of M_k and N_k: the cone
+    prefixes of the B midpoints and of their B differences, stacked as one
+    (2B, k) family, go through one weighted integral.  Row 0 of the first
+    block has no source, so the march transforms only the other rows there.
+    The results are bit-identical to marching one iterate at a time.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters >= 1 required, got {max_iters}")
@@ -357,8 +372,11 @@ def picard_solve(
             if in_box[i]:
                 # an overflow here gives a non-finite norm, which raises PicardDivergenceError below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    M_int.append(_weighted_integral(um, r, tm, params.m, wspec))
-                    N_int.append(_weighted_integral(um - pred, r, tm, params.m, wspec))
+                    k = _cone_nodes(r, params.m, wspec.M, tm)
+                    per_row = _weighted_integral(np.concatenate((um[:, :k], um[:, :k] - pred[:, :k])), r, tm,
+                                                 params.m, wspec)
+                M_int.append(per_row[: len(um)])
+                N_int.append(per_row[len(um) :])
             return evaluate_nonlinearity(spec, tm, pred)
 
         block = (rows, fh.size)

@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import AccuracyError, InstabilityError, ParameterError
 from .geometry import phi, phi_inverse
-from .grids import _frozen
 
 __all__ = [
     "Z_SWITCH",
@@ -93,7 +92,8 @@ W_SWITCH = 12.25
 _SERIES_TERMS = 30
 _HANKEL_TERMS = 12
 # Elements per kernel call of symbol_stream: K = this // lam.size times at once.
-# Chosen by measurement against peak RSS (CHANGES.md); 16384 cost 7% more.
+# Chosen by measurement against peak RSS and the strichartz pass (ROADMAP): 16384
+# grew march peak RSS by 1.3 MB and read 1.14x on strichartz, whose pipeline it feeds in bursts.
 _SYMBOL_BLOCK_ELEMENTS = 8192
 _START_SERIES_TERMS = 80  # power-series terms of the ODE route's start at small t
 _ENVELOPE_BINS = 24  # log bins of fit_upper_envelope_slope
@@ -121,13 +121,10 @@ def _rgamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coef, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] x^k by Horner's rule, every term for every element.
-
-    Coefficients are scalars, or columns (one value per row) to evaluate
-    several polynomials at once.
-    """
-    s = coef[-1] * x
+def _horner(coef, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k coef[k] x^k by Horner's rule with scalar coefficients, every term for every element,
+    into ``out`` when given."""
+    s = np.multiply(x, coef[-1], out=out)
     for c in coef[-2:0:-1]:
         s += c
         s *= x
@@ -137,20 +134,25 @@ def _horner(coef, x: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _series_constants(nus: tuple) -> tuple:
-    """Horner coefficients 1 / (k! (nu + 1)_k) of :func:`_hyp0f1_series`, as columns."""
+    """Horner coefficients 1 / (k! (nu + 1)_k) of :func:`_hyp0f1_series`, a tuple of floats per order."""
     nu = np.asarray(nus, dtype=float)[:, None]
     k = np.arange(1.0, _SERIES_TERMS)
     coef = np.cumprod(1.0 / (k * (nu + k)), axis=1)
-    return (1.0, *(_frozen(c) for c in coef.T[:, :, None]))
+    return tuple((1.0, *row) for row in coef.tolist())
 
 
 def _hyp0f1_series(nus, w: np.ndarray) -> np.ndarray:
     """Lambda_nu(w) = 0F1(; nu + 1; -w^2/4) for each order in ``nus`` (rows) by its Maclaurin series.
 
     Lambda_nu(w) = sum_k x^k / (k! (nu + 1)_k), x = -w^2/4 (DLMF 10.2.2 without its
-    (w/2)^nu / Gamma(nu + 1)), over ``_SERIES_TERMS`` terms, all orders in one Horner pass.
+    (w/2)^nu / Gamma(nu + 1)), over ``_SERIES_TERMS`` terms: one Horner pass per order
+    with float coefficients, written into its row.
     """
-    return _horner(_series_constants(nus), -0.25 * w * w)
+    x = -0.25 * w * w
+    out = np.empty((len(nus), w.size))
+    for row, coef in zip(out, _series_constants(nus)):
+        _horner(coef, x, row)
+    return out
 
 
 @functools.lru_cache(maxsize=64)

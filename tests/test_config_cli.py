@@ -759,16 +759,29 @@ class TestSchemaLimits:
         assert main(["check-geometry", "--m", "1", "--M", "2.0", "--T0", "0.5", "--nu", "100"]) == 2
         assert "geometry.nu: nu out of range: need 0 <= nu <=" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m, M", [(10, 2.0), (1, 1e16), (1, 1e20), (1, 1e40), (1, 1e100), (1, 1e160), (1, 1e300)])
+    @pytest.mark.parametrize("m, M", [(10, 2.0), (1, 1e10), (1, 1e14), (1, 1e15), (1, 1e16), (1, 1e20), (1, 1e40),
+                                      (1, 1e100), (1, 1e160), (1, 1e300)])
     def test_geometry_weight_lost_to_rounding_exits_3(self, capsys, m, M):
         # phi(1e3) = 1.7e17 at m = 10, so (phi+M)^2 - r^2 loses M and the sampled ratio reads 0/0; at
-        # M >= 1e16 the shifted weight (phi+M)^2 - |x|^2 at nu = M - 1 + ... rounds to 0 or below, and
-        # above 1e154 (phi+M)^2 overflows, so the unshifted ratio reads 0
+        # M = 1e10 - 1e15 the shifted weight (phi+M)^2 - |x|^2 at nu = M - 1 + ... cancels to more than
+        # 1e-6 of itself (c_lower * M read 1.8758e-3 at 1e14 and 1.6896e-3 at 1e15, against 1.8660e-3);
+        # at M >= 1e16 it rounds to 0 or below, and above 1e154 (phi+M)^2 overflows, so the unshifted
+        # ratio reads 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["check-geometry", "--m", str(m), "--M", repr(M), "--T0", "0.5"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numerical failure: the sampled ratio") and f"loses M={M}" in err
+
+    def test_geometry_huge_M_within_rounding_keeps_its_rows(self, capsys):
+        # at M = 1e6 the shifted denominator is off by at most about 2e-10 of itself: the rows stay as they were
+        assert main(["check-geometry", "--m", "1", "--M", "1e6", "--T0", "0.5"]) == 0
+        assert capsys.readouterr().out == (
+            "inequality,holds,margin,delta_max\n"
+            "unshifted-cone,false,-104215128.07866435,8.6805550440489366e-16\n"
+            "shifted-cone-lower,true,1.8738941904816448e-09,\n"
+            "shifted-cone-upper,true,0.020273014213951935,\n"
+        )
 
     @pytest.mark.parametrize(
         "scenario,edits,message",

@@ -1,10 +1,15 @@
 """Semilinear machinery: nonlinearity blend, Duhamel march, Picard, sweeps."""
 
+import hashlib
+import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricomi_lab.semilinear as semilinear
 import tricomi_lab.symbols as symbols
@@ -13,7 +18,7 @@ from tricomi_lab.exponents import ModelParams, gamma_interval, p_conf, p_crit
 from tricomi_lab.geometry import WeightSpec, phi
 from tricomi_lab.grids import RadialGrid, SpaceTimeField, SpectralField
 from tricomi_lab.linear import _data_coeffs, _snapshots, solve_linear, weighted_field_norm
-from tricomi_lab.profiles import bump
+from tricomi_lab.profiles import annular_bump, bump
 from tricomi_lab.semilinear import (
     BLOWUP_THRESHOLD,
     NonlinearitySpec,
@@ -214,6 +219,50 @@ class TestTimeMarch:
             for (_, u), want in zip(kept, _snapshots(m, grid, times, cv, cd)):
                 assert u.tobytes() == want.tobytes()
 
+    @settings(max_examples=24, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        mu=st.sampled_from([4.0, 16.0]),
+        N=st.sampled_from([256, 512]),
+        T0=st.sampled_from([0.1, 0.2, 0.5]),
+        width=st.floats(0.3, 1.0),
+        amplitude=st.floats(0.1, 1.0),
+        velocity=st.floats(-1.0, 1.0),
+        times=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3, unique=True),
+    )
+    def test_scaling_oracle(self, m, mu, N, T0, width, amplitude, velocity, times):
+        # at p = 3, u_mu(t, r) = mu u(mu t, s r), s = mu^((m+2)/2), solves the same equation with data
+        # mu f(s r), mu^2 g(s r) and switch time T0/mu, on the grid R/s with M' = 1 + (M-1)/s, marched with
+        # dt/mu to horizon/mu.  A power of 4 for mu makes s a power of two and every scaling exact, except the
+        # smooth branch's absolute EPS0 and the last bit of the power |u|^3 (libm's pow rounds 4x and x apart
+        # for about 3e-5 of inputs).  With EPS0 each sup and kept field matches within 1e-12 of the peak for
+        # t >= T0 (a sweep of 120 cases read at most 3.5e-13 at mu = 4 and 16; mu = 1/4, where the scaled
+        # solution is small against EPS0, read up to 6e-12), and without it within 1e-14 everywhere (150 of
+        # 150 cases of a sweep matched bit for bit)
+        s, R, M, horizon, dt = mu ** ((m + 2) / 2), 16.0, 2.0, 2.0, 0.02
+        f, g = bump(width, amplitude), annular_bump(0.4, 0.3, velocity)
+        times = np.sort(times)
+
+        def both():
+            want = time_march(ModelParams(m, 3, 3.0, M=M), NonlinearitySpec(3.0, T0), f, g, horizon, dt,
+                              RadialGrid(R, N), snapshot_times=times)
+            got = time_march(ModelParams(m, 3, 3.0, M=1.0 + (M - 1.0) / s), NonlinearitySpec(3.0, T0 / mu),
+                             lambda r: mu * f(s * r), lambda r: mu * mu * g(s * r), horizon / mu, dt / mu,
+                             RadialGrid(R / s, N), snapshot_times=times / mu)
+            (out, fld), (out_mu, fld_mu) = want, got
+            assert out.kind == out_mu.kind == "global-horizon"
+            assert np.array_equal(fld_mu.times, fld.times / mu)
+            hist, hist_mu = np.array(out.norm_history), np.array(out_mu.norm_history)
+            assert np.array_equal(hist_mu[:, 0], hist[:, 0] / mu)
+            return fld.u, fld_mu.u / mu, hist[:, 1], hist_mu[:, 1] / mu, hist[:, 0] >= T0
+
+        u, u_mu, sup, sup_mu, late = both()
+        assert np.abs(u_mu - u).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(sup_mu - sup)[late].max() <= 1e-12 * sup.max()
+        with mock.patch.object(semilinear, "EPS0", 0.0):
+            u, u_mu, sup, sup_mu, _ = both()
+        assert np.abs(u_mu - u).max() <= 1e-14 * np.abs(u).max() and np.abs(sup_mu - sup).max() <= 1e-14 * sup.max()
+
     def test_snapshot_out_of_range(self):
         params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
         grid = RadialGrid(20.0, 256)
@@ -263,6 +312,33 @@ class TestMarchFamily:
                 row = [0, 2].index(b)
                 assert [t for t, _ in kept] == [t for t, _ in alone]
                 assert all(np.array_equal(u[row], v) for (_, u), (_, v) in zip(kept, alone))
+
+
+    def test_only_members_with_a_source_are_transformed(self, monkeypatch):
+        # member 1 has zero data, so its source is zero at every step, and every third step zeroes all sources:
+        # grid.forward sees members 0 and 2 only, and a step where no member has a source makes no transform
+        params = ModelParams(1, 3, 2.0, eps=1.0, M=2.0)
+        grid = RadialGrid(16.0, 256, transform="fft")
+        spec = NonlinearitySpec(p=2.0)
+        steps = _steps(params, grid, 1.0, 0.05)
+        keep = _snap(steps[0], [0.5, 1.0], "snapshot_times")
+        coeffs = [_data_coeffs(params, grid, bump(0.8, a), bump(0.8, a)) for a in (1.0, 0.0, 3.0)]
+        fh, gh = (np.array(c) for c in zip(*coeffs))
+
+        def source(i, tm, um, live):
+            return evaluate_nonlinearity(spec, tm, um) * (i % 3 != 0)
+
+        seen, forward = [], RadialGrid.forward
+        monkeypatch.setattr(RadialGrid, "forward", lambda self, w: seen.append(w.shape) or forward(self, w))
+        hists, t_stops, kept = _march(1, grid, steps, fh, gh, source, BLOWUP_THRESHOLD, keep)
+        nsteps = len(steps[1])
+        assert seen == [(2, grid.N - 1) for i in range(nsteps) if i % 3]
+        assert t_stops == [None] * 3
+        for b in range(3):  # each member keeps its values alone, where its 1-D march transforms every source
+            (hist,), _, alone = _march(1, grid, steps, fh[b], gh[b], source, BLOWUP_THRESHOLD, keep)
+            assert hists[b] == hist
+            assert all(np.array_equal(u[b], v) for (_, u), (_, v) in zip(kept, alone))
+        assert not np.abs(kept[-1][1][1]).any() and np.abs(kept[-1][1][[0, 2]]).max(axis=1).all()
 
 
 class TestManufacturedSolution:
@@ -437,6 +513,38 @@ class TestPicard:
             assert np.array_equal(got[4].times, want[4].times) and np.array_equal(got[4].u, want[4].u)
         else:
             assert got[4] is None and want[4] is None
+
+    def test_one_weighted_integral_per_in_box_step(self, monkeypatch):
+        # M_k and N_k of a block's rows are one (2B, k) family per step midpoint in [T0/2, horizon]
+        params, f, (r_max, N), horizon, *_ = self.PIPELINE_CASES["two-blocks"]
+        grid = RadialGrid(r_max, N, transform="fft")
+        shapes, inner = [], semilinear._weighted_integral
+
+        def counted(u, r, t, m, spec):
+            shapes.append(u.shape)
+            return inner(u, r, t, m, spec)
+
+        monkeypatch.setattr(semilinear, "_weighted_integral", counted)
+        diag, _ = picard_solve(params, NonlinearitySpec(p=2.0), f, f, horizon, 0.02, grid)
+        t_mid = np.array(_steps(params, grid, horizon, 0.02)[1])
+        in_box = np.count_nonzero(t_mid >= 0.25)
+        assert diag.iterations == 6 and len(shapes) == 2 * in_box  # two blocks of three rows
+        assert [rows for rows, _ in shapes] == [6] * len(shapes)
+
+    def test_zero_data_field_keeps_its_bytes(self, tmp_path):
+        # no iterate has a source, so the march makes no forward transform; field.csv keeps the bytes, signed
+        # zeros included, that the march wrote when it transformed the zero sources
+        from tricomi_lab.cli import run_scenario
+        from tricomi_lab.config import parse_config
+
+        cfg = {"scenario": "solve-semilinear", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+               "grid": {"r_max": 16.0, "N": 256, "transform": "fft"}, "output_dir": str(tmp_path),
+               "semilinear": {"horizon": 1.0, "dt": 0.05, "mode": "picard", "max_iters": 4, "write_field": True,
+                              "field_r_points": 16, "data": {"profile": "bump", "amplitude": 0.0}}}
+        run_scenario(parse_config(json.dumps(cfg)))
+        field = (tmp_path / "field.csv").read_bytes()
+        assert b",-0\n" in field
+        assert hashlib.sha256(field).hexdigest() == "3510616902843d463f82c556a0e8fa5959b4791cebb04153a46d11c03c0f1e4b"
 
     def test_field_times_are_the_marched_midpoints(self):
         # horizon 20 and dt 0.02, as in criterion 7: (i + 0.5) dt misses the march's midpoints by an ulp

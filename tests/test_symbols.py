@@ -113,6 +113,26 @@ class TestBesselRoute:
                     assert np.abs(got * (0.5 * ws) ** order / math.gamma(order + 1.0) - ref).max() < 2e-12
                     assert np.array_equal(_hyp0f1_kernel((order,), ws[None])[0, 0], got)
 
+    @pytest.mark.parametrize("derivatives", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_series_is_the_column_horner(self, m, derivatives):
+        # one scalar Horner per order gives every value of the column-broadcast Horner over all orders
+        from tricomi_lab.symbols import _SERIES_TERMS, _hyp0f1_series
+
+        nu = 1.0 / (m + 2.0)
+        nus = (-nu, nu, 1.0 - nu, 1.0 + nu) if derivatives else (-nu, nu)
+        k = np.arange(1.0, _SERIES_TERMS)
+        coef = np.cumprod(1.0 / (k * (np.array(nus)[:, None] + k)), axis=1)
+        w = np.concatenate(([0.0], np.random.default_rng(m).uniform(0.0, W_SWITCH, 2000), [W_SWITCH]))
+        x = -0.25 * w * w
+        want = coef[:, -1:] * x
+        for c in coef.T[-2::-1]:
+            want += c[:, None]
+            want *= x
+        want += 1.0
+        got = _hyp0f1_series(nus, w)
+        assert [repr(v) for v in got.ravel().tolist()] == [repr(v) for v in want.ravel().tolist()]
+
     def test_negative_argument_rejected(self):
         # the stream checks lambda once; the kernel takes ascending rows from w >= 0 only
         with pytest.raises(ParameterError, match="lambda"):

@@ -4,7 +4,9 @@ Runs every ``perfbench.workloads.WORKLOADS`` config at seeds 1 and 5, the
 first JSON config in README.md, three small configs that reach the other
 callers of the semilinear march (a ``sweep-p`` with one global and one blowup
 row, an inhomogeneous ``verify-strichartz``, and a ``solve-semilinear`` march
-with a given ``t_start`` that writes its field), and a small homogeneous
+with a given ``t_start`` that writes its field), a ``solve-semilinear`` Picard run that
+converges at its 7th iterate (three blocks of iterates: the first with a row whose source is
+zero, the later ones without), and a small homogeneous
 ``verify-strichartz`` whose last snapshot's cone r <= phi(t_max) + M - 1 ends
 within 4 h of the grid's wall (at node 508 of 512), an m=3 ``check-geometry`` with a
 given ``nu`` and ``delta``, two ``check-geometry`` runs at ``nu = 0`` (m=1 and m=2, where
@@ -70,6 +72,11 @@ configs["t_start"] = {
     "grid": {"r_max": 16.0, "N": 256, "transform": "fft"},
     "semilinear": {"horizon": 1.0, "dt": 0.01, "t_start": 0.1, "snapshots": 5, "write_field": True,
                    "field_r_points": 32, "data": {"profile": "bump", "amplitude": 1.0}},
+}
+configs["picard-blocks"] = {
+    "scenario": "solve-semilinear", "model": {"m": 1, "n": 3, "p": 2.0, "eps": 1.0, "M": 2.0},
+    "grid": {"r_max": 16.0, "N": 256, "transform": "fft"},
+    "semilinear": {"horizon": 1.5, "dt": 0.02, "mode": "picard", "data": {"profile": "bump", "amplitude": 1.0}},
 }
 configs["geometry-m3"] = {"scenario": "check-geometry", "model": {"m": 3, "M": 2.0}, "seed": 7,
                           "geometry": {"T0": 0.9, "nu": 0.75, "delta": 1e-5}}
